@@ -152,8 +152,7 @@ std::string toolFingerprint(core::FadesTool& tool) {
                    std::to_string(static_cast<int>(o.delayVia)) +
                    std::to_string(o.fullDownloadForDelay) +
                    std::to_string(o.oscillatingIndetermination) +
-                   std::to_string(o.keepRecords) +
-                   std::to_string(o.sessionFrameCache) + "/" +
+                   std::to_string(o.keepRecords) + "/" +
                    std::to_string(o.fpgaClockHz) + "/" +
                    std::to_string(o.hostPerExperimentSeconds) + "/" +
                    std::to_string(o.checkpointInterval) + "/" +

@@ -246,12 +246,10 @@ void BM_DeviceStateRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_DeviceStateRestore);
 
-// Reconfiguration-dominated single experiments, with and without the
-// session-scoped frame transaction cache. The design is deliberately tiny
-// and the emulated run short, so wall-clock is dominated by configuration
-// frame traffic rather than by cycle emulation - this is the regime the
-// cache targets, and the pair below is what CI's regression gate compares
-// (cached / uncached throughput ratio, machine-independent).
+// Reconfiguration-dominated single experiments, one per injection
+// mechanism. The design is deliberately tiny and the emulated run short, so
+// wall-clock is dominated by configuration frame traffic rather than by
+// cycle emulation.
 struct ReconfigDesign {
   netlist::Netlist nl;
   synth::Implementation impl;
@@ -286,12 +284,11 @@ struct ReconfigDesign {
 
 void runReconfigExperiments(benchmark::State& state,
                             campaign::FaultModel model,
-                            campaign::TargetClass cls, bool cache,
+                            campaign::TargetClass cls,
                             core::BitFlipVia via = core::BitFlipVia::Lsr) {
   const auto& d = ReconfigDesign::get();
   core::FadesOptions opt;
   opt.observedOutputs = {"out"};
-  opt.sessionFrameCache = cache;
   opt.bitFlipVia = via;
   fpga::Device dev(d.impl.spec);
   core::FadesTool tool(dev, d.impl, d.cycles, opt);
@@ -309,47 +306,27 @@ void runReconfigExperiments(benchmark::State& state,
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_ReconfigExperimentPulseCached(benchmark::State& state) {
+void BM_ReconfigExperimentPulse(benchmark::State& state) {
   runReconfigExperiments(state, campaign::FaultModel::Pulse,
-                         campaign::TargetClass::CombinationalLut, true);
+                         campaign::TargetClass::CombinationalLut);
 }
-BENCHMARK(BM_ReconfigExperimentPulseCached);
+BENCHMARK(BM_ReconfigExperimentPulse);
 
-void BM_ReconfigExperimentPulseUncached(benchmark::State& state) {
-  runReconfigExperiments(state, campaign::FaultModel::Pulse,
-                         campaign::TargetClass::CombinationalLut, false);
-}
-BENCHMARK(BM_ReconfigExperimentPulseUncached);
-
-void BM_ReconfigExperimentBitFlipCached(benchmark::State& state) {
+void BM_ReconfigExperimentBitFlip(benchmark::State& state) {
   runReconfigExperiments(state, campaign::FaultModel::BitFlip,
-                         campaign::TargetClass::SequentialFF, true);
+                         campaign::TargetClass::SequentialFF);
 }
-BENCHMARK(BM_ReconfigExperimentBitFlipCached);
-
-void BM_ReconfigExperimentBitFlipUncached(benchmark::State& state) {
-  runReconfigExperiments(state, campaign::FaultModel::BitFlip,
-                         campaign::TargetClass::SequentialFF, false);
-}
-BENCHMARK(BM_ReconfigExperimentBitFlipUncached);
+BENCHMARK(BM_ReconfigExperimentBitFlip);
 
 // The GSR mechanism reads every used capture column and rewrites the
 // set/reset mux of every used FF twice per experiment - the most
-// reconfiguration-dominated injector, and the pair CI's regression gate
-// tracks.
-void BM_ReconfigExperimentGsrCached(benchmark::State& state) {
+// reconfiguration-dominated injector.
+void BM_ReconfigExperimentGsr(benchmark::State& state) {
   runReconfigExperiments(state, campaign::FaultModel::BitFlip,
-                         campaign::TargetClass::SequentialFF, true,
+                         campaign::TargetClass::SequentialFF,
                          core::BitFlipVia::Gsr);
 }
-BENCHMARK(BM_ReconfigExperimentGsrCached);
-
-void BM_ReconfigExperimentGsrUncached(benchmark::State& state) {
-  runReconfigExperiments(state, campaign::FaultModel::BitFlip,
-                         campaign::TargetClass::SequentialFF, false,
-                         core::BitFlipVia::Gsr);
-}
-BENCHMARK(BM_ReconfigExperimentGsrUncached);
+BENCHMARK(BM_ReconfigExperimentGsr);
 
 // Liveness-based fault-list pruning on the paper's Bubblesort workload:
 // derive the fades.prune/1 plan (golden trace + analysis, no campaign

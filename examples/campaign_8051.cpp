@@ -4,8 +4,9 @@
 //
 // Usage:
 //   campaign_8051 [--tool fades|vfit|autonomous] [--engine event|compiled]
-//                 [--jobs N|auto] [--no-cache] [--link-faults R]
+//                 [--jobs N|auto] [--link-faults R]
 //                 [--checkpoint FILE] [--resume] [--fsync]
+//                 [--prune] [--prune-plan FILE]
 //                 [model] [targets] [unit] [faults] [band] [artifact.json]
 //     --tool   which injector runs the campaign: fades (run-time
 //              reconfiguration on the emulated FPGA, the default), vfit
@@ -23,9 +24,6 @@
 //              FADES_JOBS is the fallback; default 1). Changes wall-clock
 //              only: outcomes, records, modeled times and the written
 //              artifact are bit-identical for every N.
-//     --no-cache disable the session-scoped frame transaction cache in the
-//              configuration port. Like --jobs this changes wall-clock
-//              only; the artifact stays bit-identical either way.
 //     --link-faults R emulate an unreliable board link: each transfer hits
 //              a readback CRC mismatch / transient write failure with
 //              probability R (and a timeout with R/10), retried with
@@ -84,7 +82,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: campaign_8051 [--tool fades|vfit|autonomous]\n"
     "                     [--engine event|compiled]\n"
-    "                     [--jobs N|auto] [--no-cache] [--link-faults R]\n"
+    "                     [--jobs N|auto] [--link-faults R]\n"
     "                     [--checkpoint FILE] [--resume] [--fsync]\n"
     "                     [--prune] [--prune-plan FILE]\n"
     "                     [model] [targets] [unit] [faults] [band]\n"
@@ -141,7 +139,6 @@ double parseRate(const std::string& text, const char* what) {
 int main(int argc, char** argv) {
   // Flags may appear anywhere; everything else is positional.
   unsigned jobs = 1;
-  bool frameCache = true;
   double linkFaultRate = 0.0;
   std::string checkpointPath;
   bool resume = false;
@@ -162,8 +159,6 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--jobs") {
       jobs = parseJobs(flagValue(i, "--jobs"), "--jobs");
-    } else if (a == "--no-cache") {
-      frameCache = false;
     } else if (a == "--link-faults") {
       linkFaultRate = parseRate(flagValue(i, "--link-faults"), "--link-faults");
     } else if (a == "--checkpoint") {
@@ -269,9 +264,7 @@ int main(int argc, char** argv) {
   const campaign::CampaignSpec& spec = job.spec;
 
   std::printf("Building the MC8051 + Bubblesort system...\n");
-  service::BuildKnobs knobs;
-  knobs.sessionFrameCache = frameCache;
-  const auto system = service::buildSystem(job, knobs);
+  const auto system = service::buildSystem(job);
 
   // Both jobs paths run every experiment through the same stateless
   // per-index derivation, so the runner yields bit-identical results for

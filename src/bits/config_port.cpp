@@ -1,7 +1,6 @@
 #include "bits/config_port.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <map>
 
 #include "common/error.hpp"
@@ -9,12 +8,7 @@
 namespace fades::bits {
 
 using common::ErrorKind;
-using common::require;
 using fpga::Plane;
-
-// ---------------------------------------------------------------------------
-// Frame transaction shadow
-// ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
 // Unreliable-link model
@@ -22,10 +16,9 @@ using fpga::Plane;
 
 void ConfigPort::linkTransfer(LinkOp op, std::uint64_t bytes) {
   // One uniform01 draw per attempt from the dedicated link stream. The
-  // experiment RNG is never touched here, and the logical operation sequence
-  // is identical with the frame cache on or off, so the draw sequence - and
+  // experiment RNG is never touched here, so the draw sequence - and
   // therefore every fault and retry - is a pure function of the seed passed
-  // to seedLinkStream().
+  // to seedLinkStream() and the logical operation sequence.
   const bool isRead = op == LinkOp::Read || op == LinkOp::Capture;
   const double rate =
       linkFaults_.timeoutRate +
@@ -54,215 +47,50 @@ void ConfigPort::linkTransfer(LinkOp op, std::uint64_t bytes) {
   }
 }
 
-void ConfigPort::setCacheEnabled(bool on) {
-  if (!on && cacheEnabled_) {
-    invalidate();
-    inTransaction_ = false;
-  }
-  cacheEnabled_ = on;
-}
-
-void ConfigPort::sync() {
-  if (shadow_.empty()) return;
-  // std::map iteration order == ascending FrameKey, so the coalesced
-  // write-back is deterministic regardless of the access pattern that built
-  // the shadow. Flushing charges nothing: every logical operation that
-  // dirtied these frames was metered when it happened.
-  std::uint64_t flushed = 0;
-  std::uint64_t evicted = 0;
-  for (auto it = shadow_.begin(); it != shadow_.end();) {
-    const auto& key = it->first;
-    ShadowFrame& frame = it->second;
-    const auto plane = static_cast<fpga::Plane>(std::get<0>(key));
-    if (frame.dirty) {
-      if (plane == Plane::Logic) {
-        // Differential write-back: the shadow holds the device's previous
-        // frame content, so only changed bits travel. By value this is
-        // identical to a full frame write (Device::writeLogicFrame ignores
-        // per-bit no-ops), it just skips the untouched payload.
-        const FrameAddr f{Plane::Logic, std::get<1>(key), std::get<2>(key)};
-        const std::size_t firstBit = dev_.layout().logicFrameFirstBit(f);
-        const unsigned nBytes =
-            (dev_.layout().logicFrameBitCount(f) + 7u) / 8u;
-        for (unsigned b = 0; b < nBytes; ++b) {
-          unsigned diff = frame.bytes[b] ^ frame.orig[b];
-          while (diff != 0) {
-            const unsigned r = static_cast<unsigned>(std::countr_zero(diff));
-            dev_.setLogicBit(firstBit + b * 8u + r,
-                             (frame.bytes[b] >> r) & 1u);
-            diff &= diff - 1;
-          }
-        }
-      } else if (plane == Plane::BramContent) {
-        dev_.writeBramFrame(std::get<1>(key), std::get<2>(key), frame.bytes);
-      }
-      // Capture-plane frames are read-only and never marked dirty.
-      ++flushed;
-      frame.orig = frame.bytes;
-      frame.dirty = false;
-    }
-    if (plane == Plane::Logic) {
-      // The logic configuration plane only changes through this port (full
-      // downloads and the direct-write escape hatch call invalidate()), so
-      // the now-clean shadow stays valid and keeps serving reads. Capture
-      // and BRAM-content frames mirror run-time state that the next
-      // settle/step/GSR pulse rewrites, so those are dropped.
-      ++it;
-    } else {
-      ++evicted;
-      it = shadow_.erase(it);
-    }
-  }
-  if (flushed != 0) cCacheFlushed_.add(flushed);
-  if (evicted != 0) cCacheEvicted_.add(evicted);
-}
-
-void ConfigPort::invalidate() {
-  sync();
-  if (!shadow_.empty()) {
-    cCacheEvicted_.add(shadow_.size());
-    shadow_.clear();
-  }
-}
-
-ConfigPort::ShadowFrame& ConfigPort::shadowFor(const FrameKey& key) {
-  auto it = shadow_.find(key);
-  if (it != shadow_.end()) {
-    cCacheHits_.inc();
-    return it->second;
-  }
-  cCacheMisses_.inc();
-  ShadowFrame& frame = shadow_[key];
-  frame.bytes.resize(dev_.spec().frameBytes, 0);
-  const auto plane = static_cast<fpga::Plane>(std::get<0>(key));
-  if (plane == Plane::Logic) {
-    dev_.readLogicFrameInto(
-        FrameAddr{Plane::Logic, std::get<1>(key), std::get<2>(key)},
-        frame.bytes);
-  } else if (plane == Plane::BramContent) {
-    dev_.readBramFrameInto(std::get<1>(key), std::get<2>(key), frame.bytes);
-  } else {
-    dev_.readCaptureFrameInto(std::get<1>(key), frame.bytes);
-  }
-  frame.orig = frame.bytes;
-  return frame;
-}
-
-void ConfigPort::shadowStore(const FrameKey& key,
-                             std::span<const std::uint8_t> bytes,
-                             unsigned payloadBits) {
-  ShadowFrame& frame = shadow_[key];
-  const unsigned frameBytes = dev_.spec().frameBytes;
-  if (frame.orig.empty()) {
-    // First touch is a write: snapshot the current device content so the
-    // flush can write back differentially. This internal host-side read is
-    // unmetered - the logical write was already charged in full.
-    frame.orig.resize(frameBytes, 0);
-    const auto plane = static_cast<fpga::Plane>(std::get<0>(key));
-    if (plane == Plane::Logic) {
-      dev_.readLogicFrameInto(
-          FrameAddr{Plane::Logic, std::get<1>(key), std::get<2>(key)},
-          frame.orig);
-    } else if (plane == Plane::BramContent) {
-      dev_.readBramFrameInto(std::get<1>(key), std::get<2>(key), frame.orig);
-    }
-  }
-  frame.bytes.assign(frameBytes, 0);
-  const std::size_t n =
-      std::min<std::size_t>(bytes.size(), (payloadBits + 7u) / 8u);
-  std::copy(bytes.begin(), bytes.begin() + n, frame.bytes.begin());
-  if ((payloadBits & 7u) != 0 && n == (payloadBits + 7u) / 8u) {
-    // Mask pad bits past the payload so shadow reads match what a device
-    // write + read-back round-trip would return.
-    frame.bytes[n - 1] &=
-        static_cast<std::uint8_t>((1u << (payloadBits & 7u)) - 1);
-  }
-  // A write that lands the device's existing content needs no flush at all.
-  frame.dirty = frame.bytes != frame.orig;
-}
-
-std::vector<std::uint8_t> ConfigPort::mirrorLogicFrame(FrameAddr f) {
-  if (shadowActive()) {
-    const auto it = shadow_.find(logicKey(f));
-    if (it != shadow_.end()) return it->second.bytes;
-  }
-  return dev_.readLogicFrame(f);
-}
-
 // ---------------------------------------------------------------------------
 // Frame-level transfers
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> ConfigPort::readLogicFrame(FrameAddr f) {
   noteRead(dev_.spec().frameBytes);
-  if (shadowActive()) return shadowFor(logicKey(f)).bytes;
   return dev_.readLogicFrame(f);
 }
 
 void ConfigPort::writeLogicFrame(FrameAddr f,
                                  std::span<const std::uint8_t> bytes) {
   noteWrite(bytes.size());
-  if (shadowActive()) {
-    const unsigned payloadBits = dev_.layout().logicFrameBitCount(f);
-    require(bytes.size() >= (payloadBits + 7u) / 8u, ErrorKind::ConfigError,
-            "short logic frame payload");
-    shadowStore(logicKey(f), bytes, payloadBits);
-    return;
-  }
-  // Out-of-transaction write: keep any retained logic shadow honest.
-  if (!shadow_.empty()) shadow_.erase(logicKey(f));
   dev_.writeLogicFrame(f, bytes);
 }
 
 std::vector<std::uint8_t> ConfigPort::readBramFrame(unsigned block,
                                                     unsigned minor) {
   noteRead(dev_.spec().frameBytes);
-  if (shadowActive()) return shadowFor(bramKey(block, minor)).bytes;
   return dev_.readBramFrame(block, minor);
 }
 
 void ConfigPort::writeBramFrame(unsigned block, unsigned minor,
                                 std::span<const std::uint8_t> bytes) {
   noteWrite(bytes.size());
-  if (shadowActive()) {
-    const auto& layout = dev_.layout();
-    require(block < dev_.spec().memBlocks &&
-                minor < layout.bramFramesPerBlock(),
-            ErrorKind::ConfigError, "bad bram frame address");
-    const std::size_t payloadBits =
-        std::min<std::size_t>(layout.frameBits(),
-                              std::size_t{dev_.spec().memBlockBits} -
-                                  std::size_t{minor} * layout.frameBits());
-    require(bytes.size() >= (payloadBits + 7u) / 8u, ErrorKind::ConfigError,
-            "short bram frame payload");
-    shadowStore(bramKey(block, minor), bytes,
-                static_cast<unsigned>(payloadBits));
-    return;
-  }
   dev_.writeBramFrame(block, minor, bytes);
 }
 
 std::vector<std::uint8_t> ConfigPort::readCaptureFrame(unsigned col) {
   noteCapture(dev_.spec().frameBytes);
-  if (shadowActive()) return shadowFor(captureKey(col)).bytes;
   return dev_.readCaptureFrame(col);
 }
 
 void ConfigPort::writeFullBitstream(const fpga::Bitstream& bs) {
-  invalidate();  // a full download supersedes pending writes AND shadows
   dev_.writeFullBitstream(bs);
   noteWrite(dev_.layout().totalConfigBytes());
 }
 
 fpga::Bitstream ConfigPort::readbackFull() {
-  sync();  // read-back must observe pending frame writes
   auto bs = dev_.readbackBitstream();
   noteRead(dev_.layout().totalConfigBytes());
   return bs;
 }
 
 void ConfigPort::pulseGsr() {
-  sync();  // pending SrMode writes must land before the pulse
   dev_.pulseGsr();
   noteCommand(8);  // control packet
 }
@@ -394,9 +222,8 @@ void ConfigPort::setLogicBitsBlind(
   }
   for (const auto& [key, list] : byFrame) {
     const FrameAddr f{Plane::Logic, key.first, key.second};
-    // Frame contents come from the host-side mirror (== device config,
-    // overlaid with any pending shadow writes of the open transaction).
-    auto bytes = mirrorLogicFrame(f);
+    // Frame contents come from the host-side mirror (== device config).
+    auto bytes = dev_.readLogicFrame(f);
     const std::size_t first = layout.logicFrameFirstBit(f);
     for (const auto& [addr, value] : list) {
       const std::size_t rel = addr - first;

@@ -9,9 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -112,21 +110,12 @@ struct BoardLink {
   }
 };
 
-// Every meter mutation is mirrored into the process-wide metrics registry
-// (config.bytes_written, config.read_ops, ...), so campaign-scale traffic
-// shows up in metrics snapshots and run artifacts without any extra
-// plumbing. The per-port TransferMeter keeps per-experiment resolution; the
-// registry keeps the process totals.
-//
-// Session-scoped frame transaction cache: with the cache enabled, frames
-// read between beginSession() and endSession() are held in a host-side
-// shadow keyed by frame address, repeated reads are served from the shadow,
-// and dirty frames are written back coalesced at sync points. The
-// TransferMeter still charges every LOGICAL operation exactly as the
-// uncached port would - the cache changes host wall-clock only, never
-// modeled seconds, outcomes or artifacts. Shadow occupancy is reported via
-// config.cache_hits / config.cache_misses / config.cache_frames_flushed /
-// config.cache_evictions.
+// Every frame read and write goes straight to the Device; the port meters
+// each logical operation on the way. Every meter mutation is mirrored into
+// the process-wide metrics registry (config.bytes_written, config.read_ops,
+// ...), so campaign-scale traffic shows up in metrics snapshots and run
+// artifacts without any extra plumbing. The per-port TransferMeter keeps
+// per-experiment resolution; the registry keeps the process totals.
 class ConfigPort {
  public:
   explicit ConfigPort(Device& device)
@@ -138,12 +127,6 @@ class ConfigPort {
         cCaptureOps_(obs::Registry::global().counter("config.capture_ops")),
         cCommandOps_(obs::Registry::global().counter("config.command_ops")),
         cSessions_(obs::Registry::global().counter("config.sessions")),
-        cCacheHits_(obs::Registry::global().counter("config.cache_hits")),
-        cCacheMisses_(obs::Registry::global().counter("config.cache_misses")),
-        cCacheFlushed_(
-            obs::Registry::global().counter("config.cache_frames_flushed")),
-        cCacheEvicted_(
-            obs::Registry::global().counter("config.cache_evictions")),
         cLinkFaults_(
             obs::Registry::global().counter("config.link_faults_injected")),
         cRetries_(obs::Registry::global().counter("config.retries")) {}
@@ -165,69 +148,14 @@ class ConfigPort {
   /// Re-seed the link fault stream. Campaign runners call this once per
   /// (experiment index, rerun attempt) so the fault pattern an experiment
   /// sees is a pure function of the campaign spec - independent of shard
-  /// count, execution order and the frame cache (which never changes the
-  /// logical operation sequence).
+  /// count and execution order.
   void seedLinkStream(std::uint64_t seed) { linkRng_ = common::Rng(seed); }
 
-  /// Enable the session-scoped frame transaction cache. Disabling flushes
-  /// and drops any open shadow first, so the device is always current.
-  void setCacheEnabled(bool on);
-  bool cacheEnabled() const { return cacheEnabled_; }
-
-  /// Mark the start of a reconfiguration session (one injector action such
-  /// as "inject fault" or "remove fault" is one session). With the cache
-  /// enabled this also opens a fresh frame transaction.
+  /// Meter the start of a reconfiguration session (one injector action such
+  /// as "inject fault" or "remove fault" is one session).
   void beginSession() {
     ++meter_.sessions;
     cSessions_.inc();
-    if (cacheEnabled_) {
-      sync();
-      inTransaction_ = true;
-    }
-  }
-
-  /// Close the current frame transaction: write dirty frames back coalesced
-  /// and drop the volatile shadows. Safe (and free) when no transaction is
-  /// open.
-  void endSession() {
-    sync();
-    inTransaction_ = false;
-  }
-  /// Alias for callers that think in commit/rollback terms.
-  void commit() { endSession(); }
-
-  /// Abandon the current frame transaction WITHOUT flushing dirty frames.
-  /// Error-recovery only: after a LinkError mid-session the shadow may hold
-  /// half-applied writes that must not reach the device. The device is left
-  /// with whatever the failed session managed to write before the fault -
-  /// exactly the partial state a real flaky link produces - so callers must
-  /// re-download or rebuild the configuration before trusting it.
-  void dropSession() {
-    if (!shadow_.empty()) {
-      cCacheEvicted_.add(shadow_.size());
-      shadow_.clear();
-    }
-    inTransaction_ = false;
-  }
-
-  /// Flush dirty shadow frames to the device, keeping the transaction open.
-  /// Charges nothing: the logical operations that dirtied the frames were
-  /// already metered. Capture and BRAM-content shadows are dropped (they
-  /// mirror run-time state); clean logic-plane shadows are retained, because
-  /// the logic configuration only changes through this port - callers that
-  /// write logic bits directly on the Device must call invalidate().
-  void sync();
-
-  /// sync() + drop every shadow, retained logic frames included. Required
-  /// after mutating the logic configuration plane behind the port's back
-  /// (direct Device::setLogicBit writes, external bitstream loads).
-  void invalidate();
-
-  /// sync() + Device::settle(): every configuration change made through the
-  /// port is guaranteed visible to the emulated fabric afterwards.
-  void settle() {
-    sync();
-    dev_.settle();
   }
 
   // --- frame-level transfers --------------------------------------------
@@ -271,9 +199,9 @@ class ConfigPort {
 
   // --- mirror-based (blind) writes -----------------------------------------
   // The tool generated the bitstream, so it holds a host-side mirror of the
-  // configuration; writes that need no fresh device data (e.g. the
-  // randomizer-driven indetermination values of Section 4.4) can skip the
-  // read-back half of the read-modify-write.
+  // configuration (read here, unmetered, from the Device); writes that need
+  // no fresh device data (e.g. the randomizer-driven indetermination values
+  // of Section 4.4) can skip the read-back half of the read-modify-write.
   void setLutTableBlind(CbCoord cb, std::uint16_t table);
   void updateCbFieldsBlind(
       CbCoord cb, std::span<const std::pair<CbField, bool>> fields);
@@ -293,41 +221,6 @@ class ConfigPort {
  private:
   /// Read-modify-write one plane-A bit through its containing frame.
   void rmwLogicBit(std::size_t addr, bool value);
-
-  // --- frame transaction shadow --------------------------------------------
-  // Keyed by (plane, major, minor); std::map so the coalesced write-back at
-  // sync() walks frames in deterministic address order.
-  using FrameKey = std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>;
-  struct ShadowFrame {
-    std::vector<std::uint8_t> bytes;  // pending frame image
-    /// Device content when the frame was first shadowed (refreshed at each
-    /// flush). Lets sync() write back differentially - only changed bits
-    /// travel to the Device - and turns writes that restore the original
-    /// content into no-ops.
-    std::vector<std::uint8_t> orig;
-    bool dirty = false;
-  };
-
-  bool shadowActive() const { return cacheEnabled_ && inTransaction_; }
-  static FrameKey logicKey(FrameAddr f) {
-    return {static_cast<std::uint8_t>(fpga::Plane::Logic), f.major, f.minor};
-  }
-  static FrameKey bramKey(unsigned block, unsigned minor) {
-    return {static_cast<std::uint8_t>(fpga::Plane::BramContent), block, minor};
-  }
-  static FrameKey captureKey(unsigned col) {
-    return {static_cast<std::uint8_t>(fpga::Plane::Capture), col, 0};
-  }
-  /// Shadow entry for `key`, populated from the device on first touch.
-  /// Counts config.cache_hits / config.cache_misses.
-  ShadowFrame& shadowFor(const FrameKey& key);
-  /// Store a full frame image in the shadow and mark it dirty, zeroing the
-  /// pad bits past `payloadBits` so shadow reads match device read-back.
-  void shadowStore(const FrameKey& key, std::span<const std::uint8_t> bytes,
-                   unsigned payloadBits);
-  /// Unmetered host-mirror frame read used by the blind helpers: sees
-  /// pending shadow writes when a transaction is open.
-  std::vector<std::uint8_t> mirrorLogicFrame(FrameAddr f);
 
   // Unreliable-link attempt loop: draws from the dedicated link fault
   // stream, charges retries to the retry-only meter fields, raises
@@ -369,9 +262,6 @@ class ConfigPort {
 
   Device& dev_;
   TransferMeter meter_;
-  bool cacheEnabled_ = false;
-  bool inTransaction_ = false;
-  std::map<FrameKey, ShadowFrame> shadow_;
   bool linkActive_ = false;
   LinkFaultOptions linkFaults_;
   RetryPolicy retry_;
@@ -383,10 +273,6 @@ class ConfigPort {
   obs::Counter& cCaptureOps_;
   obs::Counter& cCommandOps_;
   obs::Counter& cSessions_;
-  obs::Counter& cCacheHits_;
-  obs::Counter& cCacheMisses_;
-  obs::Counter& cCacheFlushed_;
-  obs::Counter& cCacheEvicted_;
   obs::Counter& cLinkFaults_;
   obs::Counter& cRetries_;
 };

@@ -39,7 +39,6 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
           "experiment.modeled_seconds",
           {0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0})) {
   obs::Span setupSpan{"setup", {{"device", dev_.spec().name}}};
-  port_.setCacheEnabled(opt_.sessionFrameCache);
   // One-time download of the configuration file (Figure 1).
   port_.writeFullBitstream(impl_.bitstream);
   setupSeconds_ = opt_.link.seconds(port_.meter());
@@ -92,15 +91,13 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
 void FadesTool::recoverLink() {
   // A link fault can abandon a reconfiguration session mid-write, leaving a
   // partially updated configuration plane that no checkpoint restore can
-  // repair (checkpoints hold dynamic state, not configuration). Drop the
-  // wedged session - pending shadow writes must NOT be flushed - and
-  // re-download the configuration file. The recovery transfer runs with the
-  // fault model suspended (the modeled operator re-initializes a quiet
-  // board) and the meter is reset afterwards, so recovery cost never leaks
-  // into the next experiment's modeled seconds.
+  // repair (checkpoints hold dynamic state, not configuration). Re-download
+  // the configuration file. The recovery transfer runs with the fault model
+  // suspended (the modeled operator re-initializes a quiet board) and the
+  // meter is reset afterwards, so recovery cost never leaks into the next
+  // experiment's modeled seconds.
   const bits::LinkFaultOptions faults = port_.linkFaults();
   port_.setLinkFaults({});
-  port_.dropSession();
   port_.writeFullBitstream(impl_.bitstream);
   port_.setLinkFaults(faults);
   port_.resetMeter();
@@ -285,13 +282,12 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
           const std::pair<CbField, bool> set[] = {{CbField::SrMode, !state},
                                                   {CbField::InvLsr, true}};
           port_.updateCbFields(fault.cb, set);
-          port_.settle();
+          dev_.settle();
           // Deassert the LSR and put SrMode back in one pass.
           const std::pair<CbField, bool> clr[] = {
               {CbField::InvLsr, false},
               {CbField::SrMode, impl_.flops[fault.target].init}};
           port_.updateCbFieldsBlind(fault.cb, clr);
-          port_.endSession();
         } else {
           // GSR path: read back ALL flip-flop states, configure every FF's
           // set/reset mux to reproduce its state (target inverted), pulse
@@ -315,7 +311,6 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
           port_.setLogicBits(setBits);
           port_.pulseGsr();
           port_.setLogicBitsBlind(restoreBits);
-          port_.endSession();
           dev_.settle();
         }
         fault.needsRemoval = false;  // bit-flips persist until rewritten
@@ -327,7 +322,6 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         port_.beginSession();
         const bool v = port_.getBramBit(block, bit);
         port_.setBramBit(block, bit, !v);
-        port_.endSession();
         fault.needsRemoval = false;
       }
       break;
@@ -343,7 +337,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         const unsigned line =
             static_cast<unsigned>(rng.below(circuit.candidateLineCount()));
         port_.setLutTable(fault.cb, circuit.tableWithFaultedLine(line));
-        port_.settle();
+        dev_.settle();
         fault.needsRemoval = true;
       } else {
         // CB input through its inverter multiplexer (Figure 6).
@@ -351,7 +345,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         port_.beginSession();
         const std::pair<CbField, bool> set[] = {{CbField::InvByp, true}};
         port_.updateCbFields(fault.cb, set);
-        port_.settle();
+        dev_.settle();
         fault.needsRemoval = true;
       }
       (void)durationCycles;
@@ -594,14 +588,13 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         // Replicates the paper's JBits/driver limitation: the whole
         // configuration file is transferred even for a handful of bits.
         for (const auto& [bit, v] : changes) dev_.setLogicBit(bit, v);
-        port_.invalidate();  // logic plane changed behind the port's back
         port_.chargeFullImage();
       } else {
         std::vector<std::pair<std::size_t, bool>> updates(changes.begin(),
                                                           changes.end());
         port_.setLogicBits(updates);
       }
-      port_.settle();
+      dev_.settle();
       for (const auto& [bit, v] : changes) {
         fault.restoreBits.emplace_back(bit, !v);
       }
@@ -618,7 +611,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         const std::pair<CbField, bool> set[] = {
             {CbField::SrMode, fault.indetValue}, {CbField::InvLsr, true}};
         port_.updateCbFieldsBlind(fault.cb, set);
-        port_.settle();
+        dev_.settle();
         fault.needsRemoval = true;
       } else {
         fault.cb = impl_.luts[fault.target].cb;
@@ -626,7 +619,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         port_.beginSession();
         port_.setLutTableBlind(
             fault.cb, static_cast<std::uint16_t>(rng.below(0x10000)));
-        port_.settle();
+        dev_.settle();
         fault.needsRemoval = true;
       }
       break;
@@ -646,7 +639,7 @@ void FadesTool::oscillate(ActiveFault& fault, Rng& rng) {
     port_.setLutTableBlind(fault.cb,
                            static_cast<std::uint16_t>(rng.below(0x10000)));
   }
-  port_.settle();
+  dev_.settle();
 }
 
 void FadesTool::remove(ActiveFault& fault) {
@@ -674,7 +667,6 @@ void FadesTool::remove(ActiveFault& fault) {
         for (const auto& [bit, v] : fault.restoreBits) {
           dev_.setLogicBit(bit, v);
         }
-        port_.invalidate();  // logic plane changed behind the port's back
         port_.chargeFullImage();
       } else {
         port_.setLogicBits(fault.restoreBits);
@@ -698,7 +690,6 @@ void FadesTool::remove(ActiveFault& fault) {
     case FaultModel::BitFlip:
       break;  // persists until rewritten
   }
-  port_.endSession();
   dev_.settle();
   fault.needsRemoval = false;
 }
@@ -839,10 +830,10 @@ campaign::ExperimentOutcome FadesTool::runCampaignExperiment(
     unsigned index, unsigned rerun) {
   // The link fault stream is keyed by (campaign seed, index, rerun) with a
   // salt separating it from the experiment streams below: faults are a pure
-  // function of the spec (same pattern at any --jobs, cache on or off,
-  // because the logical operation sequence never varies), yet a rerun after
-  // a transient failure draws fresh faults and can succeed - which is what
-  // keeps a faulted campaign's artifacts identical to a fault-free run.
+  // function of the spec (same pattern at any --jobs, because the logical
+  // operation sequence never varies), yet a rerun after a transient failure
+  // draws fresh faults and can succeed - which is what keeps a faulted
+  // campaign's artifacts identical to a fault-free run.
   port_.seedLinkStream(common::streamSeed(
       spec.seed ^ 0x6c696e6b5f726e67ULL,  // "link_rng"
       std::uint64_t{index} * 131 + rerun));
@@ -1064,7 +1055,6 @@ Outcome FadesTool::runMultipleBitFlipExperiment(
   port_.setLogicBits(setBits);
   port_.pulseGsr();
   port_.setLogicBitsBlind(restoreBits);
-  port_.endSession();
   dev_.settle();
 
   Observation faulty;

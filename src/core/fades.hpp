@@ -78,12 +78,6 @@ struct FadesOptions {
   /// Campaign progress heartbeat (structured INFO log + campaign.progress_pct
   /// gauge) every N experiments; 0 disables it.
   unsigned progressInterval = 100;
-  /// Session-scoped frame transaction cache in the ConfigPort: repeated
-  /// frame reads inside one reconfiguration session are served from a
-  /// host-side shadow and dirty frames are written back coalesced at session
-  /// end. Pure host-side optimization - metered traffic, modeled seconds,
-  /// outcomes and artifacts are bit-identical with the cache on or off.
-  bool sessionFrameCache = true;
   /// Deterministic unreliable-link emulation: every metered transfer after
   /// setup can hit a readback CRC mismatch, transient write failure or
   /// timeout, and is retried per `linkRetry`. The fault stream is seeded

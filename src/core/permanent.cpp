@@ -153,7 +153,6 @@ Outcome PermanentFaults::runExperiment(PermanentFaultModel model,
       break;
     }
   }
-  port.endSession();  // land the defect before evaluating the fabric
   try {
     dev.settle();
   } catch (const common::FadesError&) {
@@ -192,7 +191,6 @@ Outcome PermanentFaults::runExperiment(PermanentFaultModel model,
   port.beginSession();
   if (isLutStuck) port.setLutTableBlind(lutCb, originalTable);
   if (!restoreBits.empty()) port.setLogicBitsBlind(restoreBits);
-  port.endSession();
   if (usedShortPolicy) dev.setShortPolicy(fpga::ShortPolicy::Error);
   dev.settle();
 

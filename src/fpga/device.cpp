@@ -52,18 +52,9 @@ void Device::setLogicBit(std::size_t addr, bool v) {
 
 std::vector<std::uint8_t> Device::readLogicFrame(FrameAddr f) const {
   std::vector<std::uint8_t> bytes(spec_.frameBytes, 0);
-  readLogicFrameInto(f, bytes);
+  logicCfg_.exportBytesInto(layout_.logicFrameFirstBit(f),
+                            layout_.logicFrameBitCount(f), bytes);
   return bytes;
-}
-
-void Device::readLogicFrameInto(FrameAddr f,
-                                std::span<std::uint8_t> out) const {
-  require(out.size() >= spec_.frameBytes, ErrorKind::ConfigError,
-          "short logic frame buffer");
-  const std::size_t first = layout_.logicFrameFirstBit(f);
-  const unsigned n = layout_.logicFrameBitCount(f);
-  logicCfg_.exportBytesInto(first, n, out);
-  std::fill(out.begin() + (n + 7) / 8, out.begin() + spec_.frameBytes, 0);
 }
 
 void Device::writeLogicFrame(FrameAddr f, std::span<const std::uint8_t> bytes) {
@@ -79,25 +70,17 @@ void Device::writeLogicFrame(FrameAddr f, std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> Device::readBramFrame(unsigned block,
                                                 unsigned minor) const {
-  std::vector<std::uint8_t> bytes(spec_.frameBytes, 0);
-  readBramFrameInto(block, minor, bytes);
-  return bytes;
-}
-
-void Device::readBramFrameInto(unsigned block, unsigned minor,
-                               std::span<std::uint8_t> out) const {
   require(block < spec_.memBlocks && minor < layout_.bramFramesPerBlock(),
           ErrorKind::ConfigError, "bad bram frame address");
-  require(out.size() >= spec_.frameBytes, ErrorKind::ConfigError,
-          "short bram frame buffer");
   const std::size_t first = std::size_t{block} * spec_.memBlockBits +
                             std::size_t{minor} * layout_.frameBits();
   const std::size_t n =
       std::min<std::size_t>(layout_.frameBits(),
                             std::size_t{spec_.memBlockBits} -
                                 std::size_t{minor} * layout_.frameBits());
-  bramCfg_.exportBytesInto(first, n, out);
-  std::fill(out.begin() + (n + 7) / 8, out.begin() + spec_.frameBytes, 0);
+  std::vector<std::uint8_t> bytes(spec_.frameBytes, 0);
+  bramCfg_.exportBytesInto(first, n, bytes);
+  return bytes;
 }
 
 void Device::writeBramFrame(unsigned block, unsigned minor,
@@ -116,24 +99,16 @@ void Device::writeBramFrame(unsigned block, unsigned minor,
 }
 
 std::vector<std::uint8_t> Device::readCaptureFrame(unsigned col) const {
-  std::vector<std::uint8_t> bytes(spec_.frameBytes, 0);
-  readCaptureFrameInto(col, bytes);
-  return bytes;
-}
-
-void Device::readCaptureFrameInto(unsigned col,
-                                  std::span<std::uint8_t> out) const {
   require(col < spec_.cols, ErrorKind::ConfigError,
           "bad capture frame column");
-  require(out.size() >= spec_.frameBytes, ErrorKind::ConfigError,
-          "short capture frame buffer");
-  std::fill(out.begin(), out.begin() + spec_.frameBytes, 0);
+  std::vector<std::uint8_t> bytes(spec_.frameBytes, 0);
   for (unsigned y = 0; y < spec_.rows; ++y) {
     if (ffState_[cbIndex(CbCoord{static_cast<std::uint16_t>(col),
                                  static_cast<std::uint16_t>(y)})]) {
-      out[y >> 3] |= static_cast<std::uint8_t>(1u << (y & 7));
+      bytes[y >> 3] |= static_cast<std::uint8_t>(1u << (y & 7));
     }
   }
+  return bytes;
 }
 
 void Device::writeFullBitstream(const Bitstream& bs) {
@@ -145,8 +120,9 @@ void Device::writeFullBitstream(const Bitstream& bs) {
   topoDirty_ = true;
   ensureCompiled();
   // Configuration asserts GSR: every FF starts at its SrMode value, memory
-  // output latches clear.
+  // output latches clear, and no edge has sampled a D value yet.
   for (const auto& ff : compiled_.ffs) ffState_[ff.cbIdx] = ff.srMode ? 1 : 0;
+  std::fill(prevD_.begin(), prevD_.end(), 0);
   std::fill(bramLatch_.begin(), bramLatch_.end(), 0);
   cycle_ = 0;
   settle();
@@ -527,10 +503,19 @@ void Device::rebuildTopology() {
   require(c.steps.size() == stepCount, ErrorKind::ConfigError,
           "combinational loop in configuration");
 
+  // Late FFs keep capturing the previous D across a rebuild: carry it over
+  // by CB, since compiled FF entries are renumbered.
+  std::vector<std::uint8_t> prevByCb(spec_.cbCount(), 0);
+  for (std::size_t i = 0; i < prevD_.size(); ++i) {
+    prevByCb[compiled_.ffs[i].cbIdx] = prevD_[i];
+  }
   compiled_ = std::move(c);
   refreshMisc();
   values_.assign(compiled_.valueCount, 0);
-  prevD_.assign(compiled_.ffs.size(), 0);
+  prevD_.resize(compiled_.ffs.size());
+  for (std::size_t i = 0; i < prevD_.size(); ++i) {
+    prevD_[i] = prevByCb[compiled_.ffs[i].cbIdx];
+  }
 }
 
 void Device::refreshMisc() {
@@ -705,6 +690,10 @@ std::uint64_t Device::bramWord(unsigned block, unsigned width,
 DeviceState Device::captureState() const {
   DeviceState s;
   s.ffState = ffState_;
+  s.prevD.assign(ffState_.size(), 0);
+  for (std::size_t i = 0; i < prevD_.size(); ++i) {
+    s.prevD[compiled_.ffs[i].cbIdx] = prevD_[i];
+  }
   s.bramContent = bramCfg_;
   s.bramLatch = bramLatch_;
   s.padInput = padInput_;
@@ -714,6 +703,7 @@ DeviceState Device::captureState() const {
 
 void Device::restoreState(const DeviceState& s) {
   require(s.ffState.size() == ffState_.size() &&
+              s.prevD.size() == ffState_.size() &&
               s.bramContent.size() == bramCfg_.size(),
           ErrorKind::InvalidArgument, "device state shape mismatch");
   ffState_ = s.ffState;
@@ -721,6 +711,10 @@ void Device::restoreState(const DeviceState& s) {
   bramLatch_ = s.bramLatch;
   padInput_ = s.padInput;
   cycle_ = s.cycle;
+  ensureCompiled();
+  for (std::size_t i = 0; i < prevD_.size(); ++i) {
+    prevD_[i] = s.prevD[compiled_.ffs[i].cbIdx];
+  }
   settle();
 }
 

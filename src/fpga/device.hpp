@@ -63,12 +63,14 @@ struct BitMeaning {
   bool isTransistor = false;
 };
 
-/// Host-side checkpoint of dynamic device state (FF states, memory contents,
-/// output latches, cycle counter, pad stimuli). Used by the campaign engine
-/// to replay the workload from the injection instant; it does not model a
-/// hardware interface and carries no reconfiguration cost.
+/// Host-side checkpoint of dynamic device state (FF states, timing-mode
+/// previous D values, memory contents, output latches, cycle counter, pad
+/// stimuli). Used by the campaign engine to replay the workload from the
+/// injection instant; it does not model a hardware interface and carries no
+/// reconfiguration cost.
 struct DeviceState {
   std::vector<std::uint8_t> ffState;
+  std::vector<std::uint8_t> prevD;  // per CB: D sampled at the last edge
   common::BitVector bramContent;
   std::vector<std::uint32_t> bramLatch;
   std::vector<std::uint8_t> padInput;
@@ -107,15 +109,6 @@ class Device {
                       std::span<const std::uint8_t> bytes);
   /// Capture plane: live FF state of one CB column (read-only).
   std::vector<std::uint8_t> readCaptureFrame(unsigned col) const;
-
-  // Allocation-free frame reads: fill exactly spec().frameBytes bytes of
-  // `out` (frame payload, zero-padded). The vector overloads above wrap
-  // these; the ConfigPort shadow cache reads through them so the campaign
-  // hot loop carries no per-operation heap traffic.
-  void readLogicFrameInto(FrameAddr f, std::span<std::uint8_t> out) const;
-  void readBramFrameInto(unsigned block, unsigned minor,
-                         std::span<std::uint8_t> out) const;
-  void readCaptureFrameInto(unsigned col, std::span<std::uint8_t> out) const;
 
   void writeFullBitstream(const Bitstream& bs);
   Bitstream readbackBitstream() const;
@@ -254,7 +247,10 @@ class Device {
   // compiled model + dirtiness
   Compiled compiled_;
   std::vector<std::uint8_t> values_;
-  std::vector<std::uint8_t> prevD_;  // per ff entry; timing-mode stale values
+  // Per compiled FF entry: D sampled at the last edge, which a late FF
+  // captures at the next one. Keyed by CB only in captureState(),
+  // restoreState() and rebuildTopology(), so step() stays index-based.
+  std::vector<std::uint8_t> prevD_;
   bool topoDirty_ = true;
   bool miscDirty_ = false;
   bool lutDirty_ = false;

@@ -220,8 +220,7 @@ netlist::Netlist buildDemoNetlist() {
 
 }  // namespace
 
-std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job,
-                                            const BuildKnobs& knobs) {
+std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job) {
   validate(job);
   auto sys = std::make_shared<CampaignSystem>();
   sys->job = job;
@@ -280,7 +279,6 @@ std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job,
     core::FadesOptions options;
     options.observedOutputs = observed;
     options.keepRecords = job.keepRecords;
-    options.sessionFrameCache = knobs.sessionFrameCache;
     options.progressInterval = 0;
     options.instructionTrace = std::move(trace);
     if (job.linkFaultRate > 0.0) {

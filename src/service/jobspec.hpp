@@ -4,9 +4,9 @@
 // system the submitter meant: the workload (which fixes netlist and run
 // length), the injection tool and engine, the campaign spec proper, and the
 // execution knobs that are allowed to vary results (keepRecords changes the
-// artifact's record list, so it is part of the job identity; frame caching
-// and jobs counts are not - they only change wall-clock - and therefore do
-// not appear here).
+// artifact's record list, so it is part of the job identity; jobs counts
+// are not - they only change wall-clock - and therefore do not appear
+// here).
 //
 // The fingerprint is the FNV-1a64 of the spec's canonical JSON dump. It is
 // the job's identity everywhere: the journal filename in the store, the key
@@ -91,20 +91,11 @@ struct CampaignSystem {
   std::vector<std::string> observedOutputs;
 };
 
-/// Wall-clock-only build knobs. Deliberately OUTSIDE the JobSpec (and its
-/// fingerprint): nothing here may change outcomes, only how fast the same
-/// outcomes are produced.
-struct BuildKnobs {
-  /// Session-scoped frame transaction cache of the fades configuration port.
-  bool sessionFrameCache = true;
-};
-
 /// Build the system for `job` (validate() first). Both the distributed
 /// worker and the single-process reference CLI construct engines through
 /// this one function, so "distributed equals single-process byte-for-byte"
 /// holds by construction rather than by parallel maintenance of two setups.
-std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job,
-                                            const BuildKnobs& knobs = {});
+std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job);
 
 /// The merged fades.run/1 artifact text for a completed campaign: exactly
 /// what RunArtifact::writeJson produces for toRunArtifact(result, name,

