@@ -111,7 +111,7 @@ void ProgressTracker::emitLocked() {
 }
 
 // ---------------------------------------------------------------------------
-// runExperimentWithRetry
+// runExperimentWithRetry / runLease / materializeMember
 // ---------------------------------------------------------------------------
 
 ExperimentOutcome runExperimentWithRetry(CampaignEngine& engine,
@@ -142,6 +142,62 @@ ExperimentOutcome runExperimentWithRetry(CampaignEngine& engine,
       }
     }
   }
+}
+
+bool runLease(CampaignEngine& engine, const CampaignSpec& spec,
+              std::span<const std::uint32_t> pool,
+              std::span<const unsigned> indices, unsigned attempts,
+              obs::Counter& quarantineCounter, const OutcomeSink& done) {
+  const std::size_t width = std::max(1u, engine.waveWidth());
+  for (std::size_t base = 0; base < indices.size(); base += width) {
+    const auto wave =
+        indices.subspan(base, std::min(width, indices.size() - base));
+    // Wave path first: one batched call. A width of 1 or a transient error
+    // leaves `outs` empty, which sends the wave down the per-experiment
+    // retry/quarantine path.
+    std::vector<ExperimentOutcome> outs;
+    if (width > 1) {
+      try {
+        outs = engine.runWaveAt(spec, pool, wave, 0);
+        require(outs.size() == wave.size(), ErrorKind::InvalidArgument,
+                "engine wave returned wrong outcome count");
+        for (std::size_t i = 0; i < wave.size(); ++i) {
+          outs[i].index = wave[i];
+          outs[i].attempts = 1;
+        }
+      } catch (const common::FadesError& err) {
+        if (!common::isTransientError(err.kind())) throw;
+        engine.recover();
+        outs.clear();
+      }
+    }
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      if (!done(outs.empty() ? runExperimentWithRetry(engine, spec, pool,
+                                                      wave[i], attempts,
+                                                      quarantineCounter)
+                             : std::move(outs[i]))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+ExperimentOutcome materializeMember(
+    CampaignEngine& engine, const CampaignSpec& spec,
+    std::span<const std::uint32_t> pool, unsigned index,
+    const ExperimentOutcome& representative, unsigned attempts,
+    obs::Counter& quarantineCounter) {
+  if (representative.quarantined) {
+    return runExperimentWithRetry(engine, spec, pool, index, attempts,
+                                  quarantineCounter);
+  }
+  ExperimentOutcome outcome =
+      engine.synthesizeOutcome(spec, pool, index, representative);
+  outcome.index = index;
+  outcome.attempts = 0;
+  obs::Registry::global().counter("campaign.pruned_experiments").inc();
+  return outcome;
 }
 
 // ---------------------------------------------------------------------------
@@ -230,9 +286,9 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
   }
 
   // Fault-list pruning: collapsed members never reach the worker loop.
-  // They are pre-marked done (unless the journal already materialized them
-  // on a previous run) and synthesized from their representatives after the
-  // workers finish, so only the plan's executedCount() experiments execute.
+  // They are synthesized from their representatives after the workers
+  // finish (unless the journal already materialized them on a previous
+  // run), so only the plan's executedCount() experiments execute.
   std::vector<char> fromJournal;
   if (opt_.prunePlan != nullptr) {
     const PrunePlan& plan = *opt_.prunePlan;
@@ -247,70 +303,38 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
     }
   }
 
+  // Lease waveWidth()-wide slices of the experiments still to run, so
+  // resumed and collapsed indices leave no hole in a wave. Wave composition
+  // cannot change outcomes, only wall-clock.
+  std::vector<unsigned> todo;
+  for (unsigned e = 0; e < spec.experiments; ++e) {
+    if (!alreadyDone[e]) todo.push_back(e);
+  }
   const unsigned attempts = std::max(1u, opt_.experimentAttempts);
-  // Lease width: bit-parallel engines claim whole waves of contiguous
-  // indices (wave composition cannot change outcomes - every experiment
-  // stays a pure function of its index - so block leasing only changes
-  // wall-clock, like everything else in this runner).
-  const unsigned waveWidth = std::max(1u, engines_[0]->waveWidth());
+  const std::size_t leaseWidth = std::max(1u, engines_[0]->waveWidth());
   obs::Counter& cQuarantined =
       obs::Registry::global().counter("campaign.quarantined");
-  std::atomic<unsigned> next{0};
+  std::atomic<std::size_t> next{0};
   std::atomic<bool> abort{false};
   std::mutex errMu;
   std::exception_ptr firstError;
 
+  const OutcomeSink record = [&](ExperimentOutcome outcome) {
+    if (opt_.journal != nullptr) opt_.journal->append(outcome);
+    progress.record(outcome);
+    outcomes[outcome.index] = std::move(outcome);
+    return !abort.load(std::memory_order_relaxed);
+  };
   auto workerLoop = [&](unsigned w) {
     try {
-      std::vector<unsigned> pending;
       while (!abort.load(std::memory_order_relaxed)) {
-        const unsigned base = next.fetch_add(waveWidth,
-                                             std::memory_order_relaxed);
-        if (base >= spec.experiments) break;
-        const unsigned end = std::min(base + waveWidth, spec.experiments);
-        pending.clear();
-        for (unsigned e = base; e < end; ++e) {
-          if (!alreadyDone[e]) pending.push_back(e);
-        }
-        if (pending.empty()) continue;
-        // Wave path first: one batched call for the lease (resume gaps
-        // just shrink the wave). A transient error drops the whole lease
-        // down to the per-experiment retry/quarantine path below.
-        bool waveDone = false;
-        if (waveWidth > 1) {
-          try {
-            auto outs = engines_[w]->runWaveAt(spec, pool, pending, 0);
-            require(outs.size() == pending.size(),
-                    ErrorKind::InvalidArgument,
-                    "engine wave returned wrong outcome count");
-            for (std::size_t i = 0; i < pending.size(); ++i) {
-              outs[i].index = pending[i];
-              outs[i].attempts = 1;
-              outcomes[pending[i]] = std::move(outs[i]);
-              if (opt_.journal != nullptr) {
-                opt_.journal->append(outcomes[pending[i]]);
-              }
-              progress.record(outcomes[pending[i]]);
-            }
-            waveDone = true;
-          } catch (const common::FadesError& err) {
-            if (!common::isTransientError(err.kind())) throw;
-            engines_[w]->recover();
-          }
-        }
-        if (waveDone) continue;
-        // Experiment-level isolation: transient errors re-run the
-        // experiment (with a fresh link fault stream via `rerun`) after
-        // restoring the replica; exhausting the attempt budget quarantines
-        // this one experiment. Fatal errors still abort the campaign.
-        for (const unsigned e : pending) {
-          if (abort.load(std::memory_order_relaxed)) break;
-          const ExperimentOutcome outcome = runExperimentWithRetry(
-              *engines_[w], spec, pool, e, attempts, cQuarantined);
-          outcomes[e] = outcome;
-          if (opt_.journal != nullptr) opt_.journal->append(outcome);
-          progress.record(outcome);
-        }
+        const std::size_t base =
+            next.fetch_add(leaseWidth, std::memory_order_relaxed);
+        if (base >= todo.size()) break;
+        const std::span<const unsigned> lease(
+            todo.data() + base, std::min(leaseWidth, todo.size() - base));
+        runLease(*engines_[w], spec, pool, lease, attempts, cQuarantined,
+                 record);
       }
     } catch (...) {
       abort.store(true, std::memory_order_relaxed);
@@ -331,27 +355,15 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
 
   // Materialize the collapsed members. Synthesis is cheap (no execution),
   // so running it single-threaded on engine 0 after the join keeps the
-  // journal append order race-free; a quarantined representative has no
-  // result to clone, so its members fall back to real execution.
+  // journal append order race-free.
   if (opt_.prunePlan != nullptr) {
-    obs::Counter& cPruned =
-        obs::Registry::global().counter("campaign.pruned_experiments");
     for (const auto& cls : opt_.prunePlan->classes) {
-      const ExperimentOutcome& rep = outcomes[cls.representative];
       for (const std::uint64_t m : cls.members) {
         if (fromJournal[m]) continue;  // resumed from a previous run
-        const unsigned index = static_cast<unsigned>(m);
-        if (rep.quarantined) {
-          outcomes[m] = runExperimentWithRetry(*engines_[0], spec, pool,
-                                               index, attempts, cQuarantined);
-        } else {
-          outcomes[m] = engines_[0]->synthesizeOutcome(spec, pool, index, rep);
-          outcomes[m].index = m;
-          outcomes[m].attempts = 0;
-          cPruned.inc();
-        }
-        if (opt_.journal != nullptr) opt_.journal->append(outcomes[m]);
-        progress.record(outcomes[m]);
+        record(materializeMember(*engines_[0], spec, pool,
+                                 static_cast<unsigned>(m),
+                                 outcomes[cls.representative], attempts,
+                                 cQuarantined));
       }
     }
   }

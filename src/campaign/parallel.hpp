@@ -64,10 +64,10 @@ class CampaignEngine {
   /// engines whose runExperimentAt cannot leave residue behind.
   virtual void recover() {}
 
-  /// Preferred lease width: how many experiments this engine likes to run
-  /// per batch. Bit-parallel engines return their lane count (the runner
-  /// then leases contiguous index blocks of this size); the default of 1
-  /// keeps the classic per-experiment work stealing.
+  /// Preferred wave width: how many experiments this engine runs per
+  /// runWaveAt call. Bit-parallel engines return their lane count and
+  /// runLease cuts its indices into waves of this size; the default of 1
+  /// keeps per-experiment work stealing and never calls runWaveAt.
   virtual unsigned waveWidth() const { return 1; }
 
   /// Materialize experiment `index` as a synthesized outcome cloned from
@@ -108,15 +108,37 @@ using EngineFactory = std::function<std::unique_ptr<CampaignEngine>()>;
 /// `index`, rerunning on transient errors (LinkError / InjectionError) with
 /// engine.recover() between attempts and a fresh `rerun` stream each time;
 /// exhausting `attempts` yields a quarantined outcome instead of throwing.
-/// Fatal error kinds (and non-FadesError exceptions) propagate. Shared by
-/// ParallelCampaignRunner's worker loop and the distributed worker daemon,
-/// so an experiment produces the same outcome - including its quarantine
-/// decision - no matter which execution plane ran it.
+/// Fatal error kinds (and non-FadesError exceptions) propagate.
 ExperimentOutcome runExperimentWithRetry(CampaignEngine& engine,
                                          const CampaignSpec& spec,
                                          std::span<const std::uint32_t> pool,
                                          unsigned index, unsigned attempts,
                                          obs::Counter& quarantineCounter);
+
+/// Receives each finished outcome of a lease, with `index` and `attempts`
+/// set. Returning false ends the lease.
+using OutcomeSink = std::function<bool(ExperimentOutcome)>;
+
+/// The one lease executor of the runner and the distributed worker, so an
+/// experiment's outcome (quarantine included) never depends on which ran
+/// it. Runs `indices` in waves of engine.waveWidth(), through runWaveAt only
+/// when that exceeds 1; a wave that raises a transient error gets one
+/// recover() and is re-run one runExperimentWithRetry at a time. `done`
+/// runs outside every engine call and error handler, so what it throws
+/// propagates. Returns false when `done` ended the lease.
+bool runLease(CampaignEngine& engine, const CampaignSpec& spec,
+              std::span<const std::uint32_t> pool,
+              std::span<const unsigned> indices, unsigned attempts,
+              obs::Counter& quarantineCounter, const OutcomeSink& done);
+
+/// Collapsed fades.prune/1 member `index`, synthesized from its class
+/// representative (attempts 0, counted in campaign.pruned_experiments), or
+/// run for real when the representative was quarantined.
+ExperimentOutcome materializeMember(
+    CampaignEngine& engine, const CampaignSpec& spec,
+    std::span<const std::uint32_t> pool, unsigned index,
+    const ExperimentOutcome& representative, unsigned attempts,
+    obs::Counter& quarantineCounter);
 
 /// Campaign-level progress heartbeat: one `campaign.progress_pct` gauge and
 /// one structured log line per interval for the whole campaign, regardless
@@ -179,12 +201,12 @@ struct ParallelOptions {
   bool resume = false;
   /// Optional fades.prune/1 plan. When set, collapsed members are not
   /// executed: after the representatives finish, each member is
-  /// materialized through CampaignEngine::synthesizeOutcome (flagged
-  /// pruned_from), journaled like a real outcome, and folded in index
-  /// order as usual - so the campaign result is byte-identical in outcome
-  /// totals while only the plan's executedCount() experiments run. The
-  /// plan's spec must match the spec passed to run() (specKey equality).
-  /// Not owned; must outlive the runner's run() calls.
+  /// materialized through materializeMember (flagged pruned_from),
+  /// journaled like a real outcome, and folded in index order as usual -
+  /// so the campaign result is byte-identical in outcome totals while only
+  /// the plan's executedCount() experiments run. The plan's spec must match
+  /// the spec passed to run() (specKey equality). Not owned; must outlive
+  /// the runner's run() calls.
   const PrunePlan* prunePlan = nullptr;
 };
 

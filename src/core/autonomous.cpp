@@ -196,11 +196,8 @@ unsigned AutonomousCampaignEngine::waveWidth() const {
 
 std::vector<campaign::ExperimentOutcome> AutonomousCampaignEngine::runWaveAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices, unsigned rerun) {
-  if (tool_.engine() == sim::EngineKind::Compiled) {
-    return tool_.runCampaignWave(spec, pool, indices);
-  }
-  return CampaignEngine::runWaveAt(spec, pool, indices, rerun);
+    std::span<const unsigned> indices, unsigned /*rerun*/) {
+  return tool_.runCampaignWave(spec, pool, indices);
 }
 
 campaign::EngineFactory autonomousEngineFactory(const Netlist& netlist,

@@ -158,9 +158,9 @@ class FadesTool {
       unsigned index, const campaign::ExperimentOutcome& representative);
 
   /// Recover from a link failure that may have abandoned a reconfiguration
-  /// session mid-write: drop the wedged session and re-download the full
-  /// configuration file on a quiet link (fault model suspended, meter reset
-  /// afterwards), the way a real host re-initializes a flaky board.
+  /// session mid-write: re-download the full configuration file on a quiet
+  /// link (fault model suspended, meter reset afterwards), the way a real
+  /// host re-initializes a flaky board.
   void recoverLink();
 
   /// `detectCycleOut`, when non-null, receives the first cycle whose

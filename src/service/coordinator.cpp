@@ -113,8 +113,9 @@ void Coordinator::stop() {
   if (stop_.exchange(true)) {
     // A second stop still joins anything the first one raced with.
   }
-  if (listener_ != nullptr) listener_->close();
+  // Join the accept loop (it polls stop_) before closing its listener.
   if (acceptThread_.joinable()) acceptThread_.join();
+  if (listener_ != nullptr) listener_->close();
   if (reaperThread_.joinable()) reaperThread_.join();
   std::map<std::uint64_t, std::thread> handlers;
   {

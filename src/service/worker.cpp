@@ -44,6 +44,11 @@ std::string messageType(const Json& j) {
   return type;
 }
 
+/// Built campaign systems kept alive, keyed by job fingerprint. Building a
+/// system is the expensive part (synthesis + golden run), so a worker
+/// serving few campaigns reuses them across leases.
+constexpr std::size_t kCachedSystems = 2;
+
 }  // namespace
 
 WorkerDaemon::WorkerDaemon(WorkerOptions options) : opt_(std::move(options)) {
@@ -154,7 +159,7 @@ WorkerDaemon::CachedSystem& WorkerDaemon::systemFor(const JobSpec& job,
     it->second.lastUsed = ++useSeq_;
     return it->second;
   }
-  if (systems_.size() >= std::max(1u, opt_.maxCachedSystems)) {
+  if (systems_.size() >= kCachedSystems) {
     // Evict the least recently used system; campaigns usually arrive in
     // batches of one or two, so thrash here means the operator under-sized
     // the cache, not a correctness problem.
@@ -180,52 +185,6 @@ WorkerDaemon::CachedSystem& WorkerDaemon::systemFor(const JobSpec& job,
   return systems_.emplace(fp, std::move(cached)).first->second;
 }
 
-campaign::ExperimentOutcome WorkerDaemon::runJobExperiment(
-    CachedSystem& sys, const JobSpec& job, std::uint64_t index,
-    obs::Counter& quarantined) {
-  if (job.prune && index < sys.memberClass.size() &&
-      sys.memberClass[index] >= 0) {
-    const auto& cls =
-        sys.plan.classes[static_cast<std::size_t>(sys.memberClass[index])];
-    auto rep = sys.repOutcomes.find(cls.representative);
-    if (rep == sys.repOutcomes.end()) {
-      // The representative may be leased to another worker (or to this one,
-      // later); outcomes are pure functions of (job, index), so running it
-      // locally once reproduces the identical result for cloning.
-      rep = sys.repOutcomes
-                .emplace(cls.representative,
-                         campaign::runExperimentWithRetry(
-                             *sys.engine, job.spec, sys.pool,
-                             static_cast<unsigned>(cls.representative),
-                             opt_.experimentAttempts, quarantined))
-                .first;
-    }
-    if (!rep->second.quarantined) {
-      return sys.engine->synthesizeOutcome(job.spec, sys.pool,
-                                           static_cast<unsigned>(index),
-                                           rep->second);
-    }
-  }
-  auto outcome = campaign::runExperimentWithRetry(
-      *sys.engine, job.spec, sys.pool, static_cast<unsigned>(index),
-      opt_.experimentAttempts, quarantined);
-  if (job.prune && index < sys.memberClass.size() &&
-      sys.memberClass[index] < 0) {
-    // Cache representatives executed through regular leases so members
-    // leased later clone instead of re-running them. Classes are sorted by
-    // representative index.
-    const auto it = std::lower_bound(
-        sys.plan.classes.begin(), sys.plan.classes.end(), index,
-        [](const campaign::PruneClass& c, std::uint64_t idx) {
-          return c.representative < idx;
-        });
-    if (it != sys.plan.classes.end() && it->representative == index) {
-      sys.repOutcomes.emplace(index, outcome);
-    }
-  }
-  return outcome;
-}
-
 void WorkerDaemon::runLease(const Socket& sock, const Json& lease) {
   std::string fp;
   std::uint64_t leaseId = 0;
@@ -238,7 +197,8 @@ void WorkerDaemon::runLease(const Socket& sock, const Json& lease) {
               readU64(lease, "lease_id", leaseId) &&
               readU64(lease, "first", first) &&
               readU64(lease, "count", count) && jobJson != nullptr &&
-              jobSpecFromJson(*jobJson, job, &error),
+              jobSpecFromJson(*jobJson, job, &error) &&
+              first + count <= job.spec.experiments,
           ErrorKind::LinkError, "malformed lease: " + error);
 
   auto release = [&](const std::string& why) {
@@ -274,52 +234,100 @@ void WorkerDaemon::runLease(const Socket& sock, const Json& lease) {
     return;
   }
 
-  obs::Counter& quarantined =
-      obs::Registry::global().counter("campaign.quarantined");
-  std::vector<ExperimentOutcome> outcomes;
-  outcomes.reserve(count);
-  auto lastBeat = std::chrono::steady_clock::now();
+  // Split the block. Experiments to execute, plus the out-of-block
+  // representatives of its collapsed members that are not cached yet, go
+  // through campaign::runLease; the members are materialized afterwards.
+  const auto inBlock = [&](std::uint64_t i) {
+    return i >= first && i < first + count;
+  };
+  const auto representativeOf = [&](unsigned member) {
+    const auto cls = static_cast<std::size_t>(sys->memberClass[member]);
+    return sys->plan.classes[cls].representative;
+  };
+  std::vector<unsigned> execute;
+  std::vector<unsigned> members;
   for (std::uint64_t i = first; i < first + count; ++i) {
-    if (stop_.load()) return;  // abandon; the lease expires on its own
-    ExperimentOutcome outcome;
-    try {
-      outcome = runJobExperiment(*sys, job, i, quarantined);
-    } catch (const FadesError& e) {
-      if (e.kind() == ErrorKind::LinkError) throw;
-      poisoned_[fp] = e.what();
-      release(e.what());
-      return;
+    const bool member = job.prune && sys->memberClass[i] >= 0;
+    (member ? members : execute).push_back(static_cast<unsigned>(i));
+  }
+  for (const unsigned m : members) {
+    const std::uint64_t rep = representativeOf(m);
+    if (!inBlock(rep) && sys->repOutcomes.count(rep) == 0) {
+      execute.push_back(static_cast<unsigned>(rep));
     }
-    if (opt_.tamper) opt_.tamper(outcome);
-    outcomes.push_back(std::move(outcome));
+  }
+  std::ranges::sort(execute);
+  execute.erase(std::unique(execute.begin(), execute.end()), execute.end());
+
+  std::vector<ExperimentOutcome> outcomes(count);
+  std::uint64_t done = 0;
+  auto lastBeat = std::chrono::steady_clock::now();
+  const campaign::OutcomeSink deliver = [&](ExperimentOutcome outcome) {
+    // Cache representatives untampered (classes are sorted by
+    // representative), so members leased later clone instead of re-running.
+    if (job.prune &&
+        std::ranges::binary_search(sys->plan.classes, outcome.index, {},
+                                   &campaign::PruneClass::representative)) {
+      sys->repOutcomes.emplace(outcome.index, outcome);
+    }
+    if (inBlock(outcome.index)) {
+      if (opt_.tamper) opt_.tamper(outcome);
+      outcomes[outcome.index - first] = std::move(outcome);
+      ++done;
+    }
+    if (stop_.load()) return false;  // abandon; the lease expires on its own
 
     const auto now = std::chrono::steady_clock::now();
-    if (now - lastBeat >= std::chrono::milliseconds(opt_.heartbeatMs)) {
-      lastBeat = now;
-      Json beat = Json::object();
-      beat.set("type", Json(std::string("heartbeat")));
-      beat.set("worker", Json(opt_.name));
-      beat.set("fingerprint", Json(fp));
-      beat.set("lease_id", Json(leaseId));
-      beat.set("first", Json(first));
-      beat.set("done", Json(static_cast<std::uint64_t>(outcomes.size())));
-      sendMessage(sock, beat);
-      const auto ack = recvMessage(sock, opt_.recvTimeoutMs);
-      if (!ack) {
-        common::raise(ErrorKind::LinkError,
-                      "coordinator closed during heartbeat");
-      }
-      if (messageType(*ack) != "heartbeat_ack") {
-        // Revoked: the deadline passed and the block belongs to someone
-        // else now. Abandon the rest; a late duplicate completion would
-        // only burn the digest checker's time.
-        FADES_LOG(Warn) << "lease revoked mid-block"
-                        << obs::kv("worker", opt_.name)
-                        << obs::kv("fingerprint", fp)
-                        << obs::kv("first", first);
+    if (now - lastBeat < std::chrono::milliseconds(opt_.heartbeatMs)) {
+      return true;
+    }
+    lastBeat = now;
+    Json beat = Json::object();
+    beat.set("type", Json(std::string("heartbeat")));
+    beat.set("worker", Json(opt_.name));
+    beat.set("fingerprint", Json(fp));
+    beat.set("lease_id", Json(leaseId));
+    beat.set("first", Json(first));
+    beat.set("done", Json(done));
+    sendMessage(sock, beat);
+    const auto ack = recvMessage(sock, opt_.recvTimeoutMs);
+    if (!ack) {
+      common::raise(ErrorKind::LinkError,
+                    "coordinator closed during heartbeat");
+    }
+    if (messageType(*ack) == "heartbeat_ack") return true;
+    // Revoked: the deadline passed and the block belongs to someone else
+    // now. Abandon the rest; a late duplicate completion would only burn
+    // the digest checker's time.
+    FADES_LOG(Warn) << "lease revoked mid-block" << obs::kv("worker", opt_.name)
+                    << obs::kv("fingerprint", fp) << obs::kv("first", first);
+    return false;
+  };
+
+  // campaign_8051's attempt budget: it decides what is quarantined.
+  const unsigned attempts = campaign::ParallelOptions{}.experimentAttempts;
+  obs::Counter& quarantined =
+      obs::Registry::global().counter("campaign.quarantined");
+  try {
+    if (!campaign::runLease(*sys->engine, job.spec, sys->pool, execute,
+                            attempts, quarantined, deliver)) {
+      return;
+    }
+    for (const unsigned m : members) {
+      if (!deliver(campaign::materializeMember(
+              *sys->engine, job.spec, sys->pool, m,
+              sys->repOutcomes.at(representativeOf(m)), attempts,
+              quarantined))) {
         return;
       }
     }
+  } catch (const FadesError& e) {
+    // runLease absorbs transient engine errors: a LinkError here is the
+    // coordinator link failing in a heartbeat, and drops the connection.
+    if (e.kind() == ErrorKind::LinkError) throw;
+    poisoned_[fp] = e.what();
+    release(e.what());
+    return;
   }
 
   Json complete = Json::object();

@@ -1,11 +1,11 @@
 // Campaign worker daemon - the client half of the distributed service.
 //
 // A worker connects to the coordinator, leases blocks of experiments, runs
-// each experiment through the same runExperimentWithRetry discipline the
-// in-process parallel runner uses (transient errors retry against a
-// recovered replica, persistent ones quarantine the experiment), and streams
-// the block's outcomes back in one completion message. Between experiments
-// it heartbeats to keep the lease alive; a "revoked" answer means the
+// each block through campaign::runLease - the in-process runner's lease
+// executor, so compiled leases run as waves, transient errors retry against
+// a recovered replica and persistent ones quarantine the experiment - and
+// streams the block's outcomes back in one completion message. As outcomes
+// arrive it heartbeats to keep the lease alive; a "revoked" answer means the
 // coordinator gave up on it (deadline passed, block re-leased) and the
 // remaining work of the block is abandoned - finishing it would only produce
 // a duplicate for the digest check.
@@ -28,7 +28,6 @@
 #include <string>
 
 #include "campaign/types.hpp"
-#include "obs/metrics.hpp"
 #include "service/jobspec.hpp"
 #include "service/wire.hpp"
 
@@ -40,8 +39,6 @@ struct WorkerOptions {
   /// Stable worker identity; strikes, backoff and bans attach to this name
   /// across reconnects. Empty derives "worker-<pid>".
   std::string name;
-  /// Attempt budget per experiment (the PR-4 retry/quarantine discipline).
-  unsigned experimentAttempts = 3;
   /// Lease keep-alive period; must be well under the coordinator's leaseMs.
   int heartbeatMs = 1000;
   /// Per-frame read stall bound on the coordinator connection.
@@ -52,10 +49,6 @@ struct WorkerOptions {
   /// Consecutive failed connect attempts before run() gives up (0 = retry
   /// until stopped).
   unsigned maxReconnects = 0;
-  /// Built campaign systems kept alive, keyed by job fingerprint. Building
-  /// a system is the expensive part (synthesis + golden run), so a worker
-  /// serving few campaigns reuses them across leases.
-  unsigned maxCachedSystems = 2;
   /// Byzantine test hook: mutate each outcome before it is streamed back.
   std::function<void(campaign::ExperimentOutcome&)> tamper;
 };
@@ -82,6 +75,7 @@ class WorkerDaemon {
     /// job.prune only: the deterministic fades.prune/1 plan, the member ->
     /// class map, and the representatives this worker has already executed
     /// (a member leased before its representative runs it on demand, once).
+    /// Cached untampered: `tamper` applies only to the outcomes sent.
     campaign::PrunePlan plan;
     std::vector<std::int32_t> memberClass;
     std::map<std::uint64_t, campaign::ExperimentOutcome> repOutcomes;
@@ -93,13 +87,6 @@ class WorkerDaemon {
   Served serveConnection(const Socket& sock);
   void runLease(const Socket& sock, const obs::Json& lease);
   CachedSystem& systemFor(const JobSpec& job, const std::string& fp);
-  /// One experiment of `job`: executed normally, or - for a collapsed
-  /// member of a prune plan - synthesized from its class representative
-  /// (run locally on demand and cached).
-  campaign::ExperimentOutcome runJobExperiment(CachedSystem& sys,
-                                               const JobSpec& job,
-                                               std::uint64_t index,
-                                               obs::Counter& quarantined);
   void sleepInterruptible(int ms);
 
   WorkerOptions opt_;

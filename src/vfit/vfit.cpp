@@ -422,6 +422,7 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
           "wave exceeds the lane budget");
   require(supports(spec.model), ErrorKind::InjectionError,
           "VFIT cannot inject delay faults (no generic delay clauses)");
+  obs::Registry::global().counter(opt_.metricsPrefix + ".waves").inc();
 
   using Word = sim::CompiledSimulator::Word;
   const unsigned n = static_cast<unsigned>(indices.size());
@@ -621,11 +622,8 @@ unsigned VfitCampaignEngine::waveWidth() const {
 
 std::vector<campaign::ExperimentOutcome> VfitCampaignEngine::runWaveAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices, unsigned rerun) {
-  if (tool_.engine() == sim::EngineKind::Compiled) {
-    return tool_.runCampaignWave(spec, pool, indices);
-  }
-  return CampaignEngine::runWaveAt(spec, pool, indices, rerun);
+    std::span<const unsigned> indices, unsigned /*rerun*/) {
+  return tool_.runCampaignWave(spec, pool, indices);
 }
 
 campaign::ExperimentOutcome VfitCampaignEngine::synthesizeOutcome(

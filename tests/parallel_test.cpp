@@ -4,14 +4,20 @@
 // cost - bit-for-bit. Sharding is allowed to change wall-clock and nothing
 // else.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "campaign/journal.hpp"
 #include "campaign/parallel.hpp"
+#include "campaign/prune_plan.hpp"
 #include "campaign/types.hpp"
 #include "common/error.hpp"
 #include "core/fades.hpp"
@@ -34,6 +40,7 @@ using campaign::Outcome;
 using campaign::ParallelCampaignRunner;
 using campaign::ParallelOptions;
 using campaign::TargetClass;
+using common::ErrorKind;
 using core::FadesOptions;
 using core::FadesTool;
 using netlist::Unit;
@@ -369,6 +376,246 @@ TEST(ParallelCampaign, HeartbeatFinalLineCarriesFullTallies) {
   EXPECT_EQ(field("failures"), std::to_string(r.failures));
   EXPECT_EQ(field("latents"), std::to_string(r.latents));
   EXPECT_EQ(field("silents"), std::to_string(r.silents));
+}
+
+// ------------------------------------------- lease executor (waves) -----
+
+/// Index-pure engine with four lanes. It records every wave and every
+/// single experiment it runs, and fails any wave containing `failWaveWith`
+/// with a transient LinkError (single runs of that index succeed).
+class WaveEngine final : public campaign::CampaignEngine {
+ public:
+  explicit WaveEngine(unsigned failWaveWith = ~0u)
+      : failWaveWith_(failWaveWith) {}
+
+  static ExperimentOutcome outcomeFor(unsigned index) {
+    ExperimentOutcome out;
+    out.index = index;
+    out.outcome = index % 2 == 0 ? Outcome::Latent : Outcome::Failure;
+    out.modeledSeconds = 1.0 + 0.01 * index;
+    out.hasRecord = true;
+    out.record.targetName = "t" + std::to_string(index);
+    out.record.injectCycle = index;
+    out.record.outcome = out.outcome;
+    out.record.modeledSeconds = out.modeledSeconds;
+    return out;
+  }
+
+  std::vector<std::uint32_t> enumeratePool(const CampaignSpec&) override {
+    return {0, 1, 2, 3};
+  }
+
+  ExperimentOutcome runExperimentAt(const CampaignSpec&,
+                                    std::span<const std::uint32_t>,
+                                    unsigned index, unsigned rerun) override {
+    singles.emplace_back(index, rerun);
+    return outcomeFor(index);
+  }
+
+  unsigned waveWidth() const override { return 4; }
+
+  std::vector<ExperimentOutcome> runWaveAt(
+      const CampaignSpec&, std::span<const std::uint32_t>,
+      std::span<const unsigned> indices, unsigned) override {
+    waves.emplace_back(indices.begin(), indices.end());
+    if (std::find(indices.begin(), indices.end(), failWaveWith_) !=
+        indices.end()) {
+      common::raise(ErrorKind::LinkError, "wave lost its link");
+    }
+    std::vector<ExperimentOutcome> out;
+    for (const unsigned e : indices) out.push_back(outcomeFor(e));
+    return out;
+  }
+
+  ExperimentOutcome synthesizeOutcome(
+      const CampaignSpec&, std::span<const std::uint32_t>, unsigned index,
+      const ExperimentOutcome& representative) override {
+    ExperimentOutcome out = outcomeFor(index);
+    out.outcome = out.record.outcome = representative.outcome;
+    out.record.prunedFrom = static_cast<std::int64_t>(representative.index);
+    return out;
+  }
+
+  void recover() override { ++recoveries; }
+
+  std::vector<std::vector<unsigned>> waves;
+  std::vector<std::pair<unsigned, unsigned>> singles;  // (index, rerun)
+  unsigned recoveries = 0;
+
+ private:
+  unsigned failWaveWith_;
+};
+
+std::vector<unsigned> indexRange(unsigned first, unsigned count) {
+  std::vector<unsigned> v(count);
+  for (unsigned i = 0; i < count; ++i) v[i] = first + i;
+  return v;
+}
+
+std::vector<std::size_t> waveSizes(const WaveEngine& engine) {
+  std::vector<std::size_t> sizes;
+  for (const auto& w : engine.waves) sizes.push_back(w.size());
+  return sizes;
+}
+
+obs::Counter& testQuarantine() {
+  return obs::Registry::global().counter("test.quarantined");
+}
+
+TEST(RunLease, CutsTheLeaseIntoWavesOfTheEngineWidth) {
+  WaveEngine engine;
+  const CampaignSpec spec;
+  const auto pool = engine.enumeratePool(spec);
+  const auto indices = indexRange(20, 10);
+  std::vector<ExperimentOutcome> got;
+  EXPECT_TRUE(campaign::runLease(engine, spec, pool, indices, 3,
+                                 testQuarantine(),
+                                 [&](ExperimentOutcome o) {
+                                   got.push_back(std::move(o));
+                                   return true;
+                                 }));
+  EXPECT_EQ(waveSizes(engine), (std::vector<std::size_t>{4, 4, 2}));
+  EXPECT_TRUE(engine.singles.empty());
+  EXPECT_EQ(engine.recoveries, 0u);
+  ASSERT_EQ(got.size(), 10u);
+  for (unsigned i = 0; i < 10; ++i) {
+    EXPECT_EQ(got[i].index, indices[i]);
+    EXPECT_EQ(got[i].attempts, 1u);
+  }
+}
+
+TEST(RunLease, TransientWaveErrorRecoversOnceThenRunsEachIndexOnce) {
+  WaveEngine engine(/*failWaveWith=*/25);  // the second wave: 24..27
+  const CampaignSpec spec;
+  const auto pool = engine.enumeratePool(spec);
+  const auto indices = indexRange(20, 10);
+  std::vector<ExperimentOutcome> got;
+  EXPECT_TRUE(campaign::runLease(engine, spec, pool, indices, 3,
+                                 testQuarantine(),
+                                 [&](ExperimentOutcome o) {
+                                   got.push_back(std::move(o));
+                                   return true;
+                                 }));
+  EXPECT_EQ(engine.recoveries, 1u);
+  EXPECT_EQ(waveSizes(engine), (std::vector<std::size_t>{4, 4, 2}));
+  EXPECT_EQ(engine.singles,
+            (std::vector<std::pair<unsigned, unsigned>>{
+                {24, 0}, {25, 0}, {26, 0}, {27, 0}}));
+  ASSERT_EQ(got.size(), 10u);
+  for (unsigned i = 0; i < 10; ++i) {
+    EXPECT_EQ(got[i].index, indices[i]);
+    EXPECT_EQ(got[i].attempts, 1u);
+    EXPECT_FALSE(got[i].quarantined);
+  }
+}
+
+TEST(RunLease, DoneReturningFalseEndsTheLease) {
+  WaveEngine engine;
+  const CampaignSpec spec;
+  const auto pool = engine.enumeratePool(spec);
+  const auto indices = indexRange(0, 10);
+  unsigned calls = 0;
+  EXPECT_FALSE(campaign::runLease(engine, spec, pool, indices, 3,
+                                  testQuarantine(),
+                                  [&](ExperimentOutcome) {
+                                    return ++calls < 5;
+                                  }));
+  EXPECT_EQ(calls, 5u);
+  EXPECT_EQ(waveSizes(engine), (std::vector<std::size_t>{4, 4}));
+}
+
+TEST(RunLease, ExceptionFromDonePropagatesWithoutRecoveryOrRerun) {
+  // A worker's heartbeat inside `done` can lose the coordinator link. That
+  // LinkError is the wire's, not the engine's: it must not be mistaken for
+  // a transient wave failure.
+  WaveEngine engine;
+  const CampaignSpec spec;
+  const auto pool = engine.enumeratePool(spec);
+  const auto indices = indexRange(0, 10);
+  unsigned calls = 0;
+  try {
+    campaign::runLease(engine, spec, pool, indices, 3, testQuarantine(),
+                       [&](ExperimentOutcome) -> bool {
+                         if (++calls == 2) {
+                           common::raise(ErrorKind::LinkError,
+                                         "coordinator closed");
+                         }
+                         return true;
+                       });
+    FAIL() << "the sink's LinkError must propagate";
+  } catch (const common::FadesError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::LinkError);
+  }
+  EXPECT_EQ(calls, 2u);
+  EXPECT_EQ(engine.recoveries, 0u);
+  EXPECT_EQ(waveSizes(engine), (std::vector<std::size_t>{4}));
+  EXPECT_TRUE(engine.singles.empty());
+}
+
+TEST(ParallelCampaign, LeasesSkipResumedAndCollapsedIndicesSoWavesStayFull) {
+  // 40 experiments: 0..4 come back from the journal, and a prune plan
+  // collapses 9..11 onto 8 and 21..26 onto 20. The 26 left to run must go
+  // out as six full waves of four and one of two, not as waves with holes
+  // where the skipped indices sit.
+  CampaignSpec spec;
+  spec.experiments = 40;
+  spec.seed = 5;
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("fades-dense-lease-" + std::to_string(::getpid()) + ".jsonl");
+  std::filesystem::remove(path);
+  {
+    campaign::CampaignJournal journal(path.string());
+    journal.open(spec, /*resume=*/false);
+    for (unsigned i = 0; i < 5; ++i) {
+      ExperimentOutcome o = WaveEngine::outcomeFor(i);
+      o.attempts = 1;
+      journal.append(o);
+    }
+  }
+  campaign::PrunePlan plan;
+  plan.spec = spec;
+  plan.poolSize = 4;
+  campaign::PruneClass a;
+  a.representative = 8;
+  a.members = {9, 10, 11};
+  campaign::PruneClass b;
+  b.representative = 20;
+  b.members = {21, 22, 23, 24, 25, 26};
+  plan.classes = {a, b};
+
+  campaign::CampaignJournal journal(path.string());
+  ParallelOptions popt;
+  popt.jobs = 1;
+  popt.journal = &journal;
+  popt.resume = true;
+  popt.prunePlan = &plan;
+  WaveEngine* engine = nullptr;
+  ParallelCampaignRunner runner(
+      [&]() -> std::unique_ptr<campaign::CampaignEngine> {
+        auto e = std::make_unique<WaveEngine>();
+        engine = e.get();
+        return e;
+      },
+      popt);
+  const CampaignResult r = runner.run(spec);
+  journal.close();
+  std::filesystem::remove(path);
+
+  ASSERT_NE(engine, nullptr);
+  EXPECT_EQ(waveSizes(*engine),
+            (std::vector<std::size_t>{4, 4, 4, 4, 4, 4, 2}));
+  EXPECT_EQ(engine->waves.front(), (std::vector<unsigned>{5, 6, 7, 8}));
+  EXPECT_EQ(engine->waves[1], (std::vector<unsigned>{12, 13, 14, 15}));
+  EXPECT_TRUE(engine->singles.empty());
+  ASSERT_EQ(r.records.size(), 40u);
+  for (unsigned i = 0; i < 40; ++i) {
+    EXPECT_EQ(r.records[i].targetName, "t" + std::to_string(i));
+  }
+  EXPECT_EQ(r.records[10].prunedFrom, 8);
+  EXPECT_EQ(r.records[10].outcome, Outcome::Latent);
+  EXPECT_EQ(r.records[22].prunedFrom, 20);
+  EXPECT_EQ(r.records[12].prunedFrom, -1);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 
 #include "campaign/journal.hpp"
 #include "campaign/parallel.hpp"
+#include "campaign/prune_plan.hpp"
 #include "campaign/types.hpp"
 #include "common/error.hpp"
 #include "obs/json.hpp"
@@ -70,8 +71,9 @@ service::JobSpec demoJob(unsigned experiments, std::uint64_t seed = 11) {
 }
 
 /// Serial in-process reference: fold every experiment in index order through
-/// the same buildSystem/runExperimentWithRetry path the workers use. This is
-/// the byte-identity target for every distributed scenario.
+/// buildSystem and runExperimentWithRetry, the discipline campaign::runLease
+/// applies on the workers. This is the byte-identity target for every
+/// distributed scenario.
 std::string referenceArtifact(const service::JobSpec& job) {
   const auto system = service::buildSystem(job);
   const auto engine = system->factory();
@@ -619,6 +621,142 @@ TEST_P(ServiceResume, KilledCoordinatorResumesToIdenticalArtifact) {
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ServiceResume,
                          ::testing::Values(1, 4, 8));
+
+// ---------------------------------------------------------------------------
+// Worker input validation (raw coordinator side, no Coordinator)
+
+/// The coordinator side of one exchange: welcome the worker, then answer
+/// its lease request with experiments 8..15 of a 12-experiment campaign.
+/// The worker must refuse the lease as malformed and hang up, not run and
+/// return indices the campaign does not have.
+void leaseBeyondTheCampaign(service::Listener& listener) {
+  service::Socket sock = listener.accept(5000);
+  ASSERT_TRUE(sock.valid());
+  ASSERT_TRUE(service::recvMessage(sock, 5000).has_value());  // hello
+  Json welcome = Json::object();
+  welcome.set("type", Json(std::string("welcome")));
+  service::sendMessage(sock, welcome);
+  ASSERT_TRUE(service::recvMessage(sock, 5000).has_value());  // lease_request
+
+  const service::JobSpec job = demoJob(12, 28);
+  Json lease = Json::object();
+  lease.set("type", Json(std::string("lease")));
+  lease.set("fingerprint", Json(service::fingerprint(job)));
+  lease.set("lease_id", Json(std::uint64_t{1}));
+  lease.set("first", Json(std::uint64_t{8}));
+  lease.set("count", Json(std::uint64_t{8}));
+  lease.set("job", service::toJson(job));
+  service::sendMessage(sock, lease);
+  EXPECT_FALSE(service::recvMessage(sock, 5000).has_value());
+}
+
+TEST(ServiceWorker, LeaseBeyondTheCampaignDropsTheConnection) {
+  service::Listener listener(0);
+  service::WorkerOptions wopt;
+  wopt.port = listener.port();
+  wopt.name = "bounds";
+  wopt.recvTimeoutMs = 500;
+  service::WorkerDaemon worker(wopt);
+  std::thread workerThread([&] { worker.run(); });
+  leaseBeyondTheCampaign(listener);
+  worker.stop();
+  workerThread.join();
+}
+
+// ---------------------------------------------------------------------------
+// One lease executor: service leases run the runner's waves and prune rule
+
+/// The single-process reference the way campaign_8051 takes it: the
+/// parallel runner, with the job's prune plan when it has one.
+std::string runnerArtifact(const service::JobSpec& job) {
+  const auto system = service::buildSystem(job);
+  campaign::PrunePlan plan;
+  campaign::ParallelOptions popt;
+  if (job.prune) {
+    plan = service::buildPrunePlan(*system);
+    popt.prunePlan = &plan;
+  }
+  return service::artifactText(
+      job, campaign::ParallelCampaignRunner(system->factory, popt)
+               .run(job.spec));
+}
+
+/// Run `job` to completion on a fresh coordinator with `workerCount`
+/// daemons and return the merged artifact text.
+std::string serviceArtifact(const service::JobSpec& job, unsigned blockSize,
+                            int workerCount, const std::string& tag) {
+  service::CoordinatorOptions options;
+  options.blockSize = blockSize;
+  options.progressLogMs = 0;
+  CoordinatorFixture fx(options, tag);
+  const std::string fp = fx.coordinator->submit(job);
+  std::vector<std::unique_ptr<service::WorkerDaemon>> workers;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < workerCount; ++i) {
+    service::WorkerOptions wopt;
+    wopt.port = fx.coordinator->port();
+    wopt.name = tag + "-w" + std::to_string(i);
+    wopt.heartbeatMs = 50;
+    workers.push_back(std::make_unique<service::WorkerDaemon>(wopt));
+  }
+  for (auto& w : workers) threads.emplace_back([&w] { w->run(); });
+  EXPECT_TRUE(fx.coordinator->waitForAllComplete(120000));
+  for (auto& w : workers) w->stop();
+  for (auto& t : threads) t.join();
+  return readFile(fx.coordinator->artifactPath(fp));
+}
+
+TEST(ServiceWaves, CompiledVfitLeasesRunAsWaves) {
+  service::JobSpec job = demoJob(200, 26);
+  job.tool = "vfit";
+  job.engine = "compiled";
+  const std::uint64_t before = counterValue("vfit.waves");
+  const std::string merged = serviceArtifact(job, 16, 1, "waves");
+  // 200 experiments in blocks of 16 are 13 leases of one wave each.
+  EXPECT_EQ(counterValue("vfit.waves") - before, 13u);
+  EXPECT_EQ(merged, runnerArtifact(job));
+}
+
+struct PrunedJob {
+  const char* name;
+  const char* tool;
+  const char* engine;
+};
+
+// Keeps the test names the suite prints free of pointer values.
+void PrintTo(const PrunedJob& job, std::ostream* os) { *os << job.name; }
+
+class ServicePrune : public ::testing::TestWithParam<PrunedJob> {};
+
+TEST_P(ServicePrune, TwoWorkersMatchThePrunedRunner) {
+  service::JobSpec job = demoJob(96, 27);
+  job.tool = GetParam().tool;
+  job.engine = GetParam().engine;
+  job.prune = true;
+  // The case is only worth running if some member's representative sits
+  // in another block, so a worker has to run it out of its own lease.
+  const auto plan = service::buildPrunePlan(*service::buildSystem(job));
+  const unsigned blockSize = 8;
+  bool crossBlock = false;
+  for (const auto& cls : plan.classes) {
+    for (const std::uint64_t m : cls.members) {
+      crossBlock = crossBlock || m / blockSize != cls.representative / blockSize;
+    }
+  }
+  ASSERT_TRUE(crossBlock) << "plan collapses " << plan.collapsedCount();
+  EXPECT_EQ(serviceArtifact(job, blockSize, 2,
+                            std::string("prune-") + GetParam().name),
+            runnerArtifact(job));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Jobs, ServicePrune,
+    ::testing::Values(PrunedJob{"VfitEvent", "vfit", "event"},
+                      PrunedJob{"VfitCompiled", "vfit", "compiled"},
+                      PrunedJob{"Fades", "fades", "event"}),
+    [](const ::testing::TestParamInfo<PrunedJob>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace fades

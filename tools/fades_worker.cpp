@@ -1,16 +1,15 @@
 // Campaign worker daemon.
 //
 // Connects to a fades_coordinator, leases blocks of experiments, runs them
-// through the standard retry/recover/quarantine discipline and streams the
-// outcomes back. Exits 0 when the coordinator says shutdown, 1 when the
-// reconnect budget runs out.
+// through campaign::runLease (campaign_8051's executor and attempt budget)
+// and streams the outcomes back. Exits 0 when the coordinator says
+// shutdown, 1 when the reconnect budget runs out.
 //
 // Usage:
-//   fades_worker --port P [--host H] [--name NAME] [--attempts N]
+//   fades_worker --port P [--host H] [--name NAME]
 //                [--heartbeat-ms N] [--max-reconnects N] [--tamper]
 //     --name     stable worker identity (default worker-<pid>); strikes,
 //                backoff and bans attach to it across reconnects
-//     --attempts retry budget per experiment before quarantining it
 //     --max-reconnects give up after N consecutive failed connects
 //                (default 0 = keep trying until killed)
 //     --tamper   lie about every outcome (byzantine-worker test mode: the
@@ -32,8 +31,8 @@ namespace {
   std::fprintf(stderr,
                "error: %s\n"
                "usage: fades_worker --port P [--host H] [--name NAME]\n"
-               "                    [--attempts N] [--heartbeat-ms N]\n"
-               "                    [--max-reconnects N] [--tamper]\n",
+               "                    [--heartbeat-ms N] [--max-reconnects N]\n"
+               "                    [--tamper]\n",
                message.c_str());
   std::exit(2);
 }
@@ -64,8 +63,6 @@ int main(int argc, char** argv) {
       opt.host = value();
     } else if (a == "--name") {
       opt.name = value();
-    } else if (a == "--attempts") {
-      opt.experimentAttempts = parseUnsigned(value(), "--attempts");
     } else if (a == "--heartbeat-ms") {
       opt.heartbeatMs =
           static_cast<int>(parseUnsigned(value(), "--heartbeat-ms"));
