@@ -28,7 +28,6 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
       runCycles_(runCycles),
       opt_(std::move(options)),
       port_(device),
-      system_(device, impl),
       ctrFailures_(obs::Registry::global().counter(
           "campaign.experiments{outcome=failure}")),
       ctrLatents_(obs::Registry::global().counter(
@@ -37,8 +36,10 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
           "campaign.experiments{outcome=silent}")),
       modeledSecondsHist_(obs::Registry::global().histogram(
           "experiment.modeled_seconds",
-          {0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0})) {
+          {0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0})),
+      ctrSettles_(obs::Registry::global().counter("fpga.settles")) {
   obs::Span setupSpan{"setup", {{"device", dev_.spec().name}}};
+  settlesFlushed_ = dev_.settles();
   // One-time download of the configuration file (Figure 1).
   port_.writeFullBitstream(impl_.bitstream);
   setupSeconds_ = opt_.link.seconds(port_.meter());
@@ -67,6 +68,20 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
         usedCaptureCols_.size() * dev_.spec().frameBytes +
         std::uint64_t{usedBramBlocks_.size()} *
             dev_.layout().bramFramesPerBlock() * dev_.spec().frameBytes;
+    // Port k of observedOutputs occupies bits 16k.. of outputWord().
+    for (std::size_t k = 0; k < opt_.observedOutputs.size(); ++k) {
+      const std::string& port = opt_.observedOutputs[k];
+      bool any = false;
+      for (const auto& p : impl_.pads) {
+        if (p.port != port || p.isInput) continue;
+        any = true;
+        if (16 * k + p.bitIndex < 64) {
+          observedPads_.emplace_back(p.pad, 16 * k + p.bitIndex);
+        }
+      }
+      require(any, ErrorKind::InvalidArgument,
+              "no output port '" + port + "'");
+    }
   }
 
   // Golden run: trace, checkpoints, final state.
@@ -80,6 +95,7 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
   }
   captureFinalStateViaPort(golden_, /*chargeOnly=*/false);
   port_.resetMeter();
+  flushSettles();
 
   // The unreliable-link model arms only now: setup (bitstream download +
   // golden run) happens on a quiet link, so replica construction never
@@ -105,10 +121,8 @@ void FadesTool::recoverLink() {
 
 std::uint64_t FadesTool::outputWord() const {
   std::uint64_t w = 0;
-  unsigned shift = 0;
-  for (const auto& p : opt_.observedOutputs) {
-    w |= system_.portValue(p) << shift;
-    shift += 16;
+  for (const auto& [pad, bit] : observedPads_) {
+    if (dev_.padValue(pad)) w |= std::uint64_t{1} << bit;
   }
   return w;
 }
@@ -161,6 +175,11 @@ void FadesTool::chargeExperimentBaseline() {
 
 double FadesTool::meterSeconds() const {
   return opt_.link.seconds(port_.meter());
+}
+
+void FadesTool::flushSettles() {
+  ctrSettles_.add(dev_.settles() - settlesFlushed_);
+  settlesFlushed_ = dev_.settles();
 }
 
 const fpga::DeviceState& FadesTool::checkpointAtOrBefore(
@@ -812,6 +831,7 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
     case Outcome::Latent: ctrLatents_.inc(); break;
     case Outcome::Silent: ctrSilents_.inc(); break;
   }
+  flushSettles();
   if (modeledSeconds != nullptr) *modeledSeconds = seconds;
   if (meterOut != nullptr) *meterOut = port_.meter();
   if (detectCycleOut != nullptr) *detectCycleOut = detectCycle;
@@ -1087,6 +1107,7 @@ Outcome FadesTool::runMultipleBitFlipExperiment(
     case Outcome::Latent: ctrLatents_.inc(); break;
     case Outcome::Silent: ctrSilents_.inc(); break;
   }
+  flushSettles();
   if (modeledSeconds != nullptr) *modeledSeconds = seconds;
   return outcome;
 }

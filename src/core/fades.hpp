@@ -225,6 +225,7 @@ class FadesTool {
   void captureFinalStateViaPort(Observation& obs, bool chargeOnly);
   void chargeExperimentBaseline();
   double meterSeconds() const;
+  void flushSettles();
 
   const fpga::DeviceState& checkpointAtOrBefore(std::uint64_t cycle,
                                                 std::uint64_t& ckCycle) const;
@@ -234,7 +235,6 @@ class FadesTool {
   std::uint64_t runCycles_;
   FadesOptions opt_;
   bits::ConfigPort port_;
-  synth::EmulatedSystem system_;
 
   Observation golden_;
   std::vector<fpga::DeviceState> checkpoints_;
@@ -245,6 +245,8 @@ class FadesTool {
   std::vector<unsigned> usedBramBlocks_;
   std::unordered_set<std::uint32_t> usedNodes_;  // routing nodes in use
   std::uint64_t fullStateReadBytes_ = 0;         // per final-state readback
+  // (pad, bit in outputWord()) of every observed output-port pad.
+  std::vector<std::pair<unsigned, unsigned>> observedPads_;
 
   // Registry instruments, resolved once so the per-experiment updates are
   // plain relaxed atomic adds.
@@ -252,6 +254,10 @@ class FadesTool {
   obs::Counter& ctrLatents_;
   obs::Counter& ctrSilents_;
   obs::Histogram& modeledSecondsHist_;
+  // fpga.settles mirror of dev_.settles(), flushed as a delta after the
+  // golden run and after each runExperiment / MBU experiment.
+  obs::Counter& ctrSettles_;
+  std::uint64_t settlesFlushed_ = 0;
 };
 
 /// One worker's FADES replica for sharded campaigns: a private simulated

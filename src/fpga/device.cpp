@@ -32,6 +32,7 @@ Device::Device(const DeviceSpec& spec)
 void Device::setLogicBit(std::size_t addr, bool v) {
   if (logicCfg_.get(addr) == v) return;
   logicCfg_.set(addr, v);
+  settled_ = false;
   const auto d = layout_.decode(addr);
   if (d.region == ConfigLayout::Decoded::Region::Cb && d.bitInRecord < 16) {
     lutDirty_ = true;
@@ -118,6 +119,7 @@ void Device::writeFullBitstream(const Bitstream& bs) {
   logicCfg_ = bs.logic;
   bramCfg_ = bs.bram;
   topoDirty_ = true;
+  settled_ = false;
   ensureCompiled();
   // Configuration asserts GSR: every FF starts at its SrMode value, memory
   // output latches clear, and no edge has sampled a D value yet.
@@ -139,6 +141,7 @@ void Device::pulseGsr() {
   // mechanism relies on when pulsing the line in the middle of a run.
   ensureCompiled();
   for (const auto& ff : compiled_.ffs) ffState_[ff.cbIdx] = ff.srMode ? 1 : 0;
+  settled_ = false;
   settle();
 }
 
@@ -319,9 +322,9 @@ void Device::rebuildTopology() {
 
   // 2. Enumerate used resources and assign value indices.
   Compiled c;
-  c.lutOfCb.assign(spec_.cbCount(), 0);
-  c.ffOfCb.assign(spec_.cbCount(), 0);
+  std::vector<std::uint32_t> lutOfCb(spec_.cbCount(), 0);  // entry index + 1
   c.padInVal.assign(spec_.padCount(), 0);
+  c.padOutSrc.assign(spec_.padCount(), 0);
   std::uint32_t nextVal = 1;  // 0 = constant 0
 
   for (std::uint32_t cbIdx = 0; cbIdx < spec_.cbCount(); ++cbIdx) {
@@ -332,14 +335,13 @@ void Device::rebuildTopology() {
       e.val = nextVal++;
       e.table = static_cast<std::uint16_t>(
           logicCfg_.getWord(layout_.cbLutBit(cb, 0), 16));
-      c.lutOfCb[cbIdx] = static_cast<std::uint32_t>(c.luts.size()) + 1;
+      lutOfCb[cbIdx] = static_cast<std::uint32_t>(c.luts.size()) + 1;
       c.luts.push_back(e);
     }
     if (cbField(cb, CbField::FfUsed)) {
       FfEntry e;
       e.cbIdx = cbIdx;
       e.val = nextVal++;
-      c.ffOfCb[cbIdx] = static_cast<std::uint32_t>(c.ffs.size()) + 1;
       c.ffs.push_back(e);
     }
   }
@@ -399,19 +401,25 @@ void Device::rebuildTopology() {
     }
   }
 
-  // Shorted nets: error or wired-AND/OR join pseudo-elements.
+  // Shorted nets: error, or a wired-AND/OR join lowered to a chain of
+  // two-input gate entries.
   for (auto& [root, drivers] : multi) {
     if (shortPolicy_ == ShortPolicy::Error) {
       raise(ErrorKind::ConfigError,
             "short circuit: " + std::to_string(drivers.size()) +
                 " drivers on one routed net");
     }
-    JoinEntry j;
-    j.drivers = drivers;
-    j.wiredOr = (shortPolicy_ == ShortPolicy::WiredOr);
-    j.val = c.valueCount++;
-    compSource_[root] = j.val;
-    c.joins.push_back(std::move(j));
+    std::uint32_t acc = drivers[0];
+    for (std::size_t k = 1; k < drivers.size(); ++k) {
+      LutEntry g;
+      g.table = shortPolicy_ == ShortPolicy::WiredOr ? 0xEEEE : 0x8888;
+      g.in[0] = acc;
+      g.in[1] = drivers[k];
+      g.cbIdx = kNoCb;
+      g.val = acc = c.valueCount++;
+      c.luts.push_back(g);
+    }
+    compSource_[root] = acc;
   }
 
   // 4. Resolve every sink pin to its source value index.
@@ -419,6 +427,7 @@ void Device::rebuildTopology() {
     return compSource_[find(pinNode)];
   };
   for (auto& e : c.luts) {
+    if (e.cbIdx == kNoCb) continue;
     const CbCoord cb = cbFromIndex(e.cbIdx);
     for (unsigned k = 0; k < 4; ++k) {
       e.in[k] = srcOf(nodes_.cbIn(cb, static_cast<CbInPin>(k)));
@@ -427,18 +436,16 @@ void Device::rebuildTopology() {
   for (auto& e : c.ffs) {
     const CbCoord cb = cbFromIndex(e.cbIdx);
     e.bypSrc = srcOf(nodes_.cbIn(cb, CbInPin::Byp));
-    if (c.lutOfCb[e.cbIdx] != 0) {
+    if (lutOfCb[e.cbIdx] != 0) {
       e.hasLut = true;
-      e.lutVal = c.luts[c.lutOfCb[e.cbIdx] - 1].val;
+      e.lutVal = c.luts[lutOfCb[e.cbIdx] - 1].val;
     }
   }
   for (unsigned p = 0; p < spec_.padCount(); ++p) {
     const bool used = logicCfg_.get(layout_.padFieldBit(p, PadField::Used));
     const bool isOut =
         logicCfg_.get(layout_.padFieldBit(p, PadField::IsOutput));
-    if (used && isOut) {
-      c.padOuts.push_back(PadOutEntry{p, srcOf(nodes_.pad(p))});
-    }
+    if (used && isOut) c.padOutSrc[p] = srcOf(nodes_.pad(p));
   }
   for (auto& e : c.brams) {
     for (unsigned a = 0; a < e.addrBits; ++a) {
@@ -451,57 +458,41 @@ void Device::rebuildTopology() {
     e.weSrc = srcOf(nodes_.bramPin(e.block, DeviceSpec::kBramPins - 1));
   }
 
-  // 5. Topological order over LUTs and joins.
-  const std::size_t stepCount = c.luts.size() + c.joins.size();
+  // 5. Sort the evaluation array topologically.
+  const std::size_t n = c.luts.size();
   std::vector<std::int32_t> producer(c.valueCount, -1);
-  for (std::size_t i = 0; i < c.luts.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     producer[c.luts[i].val] = static_cast<std::int32_t>(i);
   }
-  for (std::size_t j = 0; j < c.joins.size(); ++j) {
-    producer[c.joins[j].val] =
-        static_cast<std::int32_t>(c.luts.size() + j);
-  }
-  std::vector<std::uint32_t> indegree(stepCount, 0);
-  std::vector<std::vector<std::uint32_t>> fanout(stepCount);
-  auto addDep = [&](std::uint32_t consumerStep, std::uint32_t val) {
-    const std::int32_t p = producer[val];
-    if (p >= 0) {
-      ++indegree[consumerStep];
-      fanout[static_cast<std::size_t>(p)].push_back(consumerStep);
-    }
-  };
-  for (std::size_t i = 0; i < c.luts.size(); ++i) {
+  std::vector<std::uint32_t> indegree(n, 0);
+  std::vector<std::vector<std::uint32_t>> fanout(n);
+  for (std::size_t i = 0; i < n; ++i) {
     for (unsigned k = 0; k < 4; ++k) {
-      addDep(static_cast<std::uint32_t>(i), c.luts[i].in[k]);
-    }
-  }
-  for (std::size_t j = 0; j < c.joins.size(); ++j) {
-    for (auto v : c.joins[j].drivers) {
-      addDep(static_cast<std::uint32_t>(c.luts.size() + j), v);
+      const std::int32_t p = producer[c.luts[i].in[k]];
+      if (p >= 0) {
+        ++indegree[i];
+        fanout[static_cast<std::size_t>(p)].push_back(
+            static_cast<std::uint32_t>(i));
+      }
     }
   }
   std::vector<std::uint32_t> ready;
-  for (std::uint32_t s = 0; s < stepCount; ++s) {
+  for (std::uint32_t s = 0; s < n; ++s) {
     if (indegree[s] == 0) ready.push_back(s);
   }
-  c.steps.clear();
-  c.steps.reserve(stepCount);
+  std::vector<LutEntry> order;
+  order.reserve(n);
   while (!ready.empty()) {
     const std::uint32_t s = ready.back();
     ready.pop_back();
-    if (s < c.luts.size()) {
-      c.steps.push_back(Step{Step::Kind::Lut, s});
-    } else {
-      c.steps.push_back(
-          Step{Step::Kind::Join,
-               static_cast<std::uint32_t>(s - c.luts.size())});
-    }
+    order.push_back(c.luts[s]);
     for (auto t : fanout[s]) {
       if (--indegree[t] == 0) ready.push_back(t);
     }
   }
-  require(c.steps.size() == stepCount, ErrorKind::ConfigError,
+  require(order.size() == n, ErrorKind::ConfigError,
           "combinational loop in configuration");
+  c.luts = std::move(order);
 
   // Late FFs keep capturing the previous D across a rebuild: carry it over
   // by CB, since compiled FF entries are renumbered.
@@ -512,6 +503,7 @@ void Device::rebuildTopology() {
   compiled_ = std::move(c);
   refreshMisc();
   values_.assign(compiled_.valueCount, 0);
+  settled_ = false;
   prevD_.resize(compiled_.ffs.size());
   for (std::size_t i = 0; i < prevD_.size(); ++i) {
     prevD_[i] = prevByCb[compiled_.ffs[i].cbIdx];
@@ -530,6 +522,7 @@ void Device::refreshMisc() {
 
 void Device::refreshLutTables() {
   for (auto& e : compiled_.luts) {
+    if (e.cbIdx == kNoCb) continue;
     e.table = static_cast<std::uint16_t>(
         logicCfg_.getWord(layout_.cbLutBit(cbFromIndex(e.cbIdx), 0), 16));
   }
@@ -562,43 +555,36 @@ void Device::refreshLevel0() {
 }
 
 void Device::runSteps() {
-  for (const Step& s : compiled_.steps) {
-    if (s.kind == Step::Kind::Lut) {
-      const LutEntry& e = compiled_.luts[s.index];
-      const unsigned idx = values_[e.in[0]] | (values_[e.in[1]] << 1) |
-                           (values_[e.in[2]] << 2) | (values_[e.in[3]] << 3);
-      values_[e.val] = (e.table >> idx) & 1u;
-    } else {
-      const JoinEntry& e = compiled_.joins[s.index];
-      std::uint8_t v = e.wiredOr ? 0 : 1;
-      for (auto d : e.drivers) {
-        v = e.wiredOr ? (v | values_[d]) : (v & values_[d]);
-      }
-      values_[e.val] = v;
-    }
+  std::uint8_t* v = values_.data();
+  for (const LutEntry& e : compiled_.luts) {
+    const unsigned idx = v[e.in[0]] | (v[e.in[1]] << 1) | (v[e.in[2]] << 2) |
+                         (v[e.in[3]] << 3);
+    v[e.val] = (e.table >> idx) & 1u;
   }
+  ++settles_;
 }
 
 void Device::settle() {
+  if (settled_) return;
   ensureCompiled();
   refreshLevel0();
   runSteps();
+  settled_ = true;
 }
 
 void Device::setPadInput(unsigned pad, bool v) {
   require(pad < spec_.padCount(), ErrorKind::InvalidArgument,
           "pad index out of range");
-  padInput_[pad] = v ? 1 : 0;
+  const std::uint8_t value = v ? 1 : 0;
+  if (padInput_[pad] == value) return;
+  padInput_[pad] = value;
+  settled_ = false;
 }
 
 bool Device::padValue(unsigned pad) const {
-  for (const auto& e : compiled_.padOuts) {
-    if (e.pad == pad) return values_[e.src] != 0;
-  }
-  if (pad < spec_.padCount() && compiled_.padInVal[pad] != 0) {
-    return padInput_[pad] != 0;
-  }
-  return false;
+  if (pad >= compiled_.padInVal.size()) return false;  // never compiled
+  if (compiled_.padInVal[pad] != 0) return padInput_[pad] != 0;
+  return values_[compiled_.padOutSrc[pad]] != 0;  // 0 when not an output
 }
 
 void Device::step() {
@@ -606,7 +592,7 @@ void Device::step() {
 
   // Sample all sequential elements with settled pre-edge values.
   const std::size_t nf = compiled_.ffs.size();
-  std::vector<std::uint8_t> d(nf, 0);
+  nextD_.resize(nf);
   for (std::size_t i = 0; i < nf; ++i) {
     const FfEntry& e = compiled_.ffs[i];
     std::uint8_t v;
@@ -615,16 +601,10 @@ void Device::step() {
     } else {
       v = e.hasLut ? values_[e.lutVal] : 0;
     }
-    d[i] = v;
+    nextD_[i] = v;
   }
 
-  struct BramOp {
-    std::uint32_t read = 0;
-    bool write = false;
-    std::size_t row = 0;
-    std::uint32_t wval = 0;
-  };
-  std::vector<BramOp> ops(compiled_.brams.size());
+  bramOps_.resize(compiled_.brams.size());
   for (std::size_t i = 0; i < compiled_.brams.size(); ++i) {
     const BramEntry& e = compiled_.brams[i];
     std::size_t addr = 0;
@@ -638,35 +618,37 @@ void Device::step() {
                 bramCfg_.get(layout_.bramContentBit(e.block, base + b)))
             << b;
     }
-    ops[i].read = rd;
-    if (values_[e.weSrc]) {
-      ops[i].write = true;
-      ops[i].row = addr;
+    BramOp& op = bramOps_[i];
+    op.read = rd;
+    op.write = values_[e.weSrc] != 0;
+    if (op.write) {
+      op.row = addr;
       std::uint32_t wv = 0;
       for (unsigned b = 0; b < e.width; ++b) {
         wv |= static_cast<std::uint32_t>(values_[e.dinSrc[b]]) << b;
       }
-      ops[i].wval = wv;
+      op.wval = wv;
     }
   }
 
   // Commit the edge.
   for (std::size_t i = 0; i < nf; ++i) {
     const FfEntry& e = compiled_.ffs[i];
-    std::uint8_t capture = d[i];
+    std::uint8_t capture = nextD_[i];
     if (timingEnabled_ && e.late) capture = prevD_[i];  // stale data captured
     if (e.lsrForced) capture = e.srMode ? 1 : 0;        // async SR dominates
     ffState_[e.cbIdx] = capture;
   }
-  prevD_ = std::move(d);
+  prevD_.swap(nextD_);
   for (std::size_t i = 0; i < compiled_.brams.size(); ++i) {
     const BramEntry& e = compiled_.brams[i];
-    bramLatch_[e.block] = ops[i].read;
-    if (ops[i].write) {
-      const std::size_t base = ops[i].row * e.width;
+    const BramOp& op = bramOps_[i];
+    bramLatch_[e.block] = op.read;
+    if (op.write) {
+      const std::size_t base = op.row * e.width;
       for (unsigned b = 0; b < e.width; ++b) {
         bramCfg_.set(layout_.bramContentBit(e.block, base + b),
-                     (ops[i].wval >> b) & 1u);
+                     (op.wval >> b) & 1u);
       }
     }
   }
@@ -711,6 +693,7 @@ void Device::restoreState(const DeviceState& s) {
   bramLatch_ = s.bramLatch;
   padInput_ = s.padInput;
   cycle_ = s.cycle;
+  settled_ = false;
   ensureCompiled();
   for (std::size_t i = 0; i < prevD_.size(); ++i) {
     prevD_[i] = s.prevD[compiled_.ffs[i].cbIdx];
@@ -725,6 +708,7 @@ void Device::restoreState(const DeviceState& s) {
 void Device::setTimingEnabled(bool on) {
   if (on && !timingEnabled_) timingDirty_ = true;
   timingEnabled_ = on;
+  settled_ = false;
 }
 
 const TimingReport& Device::timingReport() {
@@ -776,7 +760,9 @@ void Device::computeTiming() {
     }
   };
   for (const auto& e : compiled_.luts) {
-    collect(nodes_.cbOut(cbFromIndex(e.cbIdx), CbOutPin::Lut));
+    if (e.cbIdx != kNoCb) {
+      collect(nodes_.cbOut(cbFromIndex(e.cbIdx), CbOutPin::Lut));
+    }
   }
   for (const auto& e : compiled_.ffs) {
     collect(nodes_.cbOut(cbFromIndex(e.cbIdx), CbOutPin::Ff));
@@ -838,24 +824,19 @@ void Device::computeTiming() {
       arr[e.doutValBase + b] = spec_.clkToQNs;
     }
   }
-  for (const Step& s : compiled_.steps) {
-    if (s.kind == Step::Kind::Lut) {
-      const LutEntry& e = compiled_.luts[s.index];
-      const CbCoord cb = cbFromIndex(e.cbIdx);
-      double t = 0.0;
-      for (unsigned k = 0; k < 4; ++k) {
-        if (e.in[k] == 0) continue;
-        const double wire =
-            sinkDelay_[nodes_.cbIn(cb, static_cast<CbInPin>(k))];
-        t = std::max(t, arr[e.in[k]] + wire);
-      }
-      arr[e.val] = t + spec_.lutDelayNs;
-    } else {
-      const JoinEntry& e = compiled_.joins[s.index];
-      double t = 0.0;
-      for (auto dval : e.drivers) t = std::max(t, arr[dval]);
-      arr[e.val] = t;
+  for (const LutEntry& e : compiled_.luts) {
+    // A gate entry (wired join) passes its latest input on without delay.
+    const bool gate = e.cbIdx == kNoCb;
+    double t = 0.0;
+    for (unsigned k = 0; k < 4; ++k) {
+      if (e.in[k] == 0) continue;
+      const double wire =
+          gate ? 0.0
+               : sinkDelay_[nodes_.cbIn(cbFromIndex(e.cbIdx),
+                                        static_cast<CbInPin>(k))];
+      t = std::max(t, arr[e.in[k]] + wire);
     }
+    arr[e.val] = gate ? t : t + spec_.lutDelayNs;
   }
 
   timingReport_ = TimingReport{};
@@ -880,7 +861,9 @@ void Device::computeTiming() {
 
 unsigned Device::usedLutCount() {
   ensureCompiled();
-  return static_cast<unsigned>(compiled_.luts.size());
+  return static_cast<unsigned>(
+      std::count_if(compiled_.luts.begin(), compiled_.luts.end(),
+                    [](const LutEntry& e) { return e.cbIdx != kNoCb; }));
 }
 
 unsigned Device::usedFfCount() {

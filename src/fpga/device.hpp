@@ -121,12 +121,19 @@ class Device {
   // --- execution -------------------------------------------------------------
   void setPadInput(unsigned pad, bool v);
   bool padValue(unsigned pad) const;  // settled value seen at an output pad
-  /// Propagate combinational logic (also recompiles if configuration
-  /// changed since the last evaluation).
+  /// Propagate combinational logic: recompile what the configuration changed,
+  /// then evaluate the LUT network once. Returns at once while the device is
+  /// settled, i.e. while the network values equal a fresh evaluation of the
+  /// configuration and of the FF states, pad inputs and memory read latches.
+  /// Every mutator of those unsettles the device; memory contents do not.
   void settle();
-  /// One positive clock edge, then settle.
+  /// One positive clock edge: settle if needed, sample, commit, then one
+  /// evaluation of the network. Ends settled, so a run of steps costs one
+  /// evaluation per cycle.
   void step();
   std::uint64_t cycle() const { return cycle_; }
+  /// Network evaluations so far (one per settling settle(), one per step()).
+  std::uint64_t settles() const { return settles_; }
 
   bool ffState(CbCoord cb) const { return ffState_[cbIndex(cb)] != 0; }
   /// Raw memory-block word as currently stored (row-major at given width).
@@ -143,6 +150,7 @@ class Device {
   void setShortPolicy(ShortPolicy p) {
     shortPolicy_ = p;
     topoDirty_ = true;
+    settled_ = false;
   }
 
   // --- introspection (tests / diagnostics) ----------------------------------
@@ -154,20 +162,14 @@ class Device {
 
  private:
   // ----- compiled model ------------------------------------------------------
+  /// cbIdx of a gate entry: a two-input AND/OR (table 0x8888/0xEEEE) that a
+  /// wired join of a shorted net lowers to. It has no CB and no delay.
+  static constexpr std::uint32_t kNoCb = ~std::uint32_t{0};
   struct LutEntry {
     std::uint16_t table = 0;
     std::uint32_t in[4] = {0, 0, 0, 0};  // value indices
-    std::uint32_t cbIdx = 0;
+    std::uint32_t cbIdx = 0;             // or kNoCb
     std::uint32_t val = 0;  // output value index
-  };
-  struct JoinEntry {
-    std::vector<std::uint32_t> drivers;
-    std::uint32_t val = 0;
-    bool wiredOr = false;
-  };
-  struct Step {
-    enum class Kind : std::uint8_t { Lut, Join } kind;
-    std::uint32_t index = 0;
   };
   struct FfEntry {
     std::uint32_t cbIdx = 0;
@@ -190,20 +192,18 @@ class Device {
     std::uint32_t weSrc = 0;
     std::uint32_t doutValBase = 0;  // width consecutive value indices
   };
-  struct PadOutEntry {
-    unsigned pad = 0;
-    std::uint32_t src = 0;
+  struct BramOp {  // one block's edge, sampled before any commit
+    std::uint32_t read = 0;
+    bool write = false;
+    std::size_t row = 0;
+    std::uint32_t wval = 0;
   };
   struct Compiled {
-    std::vector<LutEntry> luts;  // in topological order interleaved via steps
-    std::vector<JoinEntry> joins;
-    std::vector<Step> steps;
+    std::vector<LutEntry> luts;  // the evaluation array, topological order
     std::vector<FfEntry> ffs;
     std::vector<BramEntry> brams;
-    std::vector<PadOutEntry> padOuts;
     std::vector<std::uint32_t> padInVal;   // per pad: value index or 0
-    std::vector<std::uint32_t> lutOfCb;    // cbIdx -> lut entry index+1, 0=none
-    std::vector<std::uint32_t> ffOfCb;     // cbIdx -> ff entry index+1, 0=none
+    std::vector<std::uint32_t> padOutSrc;  // per output pad: source value index
     std::uint32_t valueCount = 1;          // index 0 = constant 0
   };
 
@@ -251,6 +251,12 @@ class Device {
   // captures at the next one. Keyed by CB only in captureState(),
   // restoreState() and rebuildTopology(), so step() stays index-based.
   std::vector<std::uint8_t> prevD_;
+  // step() scratch: D sampled at this edge (swapped into prevD_) and the
+  // memory-block operations.
+  std::vector<std::uint8_t> nextD_;
+  std::vector<BramOp> bramOps_;
+  bool settled_ = false;  // values_ is a fresh evaluation (see settle())
+  std::uint64_t settles_ = 0;
   bool topoDirty_ = true;
   bool miscDirty_ = false;
   bool lutDirty_ = false;

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "core/fades.hpp"
 #include "fpga/bitstream_io.hpp"
+#include "obs/metrics.hpp"
 #include "rtl/builder.hpp"
 #include "sim/simulator.hpp"
 #include "sim/vcd.hpp"
@@ -447,6 +448,57 @@ TEST(Mbu, MatchesSequenceOfSingleFlipsSemantically) {
   s.depositFlop(*nl.findFlop("cnt[0]"), false);
   s.depositFlop(*nl.findFlop("cnt[1]"), true);
   EXPECT_EQ(s.portValue("out"), 6u);
+}
+
+// ----------------------------------------------- network evaluations -----
+
+TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
+  // fpga.settles counts LUT-network evaluations exactly: one per emulated
+  // cycle, plus one each for the checkpoint restore, the injection and the
+  // removal (or, for a bit-flip, the first cycle after it).
+  Builder b;
+  rtl::Register lfsr = b.makeRegister("lfsr", 8, 1);
+  auto fb = b.lxor(lfsr.q[7], b.lxor(lfsr.q[5], b.lxor(lfsr.q[4], lfsr.q[3])));
+  rtl::Bus next{fb};
+  for (int i = 0; i < 7; ++i) next.push_back(lfsr.q[i]);
+  b.connect(lfsr, next);
+  b.output("out", lfsr.q);
+  const auto impl = synth::implement(b.finish(), fpga::DeviceSpec::small());
+  fpga::Device dev(impl.spec);
+  core::FadesOptions opt;
+  opt.observedOutputs = {"out"};
+  opt.checkpointInterval = 16;
+  const obs::Counter& settles =
+      obs::Registry::global().counter("fpga.settles");
+  const std::uint64_t registryBefore = settles.value();
+  core::FadesTool tool(dev, impl, 48, opt);
+  EXPECT_EQ(dev.settles(), 1u + 48u);  // download, then the golden run
+  EXPECT_EQ(settles.value() - registryBefore, 1u + 48u);
+
+  using campaign::FaultModel;
+  using campaign::TargetClass;
+  Rng rng(11);
+  auto expectCost = [&](FaultModel model, TargetClass cls,
+                        std::uint32_t target, std::uint64_t cycle,
+                        double duration) {
+    const std::uint64_t device0 = dev.settles(), registry0 = settles.value();
+    tool.runExperiment(model, cls, target, cycle, duration, rng);
+    const std::uint64_t expected = 3 + dev.cycle() - cycle / 16 * 16;
+    EXPECT_EQ(dev.settles() - device0, expected)
+        << "inject at " << cycle << " for " << duration;
+    EXPECT_EQ(settles.value() - registry0, expected);
+  };
+  const auto luts =
+      tool.targets(FaultModel::Pulse, TargetClass::CombinationalLut, Unit::None);
+  const double durations[] = {0.0, 0.5, 1.0, 3.0, 7.0, 10.0};
+  for (unsigned i = 0; i < 6; ++i) {
+    expectCost(FaultModel::Pulse, TargetClass::CombinationalLut,
+               luts[i % luts.size()], 5 + 7 * i, durations[i]);
+  }
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    expectCost(FaultModel::BitFlip, TargetClass::SequentialFF, 2 * i,
+               3 + 15 * i, 1.0);
+  }
 }
 
 }  // namespace

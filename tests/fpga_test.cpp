@@ -402,6 +402,52 @@ TEST(Device, WiredAndResolvesShort) {
   dev.setShortPolicy(ShortPolicy::WiredOr);
   dev.settle();
   EXPECT_TRUE(dev.padValue(1));
+
+  // A third driver on HSeg(3,1,0): the join is a chain of two gates, and
+  // rewriting the drivers' tables leaves the gates alone.
+  h.lut(CbCoord{3, 1}, 0x0000);
+  h.outConn(CbCoord{3, 1}, CbOutPin::Lut, false, 0);
+  h.pm(3, 1, 0, PmSwitch::WE);
+  auto drive = [&](bool a, bool b, bool c) {
+    h.lut(CbCoord{1, 1}, a ? 0xFFFF : 0x0000);
+    h.lut(CbCoord{2, 1}, b ? 0xFFFF : 0x0000);
+    h.lut(CbCoord{3, 1}, c ? 0xFFFF : 0x0000);
+    dev.settle();
+    return dev.padValue(1);
+  };
+  EXPECT_FALSE(drive(false, false, false));  // wired-OR
+  EXPECT_TRUE(drive(false, false, true));
+  EXPECT_TRUE(drive(true, false, false));
+  EXPECT_EQ(dev.usedLutCount(), 3u);  // gates are not CB LUTs
+  dev.setShortPolicy(ShortPolicy::WiredAnd);
+  EXPECT_TRUE(drive(true, true, true));
+  EXPECT_FALSE(drive(true, false, true));
+  EXPECT_FALSE(drive(true, true, false));
+  EXPECT_FALSE(drive(false, true, true));
+}
+
+TEST(Device, ShortedNetAddsNoLutDelay) {
+  // Two constant LUTs short one net that feeds a flip-flop's BYP pin. The
+  // wired join passes the drivers' arrival on without a LUT delay of its
+  // own, so the FF's data arrives one LUT delay plus the wire after t=0.
+  Device dev(DeviceSpec::small());
+  dev.setShortPolicy(ShortPolicy::WiredAnd);
+  dev.setTimingEnabled(true);
+  Hand h(dev);
+  const CbCoord a{1, 1}, b{2, 1};
+  h.lut(a, 0xFFFF);
+  h.lut(b, 0xFFFF);
+  h.outConn(a, CbOutPin::Lut, false, 0);  // HSeg(1,1,0)
+  h.outConn(b, CbOutPin::Lut, false, 0);  // HSeg(2,1,0)
+  h.pm(2, 1, 0, PmSwitch::WE);
+  h.inConn(b, CbInPin::Byp, false, 0);
+  h.ff(b, /*fromByp=*/true);
+  const double wire = dev.sinkDelayNs(dev.nodes().cbIn(b, CbInPin::Byp));
+  EXPECT_GT(wire, 0.0);
+  EXPECT_DOUBLE_EQ(dev.timingReport().maxArrivalNs,
+                   dev.spec().lutDelayNs + wire);
+  dev.step();
+  EXPECT_TRUE(dev.ffState(b));  // 1 AND 1
 }
 
 TEST(Device, CombinationalLoopRejected) {
@@ -476,6 +522,114 @@ TEST(Device, FullBitstreamRoundTripAndReset) {
   dev2.step();
   EXPECT_TRUE(dev2.padValue(2));
   EXPECT_EQ(dev2.readbackBitstream().logic, bs.logic);
+}
+
+// ------------------------------------------------------ settle contract -----
+//
+// settles() counts network evaluations: a settled device evaluates once per
+// step() and never again until its configuration, FF states, pad inputs or
+// memory read latches change.
+
+TEST(DeviceSettle, StepsCostOneEvaluationEach) {
+  Device dev(DeviceSpec::small());
+  configureRegisteredBuffer(dev);
+  dev.setPadInput(0, true);
+  dev.settle();
+  const std::uint64_t before = dev.settles();
+  for (int c = 0; c < 7; ++c) dev.step();
+  EXPECT_EQ(dev.settles() - before, 7u);
+  EXPECT_TRUE(dev.padValue(2));
+}
+
+TEST(DeviceSettle, UnchangedStateCostsNothing) {
+  Device dev(DeviceSpec::small());
+  configureInverter(dev);
+  dev.setPadInput(0, true);
+  dev.settle();
+  const std::uint64_t before = dev.settles();
+  dev.settle();
+  const std::size_t lutBit = dev.layout().cbLutBit(CbCoord{1, 1}, 0);
+  dev.setLogicBit(lutBit, dev.logicBit(lutBit));
+  dev.settle();
+  dev.setPadInput(0, true);
+  dev.settle();
+  EXPECT_EQ(dev.settles(), before);
+  EXPECT_FALSE(dev.padValue(1));
+}
+
+TEST(DeviceSettle, ChangedTableOrPadCostsOneEvaluation) {
+  Device dev(DeviceSpec::small());
+  configureInverter(dev);
+  dev.setPadInput(0, true);
+  dev.settle();
+  std::uint64_t before = dev.settles();
+  Hand(dev).lut(CbCoord{1, 1}, 0xAAAA);  // buffer
+  dev.settle();
+  EXPECT_EQ(dev.settles() - before, 1u);
+  EXPECT_TRUE(dev.padValue(1));
+  before = dev.settles();
+  dev.setPadInput(0, false);
+  dev.settle();
+  EXPECT_EQ(dev.settles() - before, 1u);
+  EXPECT_FALSE(dev.padValue(1));
+}
+
+TEST(DeviceSettle, TimingModeSwitchTakesEffectAtTheNextEdge) {
+  DeviceSpec spec = DeviceSpec::small();
+  spec.clockPeriodNs = 1.0;  // every path is late
+  Device dev(spec);
+  configureRegisteredBuffer(dev);
+  dev.setPadInput(0, true);
+  dev.settle();
+  dev.setTimingEnabled(true);
+  dev.step();
+  EXPECT_FALSE(dev.padValue(2));  // the late FF captured the previous D
+}
+
+TEST(DeviceSettle, FailedDownloadLeavesTheDeviceUnsettled) {
+  Device shorted(DeviceSpec::small());
+  Hand h(shorted);
+  h.lut(CbCoord{1, 1}, 0xFFFF);
+  h.lut(CbCoord{2, 1}, 0x0000);
+  h.outConn(CbCoord{1, 1}, CbOutPin::Lut, false, 0);
+  h.outConn(CbCoord{2, 1}, CbOutPin::Lut, false, 0);
+  h.pm(2, 1, 0, PmSwitch::WE);
+  Device dev(DeviceSpec::small());
+  configureInverter(dev);
+  dev.settle();
+  EXPECT_THROW(dev.writeFullBitstream(shorted.readbackBitstream()),
+               FadesError);
+  EXPECT_THROW(dev.settle(), FadesError);  // not the old network's values
+}
+
+TEST(DeviceSettle, MemoryContentWriteCostsNothingAndIsReadNextEdge) {
+  // Memory contents are not network inputs (the read latch is), so a
+  // plane-B write leaves the device settled; the next edge reads it.
+  Device dev(DeviceSpec::small());
+  Hand h(dev);
+  const auto& l = dev.layout();
+  dev.setLogicBit(l.bramFieldBit(0, BramField::Used), true);
+  dev.setLogicBit(l.bramFieldBit(0, BramField::WidthSelLo) + 0, true);
+  dev.setLogicBit(l.bramFieldBit(0, BramField::WidthSelLo) + 1, true);
+  const unsigned dout0 = DeviceSpec::kBramAddrPins + DeviceSpec::kBramDataPins;
+  dev.setLogicBit(l.bramPinConnBit(0, dout0, false, 0), true);
+  for (unsigned x = 5; x <= 11; ++x) h.pm(x, 12, 0, PmSwitch::WE);
+  h.pm(12, 12, 0, PmSwitch::WS);
+  h.outputPad(12 + 11);
+  h.padConn(12 + 11, true, 0);
+  dev.settle();
+  const std::uint64_t before = dev.settles();
+  dev.setBramBit(l.bramContentBit(0, 0), true);
+  std::vector<std::uint8_t> frame = dev.readBramFrame(0, 0);
+  frame[0] |= 0x02;  // row 0, bit 1
+  dev.writeBramFrame(0, 0, frame);
+  dev.settle();
+  EXPECT_EQ(dev.settles(), before);
+  EXPECT_FALSE(dev.padValue(12 + 11));  // latch not loaded yet
+  dev.step();
+  EXPECT_EQ(dev.settles() - before, 1u);
+  EXPECT_TRUE(dev.padValue(12 + 11));
+  EXPECT_EQ(dev.bramWord(0, 8, 0), 0x03u);
 }
 
 TEST(Device, StateCaptureRestoreReplays) {

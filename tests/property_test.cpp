@@ -358,6 +358,98 @@ TEST(LinkFaultEquivalence, RandomFaultRatesAreInvisibleInResults) {
   }
 }
 
+// ------------------------------------------------ settle-once differential -----
+
+/// fpga::Device skips re-evaluating a settled network, so every mutator of
+/// configuration or level-0 state must unsettle it. After any random
+/// sequence of operations, the settled device must look exactly like a
+/// fresh device given the same configuration and state, now and one edge
+/// later. A mutator that forgot to unsettle leaves stale values behind.
+TEST(SettleDifferential, RandomOperationsMatchAFreshDevice) {
+  using fpga::CbField;
+  const CbField muxFields[] = {CbField::InvLsr, CbField::SrMode,
+                               CbField::InvByp, CbField::FfInSrc};
+  Rng rng(20261017);
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Builder b = randomDesign(700 + trial, 30 + rng.below(20));
+    const Bus addr = b.input("addr", 2);  // 23 of the device's 24 pads
+    const Bus din = b.input("din", 2);
+    b.output("mem", b.ram("mem", 2, 2, addr, din, b.input("we", 1)[0]));
+    const auto impl = synth::implement(b.finish(), fpga::DeviceSpec::small());
+    std::vector<synth::PadBinding> inputs;
+    for (const auto& p : impl.pads) {
+      if (p.isInput) inputs.push_back(p);
+    }
+    ASSERT_FALSE(impl.luts.empty() || impl.flops.empty() ||
+                 impl.rams.empty() || inputs.empty());
+    const auto& slice = impl.rams[0].slices[0];
+
+    // Odd trials use a clock that many FFs miss while timing mode is on, so
+    // late captures (previous D values) are part of the state compared.
+    fpga::DeviceSpec spec = impl.spec;
+    if (trial % 2 == 1) {
+      fpga::Device probe(spec);
+      probe.writeFullBitstream(impl.bitstream);
+      probe.setTimingEnabled(true);
+      spec.clockPeriodNs =
+          spec.ffSetupNs + 0.5 * probe.timingReport().maxArrivalNs;
+    }
+    fpga::Device dut(spec);
+    dut.writeFullBitstream(impl.bitstream);
+    const auto& l = dut.layout();
+    std::vector<fpga::DeviceState> captures{dut.captureState()};
+
+    for (int op = 0; op < 120; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      auto toggle = [&](std::size_t bit) {
+        dut.setLogicBit(bit, !dut.logicBit(bit));
+      };
+      switch (rng.below(9)) {
+        case 0:
+          toggle(l.cbLutBit(impl.luts[rng.below(impl.luts.size())].cb,
+                            static_cast<unsigned>(rng.below(16))));
+          break;
+        case 1:
+          toggle(l.cbFieldBit(impl.flops[rng.below(impl.flops.size())].cb,
+                              muxFields[rng.below(4)]));
+          break;
+        case 2:
+          dut.setPadInput(inputs[rng.below(inputs.size())].pad, rng.coin());
+          break;
+        case 3: dut.step(); break;
+        case 4: dut.pulseGsr(); break;
+        case 5: dut.restoreState(captures[rng.below(captures.size())]); break;
+        case 6:
+          dut.setBramBit(
+              l.bramContentBit(slice.block, rng.below(4u * slice.width)),
+              rng.coin());
+          break;
+        case 7: dut.setTimingEnabled(!dut.timingEnabled()); break;
+        default: captures.push_back(dut.captureState()); break;
+      }
+      dut.settle();
+
+      fpga::Device ref(spec);
+      ref.writeFullBitstream(dut.readbackBitstream());
+      ref.setTimingEnabled(dut.timingEnabled());
+      ref.restoreState(dut.captureState());
+      for (unsigned p = 0; p < spec.padCount(); ++p) {
+        ASSERT_EQ(dut.padValue(p), ref.padValue(p)) << "pad " << p;
+      }
+      dut.step();
+      ref.step();
+      const fpga::DeviceState got = dut.captureState();
+      const fpga::DeviceState want = ref.captureState();
+      ASSERT_EQ(got.ffState, want.ffState);
+      ASSERT_EQ(got.prevD, want.prevD);
+      ASSERT_EQ(got.bramLatch, want.bramLatch);
+      ASSERT_TRUE(got.bramContent == want.bramContent);
+      ASSERT_EQ(got.cycle, want.cycle);
+    }
+  }
+}
+
 // ------------------------------------------------------ RNG statistical -----
 
 TEST(RngProperty, ForkedStreamsPassChiSquareSmoke) {
