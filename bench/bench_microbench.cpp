@@ -74,30 +74,26 @@ BENCHMARK(BM_CompiledNetlistCycle);
 
 // Whole VFIT campaigns (MC8051 + Bubblesort) at wave-relevant experiment
 // counts: 1 (degenerate wave), 8 (partial wave), 64 (one full 63-lane wave
-// plus one spill). items/s = experiments per second, the number behind the
-// EXPERIMENTS.md event-vs-compiled throughput table. The golden run is paid
-// once in the fixture, not per iteration, on both engines.
-struct VfitShared {
-  vfit::VfitTool event;
-  vfit::VfitTool compiled;
+// plus one spill). items/s = experiments per second. The golden run is paid
+// once in the fixture, not per iteration.
+vfit::VfitTool& vfitTool() {
+  static vfit::VfitTool tool(Shared::get().nl, Shared::get().workload.cycles);
+  return tool;
+}
 
-  static vfit::VfitOptions options(sim::EngineKind kind) {
-    vfit::VfitOptions opt;
-    opt.engine = kind;
-    return opt;
-  }
-  VfitShared()
-      : event(Shared::get().nl, Shared::get().workload.cycles,
-              options(sim::EngineKind::EventDriven)),
-        compiled(Shared::get().nl, Shared::get().workload.cycles,
-                 options(sim::EngineKind::Compiled)) {}
-  static VfitShared& get() {
-    static VfitShared s;
-    return s;
-  }
-};
+// Autonomous campaigns on the same workload and experiment counts; the
+// semantic engine is shared with VFIT, so items/s differences against
+// BM_VfitCampaignCompiled isolate the autonomous metering and
+// instrumentation bookkeeping (including the one-time transparency check in
+// the fixture).
+core::AutonomousTool& autonomousTool() {
+  static core::AutonomousTool tool(Shared::get().nl,
+                                   Shared::get().workload.cycles);
+  return tool;
+}
 
-void runVfitCampaign(benchmark::State& state, vfit::VfitTool& tool) {
+template <typename Tool>
+void runCampaignBench(benchmark::State& state, Tool& tool) {
   campaign::CampaignSpec spec;
   spec.model = campaign::FaultModel::BitFlip;
   spec.targets = campaign::TargetClass::SequentialFF;
@@ -107,61 +103,14 @@ void runVfitCampaign(benchmark::State& state, vfit::VfitTool& tool) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_VfitCampaignEventDriven(benchmark::State& state) {
-  runVfitCampaign(state, VfitShared::get().event);
-}
-BENCHMARK(BM_VfitCampaignEventDriven)
-    ->Arg(1)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
-
 void BM_VfitCampaignCompiled(benchmark::State& state) {
-  runVfitCampaign(state, VfitShared::get().compiled);
+  runCampaignBench(state, vfitTool());
 }
 BENCHMARK(BM_VfitCampaignCompiled)
     ->Arg(1)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 
-// Autonomous campaigns on the same workload and experiment counts; the
-// semantic engine is shared with VFIT, so items/s differences against the
-// VFIT pair above isolate the autonomous metering and instrumentation
-// bookkeeping (including the one-time transparency check in the fixture).
-struct AutonomousShared {
-  core::AutonomousTool event;
-  core::AutonomousTool compiled;
-
-  static core::AutonomousOptions options(sim::EngineKind kind) {
-    core::AutonomousOptions opt;
-    opt.engine = kind;
-    return opt;
-  }
-  AutonomousShared()
-      : event(Shared::get().nl, Shared::get().workload.cycles,
-              options(sim::EngineKind::EventDriven)),
-        compiled(Shared::get().nl, Shared::get().workload.cycles,
-                 options(sim::EngineKind::Compiled)) {}
-  static AutonomousShared& get() {
-    static AutonomousShared s;
-    return s;
-  }
-};
-
-void runAutonomousCampaign(benchmark::State& state,
-                           core::AutonomousTool& tool) {
-  campaign::CampaignSpec spec;
-  spec.model = campaign::FaultModel::BitFlip;
-  spec.targets = campaign::TargetClass::SequentialFF;
-  spec.experiments = static_cast<unsigned>(state.range(0));
-  spec.seed = 7;
-  for (auto _ : state) benchmark::DoNotOptimize(tool.runCampaign(spec));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_AutonomousCampaignEventDriven(benchmark::State& state) {
-  runAutonomousCampaign(state, AutonomousShared::get().event);
-}
-BENCHMARK(BM_AutonomousCampaignEventDriven)
-    ->Arg(1)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
-
 void BM_AutonomousCampaignCompiled(benchmark::State& state) {
-  runAutonomousCampaign(state, AutonomousShared::get().compiled);
+  runCampaignBench(state, autonomousTool());
 }
 BENCHMARK(BM_AutonomousCampaignCompiled)
     ->Arg(1)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
@@ -177,7 +126,7 @@ void BM_AutonomousVsRtrModeledSpeedup(benchmark::State& state) {
   fOpt.observedOutputs = {"p0", "p1"};
   fpga::Device dev(s.impl.spec);
   core::FadesTool rtr(dev, s.impl, s.workload.cycles, fOpt);
-  auto& aut = AutonomousShared::get().event;
+  auto& aut = autonomousTool();
 
   campaign::CampaignSpec spec;
   spec.model = campaign::FaultModel::BitFlip;

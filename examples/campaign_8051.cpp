@@ -3,7 +3,7 @@
 // set-up tool (Figure 9).
 //
 // Usage:
-//   campaign_8051 [--tool fades|vfit|autonomous] [--engine event|compiled]
+//   campaign_8051 [--tool fades|vfit|autonomous]
 //                 [--jobs N|auto] [--link-faults R]
 //                 [--checkpoint FILE] [--resume] [--fsync]
 //                 [--prune] [--prune-plan FILE]
@@ -13,12 +13,8 @@
 //              (simulator commands on the HDL model) or autonomous
 //              (injection support compiled into the design - masks, shadow
 //              state and single-cycle restore; zero configuration bytes
-//              per injection).
-//     --engine execution engine for the simulator-backed tools: event
-//              (event-driven replay, default) or compiled (63 experiments
-//              per bit-parallel wave). Outcomes and artifacts are
-//              bit-identical either way; only wall-clock changes. Requires
-//              --tool vfit or autonomous.
+//              per injection). vfit and autonomous run 63 experiments per
+//              bit-parallel wave and cannot inject delay faults.
 //     --jobs N shard the campaign across N worker threads, each with its
 //              own device replica ("auto" = one per hardware thread; env
 //              FADES_JOBS is the fallback; default 1). Changes wall-clock
@@ -58,8 +54,6 @@
 //
 // Example: ./build/examples/campaign_8051 --jobs 8 pulse lut alu 300 long
 //          run.json
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -71,9 +65,8 @@
 #include "campaign/parallel.hpp"
 #include "campaign/prune_plan.hpp"
 #include "campaign/types.hpp"
-#include "netlist/netlist.hpp"
+#include "common/error.hpp"
 #include "service/jobspec.hpp"
-#include "sim/engine.hpp"
 
 using namespace fades;
 
@@ -81,7 +74,6 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: campaign_8051 [--tool fades|vfit|autonomous]\n"
-    "                     [--engine event|compiled]\n"
     "                     [--jobs N|auto] [--link-faults R]\n"
     "                     [--checkpoint FILE] [--resume] [--fsync]\n"
     "                     [--prune] [--prune-plan FILE]\n"
@@ -101,18 +93,12 @@ constexpr const char* kUsage =
 /// Strict positive-integer parse: rejects empty input, non-digits, zero and
 /// overflow instead of inheriting strtoul's silent 0 / wraparound.
 unsigned parsePositive(const std::string& text, const char* what) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
+  unsigned value = 0;
+  if (!service::parseCount(text, value)) {
     usageError(std::string(what) + " expects a positive integer, got '" +
                text + "'");
   }
-  errno = 0;
-  const unsigned long value = std::strtoul(text.c_str(), nullptr, 10);
-  if (errno != 0 || value == 0 || value > UINT_MAX) {
-    usageError(std::string(what) + " expects a positive integer, got '" +
-               text + "'");
-  }
-  return static_cast<unsigned>(value);
+  return value;
 }
 
 /// Worker count: a positive integer, or "auto" for one per hardware thread.
@@ -122,12 +108,8 @@ unsigned parseJobs(const std::string& text, const char* what) {
 }
 
 double parseRate(const std::string& text, const char* what) {
-  if (text.empty()) usageError(std::string(what) + " expects a probability");
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size() || !(value >= 0.0) ||
-      value >= 1.0) {
+  double value = 0.0;
+  if (!service::parseRate(text, value)) {
     usageError(std::string(what) + " expects a probability in [0, 1), got '" +
                text + "'");
   }
@@ -146,7 +128,6 @@ int main(int argc, char** argv) {
   bool prune = false;
   std::string prunePlanPath;
   std::string toolArg = "fades";
-  std::string engineArg;
   if (const char* env = std::getenv("FADES_JOBS")) {
     jobs = parseJobs(env, "FADES_JOBS");
   }
@@ -174,8 +155,6 @@ int main(int argc, char** argv) {
       prune = true;
     } else if (a == "--tool") {
       toolArg = flagValue(i, "--tool");
-    } else if (a == "--engine") {
-      engineArg = flagValue(i, "--engine");
     } else if (!a.empty() && a[0] == '-') {
       usageError("unknown flag '" + a + "'");
     } else {
@@ -184,34 +163,6 @@ int main(int argc, char** argv) {
   }
   if (resume && checkpointPath.empty()) {
     usageError("--resume requires --checkpoint FILE");
-  }
-  if (toolArg != "fades" && toolArg != "vfit" && toolArg != "autonomous") {
-    usageError("--tool expects fades, vfit or autonomous, got '" + toolArg +
-               "'");
-  }
-  sim::EngineKind engineKind = sim::EngineKind::EventDriven;
-  if (!engineArg.empty()) {
-    if (toolArg == "fades") {
-      usageError("--engine requires --tool vfit or autonomous (FADES drives "
-                 "the FPGA)");
-    }
-    if (!sim::engineKindFromString(engineArg, engineKind)) {
-      usageError("--engine expects event or compiled, got '" + engineArg +
-                 "'");
-    }
-  }
-  if (toolArg != "fades" && linkFaultRate > 0.0) {
-    usageError("--link-faults requires --tool fades (the other injectors "
-               "move no frames over a board link)");
-  }
-  if (prune && toolArg == "autonomous") {
-    usageError("--prune requires --tool fades or vfit (the autonomous "
-               "backend cannot synthesize collapsed outcomes)");
-  }
-  if (prune && linkFaultRate > 0.0) {
-    usageError("--prune requires a reliable link: a faulted link can "
-               "quarantine a class representative its members would have "
-               "survived, breaking byte-identity with the unpruned run");
   }
   if (positional.size() > 6) {
     usageError("too many positional arguments");
@@ -227,40 +178,28 @@ int main(int argc, char** argv) {
   const std::string artifactPath = arg(5, "");
 
   // The job spec is the same structure the distributed service ships to
-  // workers, and the system is built through the same service::buildSystem -
-  // so "coordinator + workers" and "this CLI at --jobs 1" produce artifacts
-  // that are byte-identical by construction, not by parallel maintenance of
-  // two setups.
+  // workers, validated by the same rules, and the system is built through
+  // the same service::buildSystem - so "coordinator + workers" and "this CLI
+  // at --jobs 1" produce artifacts that are byte-identical by construction,
+  // not by parallel maintenance of two setups.
   service::JobSpec job;
   job.tool = toolArg;
-  job.engine = engineArg.empty() ? "event" : engineArg;
   job.workload = "bubblesort6";
   job.linkFaultRate = linkFaultRate;
   job.prune = prune;
   // Console detail only for small campaigns, but an artifact request keeps
   // the per-experiment records regardless so the JSON carries every row.
   job.keepRecords = faults <= 40 || !artifactPath.empty();
-  job.name = modelArg + "_" + targetArg + "_" + unitArg;
   job.spec.experiments = faults;
   job.spec.seed = 2006;
-  job.spec.model = modelArg == "pulse"   ? campaign::FaultModel::Pulse
-               : modelArg == "delay" ? campaign::FaultModel::Delay
-               : modelArg == "indet" ? campaign::FaultModel::Indetermination
-                                     : campaign::FaultModel::BitFlip;
-  job.spec.targets = targetArg == "memory"     ? campaign::TargetClass::MemoryBlockBit
-                 : targetArg == "lut"      ? campaign::TargetClass::CombinationalLut
-                 : targetArg == "seqline"  ? campaign::TargetClass::SequentialLine
-                 : targetArg == "combline" ? campaign::TargetClass::CombinationalLine
-                                           : campaign::TargetClass::SequentialFF;
-  job.spec.unit = static_cast<int>(unitArg == "registers" ? netlist::Unit::Registers
-                               : unitArg == "ram"      ? netlist::Unit::Ram
-                               : unitArg == "alu"      ? netlist::Unit::Alu
-                               : unitArg == "mem"      ? netlist::Unit::MemCtrl
-                               : unitArg == "fsm"      ? netlist::Unit::Fsm
-                                                       : netlist::Unit::None);
-  job.spec.band = bandArg == "sub"    ? campaign::DurationBand::subCycle()
-              : bandArg == "long" ? campaign::DurationBand::longBand()
-                                  : campaign::DurationBand::shortBand();
+  try {
+    service::applyCampaignWords(modelArg, targetArg, unitArg, bandArg,
+                                job.spec);
+    service::validate(job);
+  } catch (const common::FadesError& e) {
+    usageError(e.what());
+  }
+  job.name = service::defaultName(job);
   const campaign::CampaignSpec& spec = job.spec;
 
   std::printf("Building the MC8051 + Bubblesort system...\n");
@@ -306,11 +245,9 @@ int main(int argc, char** argv) {
   std::printf("Running %u %s faults on %s",
               spec.experiments, campaign::toString(spec.model),
               campaign::toString(spec.targets));
-  std::printf(" (tool %s%s%s, unit %s, duration %s cycles, %u worker%s)...\n",
-              toolArg.c_str(), toolArg != "fades" ? " engine " : "",
-              toolArg != "fades" ? sim::toString(engineKind) : "",
-              unitArg.c_str(), spec.band.label.c_str(), runner.jobs(),
-              runner.jobs() == 1 ? "" : "s");
+  std::printf(" (tool %s, unit %s, duration %s cycles, %u worker%s)...\n",
+              toolArg.c_str(), unitArg.c_str(), spec.band.label.c_str(),
+              runner.jobs(), runner.jobs() == 1 ? "" : "s");
   const auto result = runner.run(spec);
 
   std::printf("\nResults of %zu experiments:\n", result.total());
@@ -344,9 +281,8 @@ int main(int argc, char** argv) {
   if (!artifactPath.empty()) {
     // Exclude the process metrics snapshot: it reflects replica setup and
     // scheduling, which would break the artifact's --jobs byte-identity.
-    const auto artifact = campaign::toRunArtifact(
-        result, modelArg + "_" + targetArg + "_" + unitArg,
-        /*includeMetrics=*/false);
+    const auto artifact =
+        campaign::toRunArtifact(result, job.name, /*includeMetrics=*/false);
     // Don't let a bad path abort after minutes of campaign: report and fail.
     try {
       if (artifactPath.size() > 6 &&

@@ -1,11 +1,9 @@
 #include "core/autonomous.hpp"
 
-#include <numeric>
 #include <string>
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
@@ -26,10 +24,8 @@ namespace {
 vfit::VfitOptions semanticOptions(const AutonomousOptions& o) {
   vfit::VfitOptions v;
   v.observedOutputs = o.observedOutputs;
-  v.checkpointInterval = o.checkpointInterval;
   v.oscillatingIndetermination = o.oscillatingIndetermination;
   v.keepRecords = o.keepRecords;
-  v.engine = o.engine;
   v.metricsPrefix = "autonomous";
   return v;
 }
@@ -111,9 +107,8 @@ std::vector<std::uint32_t> AutonomousTool::campaignPool(
 campaign::ExperimentOutcome AutonomousTool::runCampaignExperiment(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
     unsigned index) {
-  const auto plan = vfit_.planExperiment(spec, pool, index);
-  return remeter(vfit_.runCampaignExperiment(spec, pool, index),
-                 plan.commands);
+  const unsigned one[] = {index};
+  return runCampaignWave(spec, pool, one).front();
 }
 
 std::vector<campaign::ExperimentOutcome> AutonomousTool::runCampaignWave(
@@ -128,42 +123,13 @@ std::vector<campaign::ExperimentOutcome> AutonomousTool::runCampaignWave(
 }
 
 CampaignResult AutonomousTool::runCampaign(const CampaignSpec& spec) {
-  const std::vector<std::uint32_t> targets = campaignPool(spec);
-
+  const std::vector<std::uint32_t> pool = campaignPool(spec);
   obs::Span campaignSpan{"autonomous.campaign",
                          {{"model", campaign::toString(spec.model)},
-                          {"targets", campaign::toString(spec.targets)},
-                          {"engine", sim::toString(opt_.engine)}}};
-  CampaignResult result;
-  result.spec = spec;
-  auto note = [&](unsigned done) {
-    if (done % 100 == 0 || done == spec.experiments) {
-      FADES_LOG(Debug) << "autonomous campaign progress"
-                       << obs::kv("done", done)
-                       << obs::kv("total", spec.experiments)
-                       << obs::kv("failures", result.failures);
-    }
-  };
-  if (opt_.engine == sim::EngineKind::Compiled) {
-    std::vector<unsigned> indices;
-    for (unsigned first = 0; first < spec.experiments;
-         first += kWaveExperiments) {
-      const unsigned count =
-          std::min(kWaveExperiments, spec.experiments - first);
-      indices.resize(count);
-      std::iota(indices.begin(), indices.end(), first);
-      for (auto& o : runCampaignWave(spec, targets, indices)) {
-        result.fold(o);
-        note(static_cast<unsigned>(o.index) + 1);
-      }
-    }
-  } else {
-    for (unsigned e = 0; e < spec.experiments; ++e) {
-      result.fold(runCampaignExperiment(spec, targets, e));
-      note(e + 1);
-    }
-  }
-  return result;
+                          {"targets", campaign::toString(spec.targets)}}};
+  return vfit::foldWaves(spec, [&](std::span<const unsigned> indices) {
+    return runCampaignWave(spec, pool, indices);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -186,12 +152,6 @@ campaign::ExperimentOutcome AutonomousCampaignEngine::runExperimentAt(
   // No link model: injections never move bytes, so reruns replay identically.
   (void)rerun;
   return tool_.runCampaignExperiment(spec, pool, index);
-}
-
-unsigned AutonomousCampaignEngine::waveWidth() const {
-  return tool_.engine() == sim::EngineKind::Compiled
-             ? AutonomousTool::kWaveExperiments
-             : 1;
 }
 
 std::vector<campaign::ExperimentOutcome> AutonomousCampaignEngine::runWaveAt(

@@ -18,10 +18,11 @@
 //
 // Semantically an injection is the same state perturbation FADES and VFIT
 // apply, so AutonomousTool reuses VfitTool as its semantic engine (under the
-// "autonomous" metrics prefix) and re-meters every outcome under the
-// emulator-cycle cost model above. Outcome classification is therefore
-// field-for-field identical to VFIT by construction, and the 4-way diffcheck
-// oracle (FADES / VFIT / autonomous / golden ISS) pins it that way.
+// "autonomous" metrics prefix, running the same 63-experiment bit-parallel
+// waves) and re-meters every outcome under the emulator-cycle cost model
+// above. Outcome classification is therefore field-for-field identical to
+// VFIT by construction, and the 4-way diffcheck oracle (FADES / VFIT /
+// autonomous / golden ISS) pins it that way.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,6 @@
 #include "campaign/parallel.hpp"
 #include "campaign/types.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/engine.hpp"
 #include "synth/instrument.hpp"
 #include "vfit/vfit.hpp"
 
@@ -52,16 +52,10 @@ struct AutonomousOptions {
   /// Output ports whose traces define Failure (forwarded to the semantic
   /// engine and used by the instrumentation transparency check).
   std::vector<std::string> observedOutputs = {"p0", "p1"};
-  /// Host-side replay checkpoint spacing of the semantic engine.
-  unsigned checkpointInterval = 128;
   /// Re-randomize indetermination values every cycle of the fault.
   bool oscillatingIndetermination = false;
   /// Keep per-experiment records in the campaign result.
   bool keepRecords = false;
-  /// Execution engine for campaign experiments (EventDriven, or Compiled
-  /// for 63-experiments-per-wave bit-parallel execution). Outcomes are
-  /// bit-identical either way, as for VfitTool.
-  sim::EngineKind engine = sim::EngineKind::EventDriven;
   /// Simulate the instrumented netlist with every control input at 0 for
   /// the whole workload and require its observed outputs to match the
   /// golden run cycle-for-cycle (ConfigError otherwise). Catches a broken
@@ -91,20 +85,19 @@ class AutonomousTool {
       const campaign::CampaignSpec& spec) const;
 
   /// Campaign experiment `index` as a pure function of (spec, pool, index):
-  /// the VFIT semantic outcome re-metered under the autonomous cost model.
+  /// the VFIT semantic outcome (a wave of one) re-metered under the
+  /// autonomous cost model.
   campaign::ExperimentOutcome runCampaignExperiment(
       const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
       unsigned index);
 
   static constexpr unsigned kWaveExperiments = vfit::VfitTool::kWaveExperiments;
 
-  /// Bit-parallel wave (requires engine == Compiled); per-index results are
-  /// exactly runCampaignExperiment's, as for VfitTool.
+  /// Bit-parallel wave; per-index results are exactly
+  /// runCampaignExperiment's, as for VfitTool.
   std::vector<campaign::ExperimentOutcome> runCampaignWave(
       const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
       std::span<const unsigned> indices);
-
-  sim::EngineKind engine() const { return opt_.engine; }
   const campaign::Observation& golden() const { return vfit_.golden(); }
 
   /// The instrumented netlist with its exact area overhead (gates/flops
@@ -131,9 +124,8 @@ class AutonomousTool {
   std::uint64_t restoreCycles_ = 1;
 };
 
-/// One worker's replica for the sharded campaign runner; with the compiled
-/// engine it leases whole 63-experiment waves. Outcomes are byte-identical
-/// at any --jobs and across engines.
+/// One worker's replica for the sharded campaign runner; it leases whole
+/// 63-experiment waves. Outcomes are byte-identical at any --jobs.
 class AutonomousCampaignEngine final : public campaign::CampaignEngine {
  public:
   AutonomousCampaignEngine(const netlist::Netlist& netlist,
@@ -144,7 +136,9 @@ class AutonomousCampaignEngine final : public campaign::CampaignEngine {
   campaign::ExperimentOutcome runExperimentAt(
       const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
       unsigned index, unsigned rerun) override;
-  unsigned waveWidth() const override;
+  unsigned waveWidth() const override {
+    return AutonomousTool::kWaveExperiments;
+  }
   std::vector<campaign::ExperimentOutcome> runWaveAt(
       const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
       std::span<const unsigned> indices, unsigned rerun) override;

@@ -153,7 +153,6 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
   vfit::VfitOptions vOpt;
   vOpt.observedOutputs = observedOutputs(c);
   vOpt.keepRecords = true;
-  vOpt.engine = opt.vfitEngine;
   vfit::VfitTool vfit(nl, c.runCycles, vOpt);
 
   // The autonomous backend verifies its own instrumentation at construction
@@ -164,7 +163,6 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
   core::AutonomousOptions aOpt;
   aOpt.observedOutputs = observedOutputs(c);
   aOpt.keepRecords = true;
-  aOpt.engine = opt.autonomousEngine;
   try {
     autonomous = std::make_unique<core::AutonomousTool>(nl, c.runCycles, aOpt);
   } catch (const common::FadesError& err) {

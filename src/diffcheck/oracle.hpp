@@ -38,7 +38,6 @@
 #include "campaign/types.hpp"
 #include "diffcheck/case_spec.hpp"
 #include "obs/json.hpp"
-#include "sim/engine.hpp"
 
 namespace fades::diffcheck {
 
@@ -58,13 +57,6 @@ struct OracleOptions {
   /// require identical outcome and modeled cost (RTL cases only: the second
   /// tool instance would double an MC8051 case's multi-second setup).
   bool checkRetryExclusion = true;
-  /// VFIT execution engine. The oracle verdict must be engine-invariant:
-  /// replaying a case with the compiled engine yields the byte-identical
-  /// report (the corpus test asserts exactly that).
-  sim::EngineKind vfitEngine = sim::EngineKind::EventDriven;
-  /// Execution engine of the autonomous backend; engine-invariant the same
-  /// way.
-  sim::EngineKind autonomousEngine = sim::EngineKind::EventDriven;
 };
 
 /// Per-case verdict plus enough summary data for reports and artifacts.

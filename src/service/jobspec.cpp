@@ -1,5 +1,8 @@
 #include "service/jobspec.hpp"
 
+#include <cerrno>
+#include <climits>
+#include <cstdlib>
 #include <utility>
 
 #include "campaign/artifact.hpp"
@@ -15,13 +18,13 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "service/wire.hpp"
-#include "sim/engine.hpp"
 #include "vfit/vfit.hpp"
 
 namespace fades::service {
 
 using campaign::CampaignSpec;
 using common::ErrorKind;
+using common::raise;
 using common::require;
 using obs::Json;
 
@@ -48,13 +51,28 @@ bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
+/// The engine a tool runs on, as the canonical JSON names it.
+const char* engineFor(const std::string& tool) {
+  return tool == "fades" ? "event" : "compiled";
+}
+
+/// The names buildSystem() builds from.
+void requireKnownNames(const JobSpec& job) {
+  require(job.tool == "fades" || job.tool == "vfit" ||
+              job.tool == "autonomous",
+          ErrorKind::InvalidArgument, "unknown tool '" + job.tool + "'");
+  require(job.workload == "bubblesort6" || job.workload == "demo",
+          ErrorKind::InvalidArgument,
+          "unknown workload '" + job.workload + "'");
+}
+
 }  // namespace
 
 Json toJson(const JobSpec& job) {
   Json j = Json::object();
   j.set("schema", Json(std::string(kJobSchema)));
   j.set("tool", Json(job.tool));
-  j.set("engine", Json(job.engine));
+  j.set("engine", Json(std::string(engineFor(job.tool))));
   j.set("workload", Json(job.workload));
   j.set("spec", campaign::toJson(job.spec));
   j.set("link_fault_rate", Json(job.linkFaultRate));
@@ -78,6 +96,10 @@ bool jobSpecFromJson(const Json& j, JobSpec& out, std::string* error) {
       !readString(j, "workload", out.workload) ||
       !readString(j, "name", out.name)) {
     return fail(error, "job spec misses tool/engine/workload/name");
+  }
+  if (out.engine != engineFor(out.tool)) {
+    return fail(error, "engine '" + out.engine + "' does not match tool '" +
+                           out.tool + "'");
   }
   if (!readNumber(j, "link_fault_rate", out.linkFaultRate)) {
     return fail(error, "job spec misses link_fault_rate");
@@ -122,18 +144,11 @@ bool jobSpecFromJson(const Json& j, JobSpec& out, std::string* error) {
 }
 
 void validate(const JobSpec& job) {
-  require(job.tool == "fades" || job.tool == "vfit" ||
-              job.tool == "autonomous",
-          ErrorKind::InvalidArgument, "unknown tool '" + job.tool + "'");
-  require(job.engine == "event" || job.engine == "compiled",
-          ErrorKind::InvalidArgument, "unknown engine '" + job.engine + "'");
-  require(job.tool != "fades" || job.engine == "event",
+  requireKnownNames(job);
+  require(job.tool == "fades" || job.spec.model != campaign::FaultModel::Delay,
           ErrorKind::InvalidArgument,
-          "the compiled engine requires tool vfit or autonomous (FADES "
-          "drives the FPGA)");
-  require(job.workload == "bubblesort6" || job.workload == "demo",
-          ErrorKind::InvalidArgument,
-          "unknown workload '" + job.workload + "'");
+          "delay faults require the fades tool (the simulator-backed "
+          "injectors carry no timing model)");
   require(job.spec.experiments > 0, ErrorKind::InvalidArgument,
           "campaign needs at least one experiment");
   require(job.linkFaultRate >= 0.0 && job.linkFaultRate < 1.0,
@@ -157,33 +172,94 @@ void validate(const JobSpec& job) {
           "pruning requires a reliable link (no --link-faults)");
 }
 
+namespace {
+
+using campaign::DurationBand;
+using campaign::FaultModel;
+using campaign::TargetClass;
+using netlist::Unit;
+
+// The campaign_8051 argument spellings, read by applyCampaignWords and
+// written by defaultName.
+constexpr std::pair<const char*, FaultModel> kModels[] = {
+    {"bitflip", FaultModel::BitFlip}, {"pulse", FaultModel::Pulse},
+    {"delay", FaultModel::Delay}, {"indet", FaultModel::Indetermination}};
+constexpr std::pair<const char*, TargetClass> kTargets[] = {
+    {"ff", TargetClass::SequentialFF},
+    {"memory", TargetClass::MemoryBlockBit},
+    {"lut", TargetClass::CombinationalLut},
+    {"seqline", TargetClass::SequentialLine},
+    {"combline", TargetClass::CombinationalLine}};
+constexpr std::pair<const char*, Unit> kUnits[] = {
+    {"any", Unit::None}, {"registers", Unit::Registers}, {"ram", Unit::Ram},
+    {"alu", Unit::Alu},  {"mem", Unit::MemCtrl},         {"fsm", Unit::Fsm}};
+constexpr std::pair<const char*, DurationBand (*)()> kBands[] = {
+    {"sub", &DurationBand::subCycle},
+    {"short", &DurationBand::shortBand},
+    {"long", &DurationBand::longBand}};
+
+template <typename T, std::size_t N>
+T lookupWord(const std::pair<const char*, T> (&words)[N],
+             const std::string& word, const char* what) {
+  for (const auto& [text, value] : words) {
+    if (word == text) return value;
+  }
+  raise(ErrorKind::InvalidArgument, "unknown " + std::string(what) + " '" +
+                                        word + "'");
+}
+
+/// The word for `value`, or the list's first word for a value with none
+/// (a unit number off the wire out of range).
+template <typename T, std::size_t N>
+const char* wordFor(const std::pair<const char*, T> (&words)[N], T value) {
+  for (const auto& [text, v] : words) {
+    if (v == value) return text;
+  }
+  return words[0].first;
+}
+
+}  // namespace
+
 std::string defaultName(const JobSpec& job) {
-  std::string model = "bitflip";
-  switch (job.spec.model) {
-    case campaign::FaultModel::BitFlip: model = "bitflip"; break;
-    case campaign::FaultModel::Pulse: model = "pulse"; break;
-    case campaign::FaultModel::Delay: model = "delay"; break;
-    case campaign::FaultModel::Indetermination: model = "indet"; break;
+  // CB input lines have a name but no campaign_8051 argument.
+  const char* targets = job.spec.targets == TargetClass::CbInputLine
+                            ? "cbinput"
+                            : wordFor(kTargets, job.spec.targets);
+  return std::string(wordFor(kModels, job.spec.model)) + "_" + targets + "_" +
+         wordFor(kUnits, static_cast<Unit>(job.spec.unit));
+}
+
+void applyCampaignWords(const std::string& model, const std::string& targets,
+                        const std::string& unit, const std::string& band,
+                        CampaignSpec& spec) {
+  spec.model = lookupWord(kModels, model, "fault model");
+  spec.targets = lookupWord(kTargets, targets, "target class");
+  spec.unit = static_cast<int>(lookupWord(kUnits, unit, "unit"));
+  spec.band = lookupWord(kBands, band, "duration band")();
+}
+
+bool parseCount(const std::string& text, unsigned& out) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
   }
-  std::string targets = "ff";
-  switch (job.spec.targets) {
-    case campaign::TargetClass::SequentialFF: targets = "ff"; break;
-    case campaign::TargetClass::MemoryBlockBit: targets = "memory"; break;
-    case campaign::TargetClass::CombinationalLut: targets = "lut"; break;
-    case campaign::TargetClass::CbInputLine: targets = "cbinput"; break;
-    case campaign::TargetClass::SequentialLine: targets = "seqline"; break;
-    case campaign::TargetClass::CombinationalLine: targets = "combline"; break;
+  errno = 0;
+  const unsigned long value = std::strtoul(text.c_str(), nullptr, 10);
+  if (errno != 0 || value == 0 || value > UINT_MAX) return false;
+  out = static_cast<unsigned>(value);
+  return true;
+}
+
+bool parseRate(const std::string& text, double& out) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || errno != 0 || end != text.c_str() + text.size() ||
+      !(value >= 0.0) || value >= 1.0) {
+    return false;
   }
-  std::string unit = "any";
-  switch (static_cast<netlist::Unit>(job.spec.unit)) {
-    case netlist::Unit::None: unit = "any"; break;
-    case netlist::Unit::Registers: unit = "registers"; break;
-    case netlist::Unit::Ram: unit = "ram"; break;
-    case netlist::Unit::Alu: unit = "alu"; break;
-    case netlist::Unit::MemCtrl: unit = "mem"; break;
-    case netlist::Unit::Fsm: unit = "fsm"; break;
-  }
-  return model + "_" + targets + "_" + unit;
+  out = value;
+  return true;
 }
 
 std::string fingerprint(const JobSpec& job) {
@@ -221,7 +297,7 @@ netlist::Netlist buildDemoNetlist() {
 }  // namespace
 
 std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job) {
-  validate(job);
+  requireKnownNames(job);
   auto sys = std::make_shared<CampaignSystem>();
   sys->job = job;
 
@@ -251,24 +327,16 @@ std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job) {
 
   sys->observedOutputs = observed;
 
-  sim::EngineKind engineKind = sim::EngineKind::EventDriven;
-  if (job.engine == "compiled") {
-    const bool ok = sim::engineKindFromString(job.engine, engineKind);
-    require(ok, ErrorKind::InvalidArgument, "unknown engine " + job.engine);
-  }
-
   if (job.tool == "vfit") {
     vfit::VfitOptions vopt;
     vopt.observedOutputs = observed;
     vopt.keepRecords = job.keepRecords;
-    vopt.engine = engineKind;
     sys->factory =
         vfit::vfitEngineFactory(sys->netlist, sys->runCycles, vopt);
   } else if (job.tool == "autonomous") {
     core::AutonomousOptions aopt;
     aopt.observedOutputs = observed;
     aopt.keepRecords = job.keepRecords;
-    aopt.engine = engineKind;
     sys->factory =
         core::autonomousEngineFactory(sys->netlist, sys->runCycles, aopt);
   } else {

@@ -2,7 +2,7 @@
 //
 // A JobSpec names everything a worker needs to rebuild the exact campaign
 // system the submitter meant: the workload (which fixes netlist and run
-// length), the injection tool and engine, the campaign spec proper, and the
+// length), the injection tool, the campaign spec proper, and the
 // execution knobs that are allowed to vary results (keepRecords changes the
 // artifact's record list, so it is part of the job identity; jobs counts
 // are not - they only change wall-clock - and therefore do not appear
@@ -36,8 +36,8 @@ struct JobSpec {
   /// Injector: "fades" (run-time reconfiguration), "vfit" (simulator
   /// commands) or "autonomous" (compiled-in injection support).
   std::string tool = "fades";
-  /// Simulation engine for vfit/autonomous: "event" or "compiled". Ignored
-  /// (and rejected by validate()) for the fades tool.
+  /// Ignored: the tool fixes its engine, and toJson writes that name in the
+  /// field's place. Remains only while campaign_bench still assigns it.
   std::string engine = "event";
   /// Workload/system: "bubblesort6" (MC8051 + 6-element bubblesort, the
   /// paper's set-up) or "demo" (a tiny multi-unit design for fast tests).
@@ -61,18 +61,38 @@ struct JobSpec {
   std::string name;
 };
 
+/// The canonical JSON. Its "engine" is the one the tool runs on: "event"
+/// for fades, "compiled" for vfit and autonomous; jobSpecFromJson rejects
+/// any other.
 obs::Json toJson(const JobSpec& job);
 bool jobSpecFromJson(const obs::Json& j, JobSpec& out,
                      std::string* error = nullptr);
 
-/// Raises InvalidArgument on unknown tool/engine/workload names, a zero
-/// experiment count, or inconsistent combinations (--engine with fades,
-/// link faults without fades).
+/// Raises InvalidArgument on a job no tool can run: unknown tool/workload
+/// names, a zero experiment count, or inconsistent combinations (delay
+/// faults without fades, link faults without fades, ...). Jobs are checked
+/// where they enter: both CLIs, Coordinator::submit and the leasing worker.
 void validate(const JobSpec& job);
 
 /// The campaign_8051 artifact naming convention: model_targets_unit using
 /// the CLI argument spellings (e.g. "bitflip_ff_any").
 std::string defaultName(const JobSpec& job);
+
+/// Set spec's model, target class, unit and duration band from the
+/// campaign_8051 argument spellings: model bitflip | pulse | delay | indet,
+/// targets ff | memory | lut | seqline | combline, unit any | registers |
+/// ram | alu | mem | fsm, band sub | short | long. Raises InvalidArgument
+/// naming the first word that is none of these.
+void applyCampaignWords(const std::string& model, const std::string& targets,
+                        const std::string& unit, const std::string& band,
+                        campaign::CampaignSpec& spec);
+
+/// Whole-text number parses for the job arguments of the CLIs: a positive
+/// integer that fits `unsigned`, and a probability in [0, 1). False (and
+/// `out` untouched) for anything else - trailing characters, overflow, an
+/// empty string.
+bool parseCount(const std::string& text, unsigned& out);
+bool parseRate(const std::string& text, double& out);
 
 /// Canonical job identity: fnv1a64Hex of toJson(job).dump().
 std::string fingerprint(const JobSpec& job);
@@ -91,10 +111,12 @@ struct CampaignSystem {
   std::vector<std::string> observedOutputs;
 };
 
-/// Build the system for `job` (validate() first). Both the distributed
-/// worker and the single-process reference CLI construct engines through
-/// this one function, so "distributed equals single-process byte-for-byte"
-/// holds by construction rather than by parallel maintenance of two setups.
+/// Build the system for `job`, checking only the tool and workload names it
+/// builds from (validate() decides whether the campaign can run), so a job
+/// moved onto another tool to reuse its netlist still builds. Both the
+/// distributed worker and the single-process reference CLI construct engines
+/// through this one function, so "distributed equals single-process
+/// byte-for-byte" holds by construction.
 std::shared_ptr<CampaignSystem> buildSystem(const JobSpec& job);
 
 /// The merged fades.run/1 artifact text for a completed campaign: exactly

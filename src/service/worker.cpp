@@ -170,6 +170,7 @@ WorkerDaemon::CachedSystem& WorkerDaemon::systemFor(const JobSpec& job,
     systems_.erase(victim);
   }
   CachedSystem cached;
+  validate(job);  // jobs enter a worker over the wire
   cached.system = buildSystem(job);
   cached.engine = cached.system->factory();
   require(cached.engine != nullptr, ErrorKind::InvalidArgument,

@@ -13,8 +13,9 @@
 // The scalar Engine interface drives all lanes in lockstep and reads
 // lane 0, which makes CompiledSimulator a drop-in replacement for the
 // event-driven Simulator - the CompiledEquivalence suite proves identity
-// per cycle and per net. The lane API below is what the VFIT wave campaign
-// runner uses to pack 63 experiments into one pass.
+// per cycle and per net. The lane API below is how every VFIT and
+// autonomous campaign runs: 63 experiments packed into one pass, checked
+// against the scalar simulator-command reference by the equivalence suites.
 #pragma once
 
 #include <cstdint>

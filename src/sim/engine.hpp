@@ -8,27 +8,21 @@
 // any driver written against Engine behaves identically on either backend;
 // the CompiledEquivalence suite proves that net-for-net, cycle-for-cycle.
 //
-// Checkpoint/restore stays on the concrete Simulator: snapshots encode the
-// event-driven representation and the compiled engine's campaigns restart
-// from reset instead (a whole wave shares one pass, so replay buys nothing).
+// Campaigns run only on the compiled engine, 63 experiments per wave. The
+// event-driven Simulator keeps the jobs only it does: the VFIT golden run
+// (its event count calibrates the modeled cost), the autonomous
+// instrumentation check, the prune golden trace, and the scalar
+// simulator-command reference (VfitTool::runExperiment) the equivalence
+// suites compare the waves against.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 
 namespace fades::sim {
-
-enum class EngineKind : std::uint8_t { EventDriven, Compiled };
-
-const char* toString(EngineKind kind);
-/// Inverse of toString(EngineKind) ("event" / "compiled"); false when
-/// `text` names no engine.
-bool engineKindFromString(std::string_view text, EngineKind& out);
 
 class Engine {
  public:
@@ -68,10 +62,5 @@ class Engine {
   /// engines - modeled costs always come from the event-driven calibration.
   virtual std::uint64_t eventsProcessed() const = 0;
 };
-
-/// Construct an engine of the requested kind over `netlist` (which must be
-/// validated and outlive the engine).
-std::unique_ptr<Engine> makeEngine(EngineKind kind,
-                                   const netlist::Netlist& netlist);
 
 }  // namespace fades::sim

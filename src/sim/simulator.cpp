@@ -271,38 +271,4 @@ void Simulator::depositRam(RamId id, std::size_t row, std::uint64_t value) {
   ++events_;
 }
 
-Snapshot Simulator::snapshot() const {
-  Snapshot s;
-  s.netValues = values_;
-  s.flopState = flopState_;
-  s.ramContents.reserve(ram_.size());
-  s.ramOutputLatch.reserve(ram_.size());
-  for (const auto& r : ram_) {
-    s.ramContents.push_back(r.mem);
-    s.ramOutputLatch.push_back(r.outputLatch);
-  }
-  s.forced = forced_;
-  s.forcedValue = forcedValue_;
-  s.cycle = cycle_;
-  return s;
-}
-
-void Simulator::restore(const Snapshot& s) {
-  require(s.netValues.size() == values_.size() &&
-              s.flopState.size() == flopState_.size() &&
-              s.ramContents.size() == ram_.size(),
-          ErrorKind::InvalidArgument, "snapshot shape mismatch");
-  values_ = s.netValues;
-  flopState_ = s.flopState;
-  for (std::size_t r = 0; r < ram_.size(); ++r) {
-    ram_[r].mem = s.ramContents[r];
-    ram_[r].outputLatch = s.ramOutputLatch[r];
-  }
-  forced_ = s.forced;
-  forcedValue_ = s.forcedValue;
-  cycle_ = s.cycle;
-  workList_.clear();
-  std::fill(inWorkList_.begin(), inWorkList_.end(), 0);
-}
-
 }  // namespace fades::sim

@@ -1,10 +1,12 @@
 // Event-driven gate-level simulator.
 //
-// This is the execution engine of the VFIT baseline: the paper's VFIT tool
-// injects faults through "simulator commands" (force / release / deposit)
-// while an event-driven HDL simulator executes the model. Gate evaluations
-// are counted so the baseline's CPU-time model can be derived from real
-// simulation activity instead of a hard-coded constant.
+// The paper's VFIT tool injects faults through "simulator commands" (force /
+// release / deposit) while an event-driven HDL simulator executes the model.
+// This is that simulator: it runs the VFIT golden run, whose counted gate
+// evaluations give the baseline's CPU-time model from real simulation
+// activity instead of a hard-coded constant, and the scalar
+// simulator-command reference the bit-parallel campaign waves are checked
+// against.
 #pragma once
 
 #include <cstdint>
@@ -21,18 +23,6 @@ using netlist::FlopId;
 using netlist::NetId;
 using netlist::Netlist;
 using netlist::RamId;
-
-/// Full simulator state for checkpoint/restore (used to replay experiments
-/// from the injection instant without re-running the prefix).
-struct Snapshot {
-  std::vector<std::uint8_t> netValues;
-  std::vector<std::uint8_t> flopState;
-  std::vector<std::vector<std::uint64_t>> ramContents;
-  std::vector<std::uint64_t> ramOutputLatch;
-  std::vector<std::uint8_t> forced;
-  std::vector<std::uint8_t> forcedValue;
-  std::uint64_t cycle = 0;
-};
 
 class Simulator final : public Engine {
  public:
@@ -74,10 +64,6 @@ class Simulator final : public Engine {
   void depositFlop(FlopId id, bool value) override;
   /// Overwrite one stored memory word (bit-flips into RAM contents).
   void depositRam(RamId id, std::size_t row, std::uint64_t value) override;
-
-  // --- checkpoint -----------------------------------------------------------
-  Snapshot snapshot() const;
-  void restore(const Snapshot& snapshot);
 
   // --- activity accounting ----------------------------------------------------
   /// Total gate evaluations + state-element updates performed so far; the

@@ -270,11 +270,13 @@ AutonomousModel instrumentAutonomous(const Netlist& source,
   for (std::uint32_t r = 0; r < sourceRams; ++r) {
     const auto& ram = nl.rams()[r];
     if (ram.isRom()) continue;
+    // Count before addRam: adding a block may reallocate nl.rams(), which
+    // leaves `ram` dangling.
+    out.shadowRamBits += ram.depth() * ram.dataBits;
     const GateId weGate = nl.addGate(GateOp::And, ram.writeEnable, capture);
     nl.addRam(ram.addrBits, ram.dataBits, ram.addr, ram.dataIn,
               nl.gate(weGate).out, ram.init, Unit::None,
               ram.name + ".shadow");
-    out.shadowRamBits += ram.depth() * ram.dataBits;
   }
 
   out.addedGates = nl.gateCount() - gatesBefore;

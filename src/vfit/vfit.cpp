@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/error.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -15,11 +14,20 @@ using common::raise;
 using common::require;
 using common::Rng;
 
+namespace {
+
+constexpr const char* kNoDelay =
+    "VFIT cannot inject delay faults (no generic delay clauses)";
+
+}  // namespace
+
 VfitTool::VfitTool(const Netlist& netlist, std::uint64_t runCycles,
                    VfitOptions options)
-    : nl_(netlist), runCycles_(runCycles), opt_(std::move(options)) {
-  sim_ = std::make_unique<sim::Simulator>(nl_);
-
+    : nl_(netlist),
+      runCycles_(runCycles),
+      opt_(std::move(options)),
+      sim_(nl_),
+      csim_(nl_) {
   // Observed output bit layout (outputWord packs 16 bits per port), cached
   // as (packed position, net) pairs for the bit-parallel wave inner loop.
   unsigned shift = 0;
@@ -34,33 +42,26 @@ VfitTool::VfitTool(const Netlist& netlist, std::uint64_t runCycles,
     shift += 16;
   }
 
-  // Golden run: trace, checkpoints, final state, event count. Always on
-  // the event-driven engine - it is the cost-model calibration (real event
-  // counts) and the reference the compiled engine is checked against.
-  sim_->reset();
-  const auto eventsBefore = sim_->eventsProcessed();
+  // Golden run: trace, final state, event count. On the event-driven
+  // engine - it is the cost-model calibration (real event counts) and the
+  // reference every wave's golden lane is checked against.
+  sim_.reset();
+  const auto eventsBefore = sim_.eventsProcessed();
   golden_.outputs.reserve(runCycles_);
   for (std::uint64_t c = 0; c < runCycles_; ++c) {
-    if (c % opt_.checkpointInterval == 0) {
-      checkpoints_.push_back(sim_->snapshot());
-    }
     golden_.outputs.push_back(outputWord());
-    sim_->step();
+    sim_.step();
   }
   captureFinalState(golden_);
-  goldenEvents_ = sim_->eventsProcessed() - eventsBefore;
+  goldenEvents_ = sim_.eventsProcessed() - eventsBefore;
   goldenSeconds_ = static_cast<double>(goldenEvents_) * opt_.secondsPerEvent;
-
-  if (opt_.engine == sim::EngineKind::Compiled) {
-    csim_ = std::make_unique<sim::CompiledSimulator>(nl_);
-  }
 }
 
 std::uint64_t VfitTool::outputWord() const {
   std::uint64_t w = 0;
   unsigned shift = 0;
   for (const auto& port : opt_.observedOutputs) {
-    w |= sim_->portValue(port) << shift;
+    w |= sim_.portValue(port) << shift;
     shift += 16;
   }
   return w;
@@ -70,13 +71,13 @@ void VfitTool::captureFinalState(Observation& obs) const {
   obs.finalFlops.clear();
   obs.finalFlops.reserve(nl_.flopCount());
   for (std::uint32_t f = 0; f < nl_.flopCount(); ++f) {
-    obs.finalFlops.push_back(sim_->flopState(FlopId{f}) ? 1 : 0);
+    obs.finalFlops.push_back(sim_.flopState(FlopId{f}) ? 1 : 0);
   }
   obs.finalMemory.clear();
   for (std::uint32_t r = 0; r < nl_.ramCount(); ++r) {
     const auto& ram = nl_.ram(RamId{r});
     for (std::size_t row = 0; row < ram.depth(); ++row) {
-      obs.finalMemory.push_back(sim_->ramWord(RamId{r}, row));
+      obs.finalMemory.push_back(sim_.ramWord(RamId{r}, row));
     }
   }
 }
@@ -112,33 +113,21 @@ std::vector<RamId> VfitTool::ramTargets() const {
   return out;
 }
 
-const sim::Snapshot& VfitTool::checkpointAtOrBefore(
-    std::uint64_t cycle, std::uint64_t& ckCycle) const {
-  const std::size_t idx =
-      std::min<std::size_t>(cycle / opt_.checkpointInterval,
-                            checkpoints_.size() - 1);
-  ckCycle = idx * opt_.checkpointInterval;
-  return checkpoints_[idx];
-}
-
 Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
                                 std::uint32_t targetIndex,
                                 std::uint64_t injectCycle,
                                 double durationCycles, Rng& rng,
                                 double* modeledSeconds,
                                 unsigned* commandsOut) {
-  require(supports(model), ErrorKind::InjectionError,
-          "VFIT cannot inject delay faults (no generic delay clauses)");
+  require(supports(model), ErrorKind::InvalidArgument, kNoDelay);
   require(injectCycle < runCycles_, ErrorKind::InvalidArgument,
           "injection instant beyond workload");
 
   unsigned commands = 0;
 
-  // Replay from the closest golden checkpoint (wall-clock shortcut; the
-  // modeled cost below always charges a complete simulation).
-  std::uint64_t ckCycle = 0;
-  sim_->restore(checkpointAtOrBefore(injectCycle, ckCycle));
-  for (std::uint64_t c = ckCycle; c < injectCycle; ++c) sim_->step();
+  // Replay the fault-free prefix from reset.
+  sim_.reset();
+  sim_.run(injectCycle);
 
   // Faulty trace: the pre-injection prefix equals the golden trace by
   // determinism; everything from the injection instant on is observed live,
@@ -149,7 +138,7 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
                             static_cast<std::ptrdiff_t>(injectCycle));
   auto stepObserved = [&] {
     faulty.outputs.push_back(outputWord());
-    sim_->step();
+    sim_.step();
   };
 
   // Sub-cycle faults hit a sampling edge with probability = duration.
@@ -164,15 +153,14 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
     case FaultModel::BitFlip: {
       if (targets == TargetClass::SequentialFF) {
         const FlopId f{targetIndex};
-        sim_->depositFlop(f, !sim_->flopState(f));
+        sim_.depositFlop(f, !sim_.flopState(f));
         ++commands;
       } else {
         // Memory bit-flip: targetIndex encodes ram<<24 | row<<8 | bit.
         const RamId ram{targetIndex >> 24};
         const std::size_t row = (targetIndex >> 8) & 0xFFFF;
         const unsigned bit = targetIndex & 0xFF;
-        sim_->depositRam(ram, row,
-                         sim_->ramWord(ram, row) ^ (1ULL << bit));
+        sim_.depositRam(ram, row, sim_.ramWord(ram, row) ^ (1ULL << bit));
         ++commands;
       }
       break;
@@ -182,14 +170,14 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
       // Invert the driven value across the active window, re-forcing every
       // cycle so the inversion tracks the (changing) fault-free value.
       for (std::uint64_t k = 0;
-           k < effectiveCycles && sim_->cycle() < runCycles_; ++k) {
-        sim_->release(net);
+           k < effectiveCycles && sim_.cycle() < runCycles_; ++k) {
+        sim_.release(net);
         ++commands;
-        sim_->force(net, !sim_->netValue(net));
+        sim_.force(net, !sim_.netValue(net));
         ++commands;
         stepObserved();
       }
-      sim_->release(net);
+      sim_.release(net);
       ++commands;
       break;
     }
@@ -198,32 +186,32 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
       if (targets == TargetClass::SequentialFF) {
         const FlopId f{targetIndex};
         for (std::uint64_t k = 0;
-             k < effectiveCycles && sim_->cycle() < runCycles_; ++k) {
+             k < effectiveCycles && sim_.cycle() < runCycles_; ++k) {
           if (opt_.oscillatingIndetermination && k > 0) value = rng.coin();
-          sim_->depositFlop(f, value);
+          sim_.depositFlop(f, value);
           ++commands;
           stepObserved();
         }
       } else {
         const NetId net{targetIndex};
         for (std::uint64_t k = 0;
-             k < effectiveCycles && sim_->cycle() < runCycles_; ++k) {
+             k < effectiveCycles && sim_.cycle() < runCycles_; ++k) {
           if (opt_.oscillatingIndetermination && k > 0) value = rng.coin();
-          sim_->force(net, value);
+          sim_.force(net, value);
           ++commands;
           stepObserved();
         }
-        sim_->release(net);
+        sim_.release(net);
         ++commands;
       }
       break;
     }
     case FaultModel::Delay:
-      raise(ErrorKind::InjectionError, "unreachable");
+      raise(ErrorKind::InvalidArgument, kNoDelay);
   }
 
   // Run to completion, observing outputs.
-  while (sim_->cycle() < runCycles_) stepObserved();
+  while (sim_.cycle() < runCycles_) stepObserved();
   captureFinalState(faulty);
 
   auto& registry = obs::Registry::global();
@@ -308,9 +296,11 @@ Unit VfitTool::targetUnit(const CampaignSpec& spec,
 VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
                                             std::span<const std::uint32_t> pool,
                                             unsigned index) const {
-  // Replicates the serial path's draw order exactly: the campaign loop's
-  // target / instant / duration, then runExperiment's effective-cycle and
-  // indetermination draws, all from the same per-experiment stream.
+  // The scalar reference's draw order exactly: the campaign's target /
+  // instant / duration, then runExperiment's effective-cycle and
+  // indetermination draws, all from the same per-experiment stream. The
+  // stream derivation is the FADES campaign loop's, so identical specs over
+  // identical pools draw identical faults in both tools.
   LanePlan p;
   p.index = index;
   Rng erng(common::streamSeed(spec.seed, std::uint64_t{index} * 131));
@@ -349,8 +339,7 @@ VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
       break;
     }
     case FaultModel::Delay:
-      raise(ErrorKind::InjectionError,
-            "VFIT cannot inject delay faults (no generic delay clauses)");
+      raise(ErrorKind::InvalidArgument, kNoDelay);
   }
   return p;
 }
@@ -362,7 +351,7 @@ campaign::ExperimentOutcome VfitTool::makeOutcome(const CampaignSpec& spec,
   out.index = plan.index;
   out.outcome = outcome;
   // Same expression (and operand order) as runExperiment's modeledSeconds,
-  // so the sums fold bit-identically.
+  // so the wave and the scalar reference agree bit for bit.
   out.modeledSeconds = opt_.secondsFixedPerExperiment + goldenSeconds_ +
                        plan.commands * opt_.secondsPerCommand;
   out.configSeconds = plan.commands * opt_.secondsPerCommand;
@@ -381,20 +370,8 @@ campaign::ExperimentOutcome VfitTool::makeOutcome(const CampaignSpec& spec,
 campaign::ExperimentOutcome VfitTool::runCampaignExperiment(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
     unsigned index) {
-  // Same stream derivation as the FADES campaign loop so that identical
-  // specs over identical pools draw identical faults in both tools.
-  Rng erng(common::streamSeed(spec.seed, std::uint64_t{index} * 131));
-  LanePlan plan;
-  plan.index = index;
-  plan.target = pool[erng.below(pool.size())];
-  plan.injectCycle = erng.below(runCycles_);
-  plan.duration =
-      spec.band.minCycles +
-      erng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
-  const Outcome o =
-      runExperiment(spec.model, spec.targets, plan.target, plan.injectCycle,
-                    plan.duration, erng, nullptr, &plan.commands);
-  return makeOutcome(spec, plan, o);
+  const unsigned one[] = {index};
+  return runCampaignWave(spec, pool, one).front();
 }
 
 campaign::ExperimentOutcome VfitTool::synthesizeCampaignExperiment(
@@ -416,12 +393,9 @@ campaign::ExperimentOutcome VfitTool::synthesizeCampaignExperiment(
 std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
     std::span<const unsigned> indices) {
-  require(csim_ != nullptr, ErrorKind::InvalidArgument,
-          "runCampaignWave needs VfitOptions::engine == Compiled");
   require(indices.size() <= kWaveExperiments, ErrorKind::InvalidArgument,
           "wave exceeds the lane budget");
-  require(supports(spec.model), ErrorKind::InjectionError,
-          "VFIT cannot inject delay faults (no generic delay clauses)");
+  require(supports(spec.model), ErrorKind::InvalidArgument, kNoDelay);
   obs::Registry::global().counter(opt_.metricsPrefix + ".waves").inc();
 
   using Word = sim::CompiledSimulator::Word;
@@ -434,8 +408,7 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
             "injection instant beyond workload");
   }
 
-  auto& csim = *csim_;
-  csim.reset();
+  csim_.reset();
 
   // Per-lane output traces; experiment i lives in lane i+1 (lane 0 stays
   // golden and is checked against the event-driven golden run every cycle).
@@ -452,25 +425,26 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
         case FaultModel::BitFlip:
           if (c == p.injectCycle) {
             if (spec.targets == TargetClass::SequentialFF) {
-              csim.xorFlopLanes(FlopId{p.target}, laneBit);
+              csim_.xorFlopLanes(FlopId{p.target}, laneBit);
             } else {
               const RamId ram{p.target >> 24};
               const std::size_t row = (p.target >> 8) & 0xFFFF;
               const unsigned bit = p.target & 0xFF;
-              csim.xorRamBitLanes(ram, row, bit, laneBit);
+              csim_.xorRamBitLanes(ram, row, bit, laneBit);
             }
             acted = true;
           }
           break;
         case FaultModel::Pulse:
-          // The per-cycle release + force(!value) loop of the serial path
-          // is, observably, a persistent inversion across the window.
+          // The per-cycle release + force(!value) loop of the scalar
+          // reference is, observably, a persistent inversion across the
+          // window.
           if (p.window != 0) {
             if (c == p.injectCycle) {
-              csim.xorNetLanes(NetId{p.target}, laneBit);
+              csim_.xorNetLanes(NetId{p.target}, laneBit);
               acted = true;
             } else if (c == p.injectCycle + p.window) {
-              csim.clearXorNetLanes(NetId{p.target}, laneBit);
+              csim_.clearXorNetLanes(NetId{p.target}, laneBit);
               acted = true;
             }
           }
@@ -482,13 +456,13 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
             const Word v = p.values[static_cast<std::size_t>(k)] ? laneBit
                                                                  : Word{0};
             if (ff) {
-              csim.depositFlopLanes(FlopId{p.target}, laneBit, v);
+              csim_.depositFlopLanes(FlopId{p.target}, laneBit, v);
             } else {
-              csim.forceLanes(NetId{p.target}, laneBit, v);
+              csim_.forceLanes(NetId{p.target}, laneBit, v);
             }
             acted = true;
           } else if (!ff && p.window != 0 && c == p.injectCycle + p.window) {
-            csim.releaseLanes(NetId{p.target}, laneBit);
+            csim_.releaseLanes(NetId{p.target}, laneBit);
             acted = true;
           }
           break;
@@ -497,12 +471,12 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
           break;  // rejected above
       }
     }
-    if (acted) csim.settle();
+    if (acted) csim_.settle();
 
     // Observe all lanes in one sweep over the cached output bits.
     std::fill(cw.begin(), cw.end(), 0);
     for (const auto& [pos, net] : obsBits_) {
-      const Word word = csim.netWord(NetId{net});
+      const Word word = csim_.netWord(NetId{net});
       if (word == 0) continue;
       const std::uint64_t bit = std::uint64_t{1} << pos;
       for (unsigned l = 0; l <= n; ++l) {
@@ -513,7 +487,7 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
             "compiled golden lane diverged from the event-driven golden run");
     for (unsigned i = 0; i < n; ++i) outputs[i].push_back(cw[i + 1]);
 
-    csim.step();
+    csim_.step();
   }
 
   // Final-state signatures and classification, per lane.
@@ -526,13 +500,13 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
     faulty.finalFlops.clear();
     faulty.finalFlops.reserve(nl_.flopCount());
     for (std::uint32_t f = 0; f < nl_.flopCount(); ++f) {
-      faulty.finalFlops.push_back(csim.flopStateLane(FlopId{f}, lane) ? 1 : 0);
+      faulty.finalFlops.push_back(csim_.flopStateLane(FlopId{f}, lane) ? 1 : 0);
     }
     faulty.finalMemory.clear();
     for (std::uint32_t r = 0; r < nl_.ramCount(); ++r) {
       const auto& ram = nl_.ram(RamId{r});
       for (std::size_t row = 0; row < ram.depth(); ++row) {
-        faulty.finalMemory.push_back(csim.ramWordLane(RamId{r}, row, lane));
+        faulty.finalMemory.push_back(csim_.ramWordLane(RamId{r}, row, lane));
       }
     }
     if (i == 0) {
@@ -555,39 +529,25 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
 }
 
 CampaignResult VfitTool::runCampaign(const CampaignSpec& spec) {
-  const std::vector<std::uint32_t> targets = campaignPool(spec);
-
+  const std::vector<std::uint32_t> pool = campaignPool(spec);
   obs::Span campaignSpan{opt_.metricsPrefix + ".campaign",
                          {{"model", campaign::toString(spec.model)},
-                          {"targets", campaign::toString(spec.targets)},
-                          {"engine", sim::toString(opt_.engine)}}};
+                          {"targets", campaign::toString(spec.targets)}}};
+  return foldWaves(spec, [&](std::span<const unsigned> indices) {
+    return runCampaignWave(spec, pool, indices);
+  });
+}
+
+CampaignResult foldWaves(const CampaignSpec& spec, const WaveRunner& runWave) {
   CampaignResult result;
   result.spec = spec;
-  auto note = [&](unsigned done) {
-    if (done % 100 == 0 || done == spec.experiments) {
-      FADES_LOG(Debug) << "vfit campaign progress" << obs::kv("done", done)
-                       << obs::kv("total", spec.experiments)
-                       << obs::kv("failures", result.failures);
-    }
-  };
-  if (opt_.engine == sim::EngineKind::Compiled) {
-    std::vector<unsigned> indices;
-    for (unsigned first = 0; first < spec.experiments;
-         first += kWaveExperiments) {
-      const unsigned count =
-          std::min(kWaveExperiments, spec.experiments - first);
-      indices.resize(count);
-      std::iota(indices.begin(), indices.end(), first);
-      for (auto& o : runCampaignWave(spec, targets, indices)) {
-        result.fold(o);
-        note(static_cast<unsigned>(o.index) + 1);
-      }
-    }
-  } else {
-    for (unsigned e = 0; e < spec.experiments; ++e) {
-      result.fold(runCampaignExperiment(spec, targets, e));
-      note(e + 1);
-    }
+  std::vector<unsigned> indices;
+  for (unsigned first = 0; first < spec.experiments;
+       first += VfitTool::kWaveExperiments) {
+    indices.resize(
+        std::min(VfitTool::kWaveExperiments, spec.experiments - first));
+    std::iota(indices.begin(), indices.end(), first);
+    for (const auto& o : runWave(indices)) result.fold(o);
   }
   return result;
 }
@@ -612,12 +572,6 @@ campaign::ExperimentOutcome VfitCampaignEngine::runExperimentAt(
   // No link model on the simulator side: reruns replay identically.
   (void)rerun;
   return tool_.runCampaignExperiment(spec, pool, index);
-}
-
-unsigned VfitCampaignEngine::waveWidth() const {
-  return tool_.engine() == sim::EngineKind::Compiled
-             ? VfitTool::kWaveExperiments
-             : 1;
 }
 
 std::vector<campaign::ExperimentOutcome> VfitCampaignEngine::runWaveAt(

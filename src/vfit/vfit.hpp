@@ -5,7 +5,13 @@
 // depositing register/memory values. Its execution time is dominated by
 // simulating the model on the host CPU, which is why the paper reports very
 // similar times for every fault type and length (Section 6.2); the cost
-// model reproduces that behaviour from real counted simulation events.
+// model reproduces that behaviour from the real event count of the golden
+// run on the event-driven simulator.
+//
+// Campaigns run bit-parallel: 63 experiments per pass of the compiled
+// simulator, with lane 0 checked against the event-driven golden run.
+// runExperiment() keeps the scalar simulator-command path as the reference
+// the equivalence suites compare every wave against.
 //
 // Like the original tool, delay faults are NOT supported: the model would
 // need explicit generic delay clauses, which it does not have (the paper
@@ -13,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,7 +30,6 @@
 #include "common/rng.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/compiled.hpp"
-#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace fades::vfit {
@@ -51,21 +57,10 @@ struct VfitOptions {
   double secondsFixedPerExperiment = 0.35;
   /// Output ports whose traces define Failure.
   std::vector<std::string> observedOutputs = {"p0", "p1"};
-  /// Host-side replay checkpoint spacing (pure wall-clock optimization; does
-  /// not affect modeled cost, which always charges the full run).
-  unsigned checkpointInterval = 128;
   /// Re-randomize indetermination values every cycle of the fault.
   bool oscillatingIndetermination = false;
   /// Keep per-experiment records in the campaign result.
   bool keepRecords = false;
-  /// Execution engine for campaign experiments. EventDriven replays each
-  /// experiment from a golden checkpoint on the event-driven simulator;
-  /// Compiled packs up to 63 experiments per 64-lane bit-parallel wave.
-  /// Either way outcomes, records and modeled costs are bit-identical: the
-  /// golden run (and therefore the modeled cost calibration) always comes
-  /// from the event-driven engine, and the CompiledEquivalence suite pins
-  /// the fault semantics to it.
-  sim::EngineKind engine = sim::EngineKind::EventDriven;
   /// Prefix for the obs counters this tool bumps ("<prefix>.commands",
   /// "<prefix>.experiments") and its campaign span. The autonomous backend
   /// reuses VfitTool as its semantic engine under its own prefix, so the two
@@ -91,14 +86,13 @@ class VfitTool {
   CampaignResult runCampaign(const CampaignSpec& spec);
 
   /// Deterministic target enumeration for a spec (the fault-location
-  /// process); shared by the serial loop, the parallel runner and the
-  /// bit-parallel wave path.
+  /// process); shared by the campaign loop, the parallel runner and the
+  /// prune plan.
   std::vector<std::uint32_t> campaignPool(const CampaignSpec& spec) const;
 
-  /// Campaign experiment `index` as a pure function of (spec, pool, index),
-  /// on the event-driven engine. This is the per-index unit the parallel
-  /// runner shards and the reference the compiled wave path must match
-  /// field-for-field.
+  /// Campaign experiment `index` as a pure function of (spec, pool, index):
+  /// a wave of one. The per-index unit the runner retries, the prune member
+  /// checks and the diffcheck oracle call.
   campaign::ExperimentOutcome runCampaignExperiment(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
       unsigned index);
@@ -111,16 +105,17 @@ class VfitTool {
   /// Run the experiments named by `indices` (at most kWaveExperiments) in
   /// one bit-parallel pass on the compiled engine. Lane assignment is
   /// irrelevant to the result - lanes are independent machines - so partial
-  /// waves and arbitrary index subsets return exactly what
-  /// runCampaignExperiment returns per index. Requires engine == Compiled.
+  /// waves and arbitrary index subsets return exactly what a full wave
+  /// returns per index. An unsupported fault model is InvalidArgument.
   std::vector<campaign::ExperimentOutcome> runCampaignWave(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
       std::span<const unsigned> indices);
 
-  sim::EngineKind engine() const { return opt_.engine; }
-
-  /// Single experiment; exposed for tests. `commandsOut` reports how many
-  /// simulator commands (force / release / deposit) the injection issued.
+  /// The scalar simulator-command reference: one experiment replayed from
+  /// reset on the event-driven simulator, injecting through force / release
+  /// / deposit the way the original tool does. No campaign runs through it;
+  /// the equivalence suites compare every wave against it. `commandsOut`
+  /// reports how many simulator commands the injection issued.
   Outcome runExperiment(FaultModel model, TargetClass targets,
                         std::uint32_t targetIndex, std::uint64_t injectCycle,
                         double durationCycles, common::Rng& rng,
@@ -130,11 +125,11 @@ class VfitTool {
   const Observation& golden() const { return golden_; }
   double goldenModelSeconds() const { return goldenSeconds_; }
 
-  /// Pre-drawn fault script of one experiment: every random draw of the
-  /// serial loop + runExperiment, in the identical order, so the wave path
-  /// consumes the per-experiment RNG stream exactly as the event-driven
-  /// path does. Public because the autonomous backend re-meters the same
-  /// plan (command count, window) under its own cost model.
+  /// Pre-drawn fault script of one experiment: the campaign draws (target,
+  /// instant, duration) followed by runExperiment's own draws, in that
+  /// order, so a wave consumes the per-experiment RNG stream exactly as the
+  /// scalar reference does. Public because the autonomous backend re-meters
+  /// the same plan (command count, window) under its own cost model.
   struct LanePlan {
     unsigned index = 0;
     std::uint32_t target = 0;
@@ -165,30 +160,27 @@ class VfitTool {
                          const std::vector<std::uint64_t>& prefixOutputs);
   std::uint64_t outputWord() const;
   void captureFinalState(Observation& obs) const;
-  const sim::Snapshot& checkpointAtOrBefore(std::uint64_t cycle,
-                                            std::uint64_t& ckCycle) const;
 
   const Netlist& nl_;
   std::uint64_t runCycles_;
   VfitOptions opt_;
-  std::unique_ptr<sim::Simulator> sim_;
-  /// Built only when opt_.engine == Compiled; campaign waves run here.
-  std::unique_ptr<sim::CompiledSimulator> csim_;
+  /// Golden run and the scalar reference.
+  sim::Simulator sim_;
+  /// Campaign waves.
+  sim::CompiledSimulator csim_;
   /// Observed output nets with their packed bit positions (outputWord
   /// layout: 16 bits per observed port), cached for the wave inner loop.
   std::vector<std::pair<unsigned, std::uint32_t>> obsBits_;
 
   Observation golden_;
-  std::vector<sim::Snapshot> checkpoints_;  // every checkpointInterval cycles
   std::uint64_t goldenEvents_ = 0;
   double goldenSeconds_ = 0;
 };
 
 /// One worker's VFIT replica for the sharded campaign runner - the
-/// simulator-side counterpart of FadesCampaignEngine. With the compiled
-/// engine selected it leases whole waves (waveWidth() = 63) and runs them
-/// bit-parallel; outcomes stay bit-identical to the event-driven engine at
-/// any --jobs.
+/// simulator-side counterpart of FadesCampaignEngine. It leases whole waves
+/// (waveWidth() = 63) and runs them bit-parallel; outcomes are
+/// bit-identical at any --jobs.
 class VfitCampaignEngine final : public campaign::CampaignEngine {
  public:
   VfitCampaignEngine(const Netlist& netlist, std::uint64_t runCycles,
@@ -198,7 +190,7 @@ class VfitCampaignEngine final : public campaign::CampaignEngine {
   campaign::ExperimentOutcome runExperimentAt(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
       unsigned index, unsigned rerun) override;
-  unsigned waveWidth() const override;
+  unsigned waveWidth() const override { return VfitTool::kWaveExperiments; }
   std::vector<campaign::ExperimentOutcome> runWaveAt(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
       std::span<const unsigned> indices, unsigned rerun) override;
@@ -212,6 +204,15 @@ class VfitCampaignEngine final : public campaign::CampaignEngine {
  private:
   VfitTool tool_;
 };
+
+/// Runs one wave: the outcomes of `indices`, in order.
+using WaveRunner = std::function<std::vector<campaign::ExperimentOutcome>(
+    std::span<const unsigned> indices)>;
+
+/// A whole campaign from waves of up to kWaveExperiments consecutive
+/// indices, folded in index order - the runCampaign loop of both
+/// simulator-backed injectors.
+CampaignResult foldWaves(const CampaignSpec& spec, const WaveRunner& runWave);
 
 /// Factory for the parallel campaign runner: every worker gets its own
 /// VfitTool replica (each pays the golden run in its own thread). The

@@ -5,8 +5,9 @@
 //     equal to VFIT's across the shared fault-model x target-class matrix,
 //     with the autonomous cost model (exact config+workload+host sum, zero
 //     configuration bytes) checked on every experiment;
-//   * byte-identical run artifacts across --jobs 1/8 and both execution
-//     engines through the sharded campaign runner;
+//   * byte-identical run artifacts across --jobs 1/8 through the sharded
+//     campaign runner, every experiment matching the scalar
+//     simulator-command reference (vfit_reference.hpp);
 //   * the MC8051 + Bubblesort workload, FF and memory campaigns;
 //   * 4-way oracle (FADES / VFIT / autonomous / golden ISS) agreement on a
 //     constructed matrix of cases and on the committed RTL corpus (the
@@ -27,8 +28,8 @@
 #include "mc8051/core.hpp"
 #include "mc8051/workloads.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/engine.hpp"
 #include "vfit/vfit.hpp"
+#include "vfit_reference.hpp"
 
 namespace fades {
 namespace {
@@ -133,6 +134,10 @@ std::string artifactString(const campaign::CampaignResult& result) {
 }
 
 TEST(AutonomousEquivalence, JobsAndEngineArtifactInvariance) {
+  // The runner's autonomous engine replicas at --jobs 1 and 8 produce one
+  // artifact, and every experiment in it reproduces the scalar
+  // simulator-command reference: its draws and classification, and its
+  // command count metered under the autonomous cost model.
   const diffcheck::CaseSpec c = rtlCase(5, /*withRam=*/false);
   const Netlist nl = diffcheck::buildDesign(c);
 
@@ -141,23 +146,35 @@ TEST(AutonomousEquivalence, JobsAndEngineArtifactInvariance) {
   spec.targets = TargetClass::CombinationalLut;
   spec.experiments = 100;
 
-  std::vector<std::string> artifacts;
-  for (const auto engine :
-       {sim::EngineKind::EventDriven, sim::EngineKind::Compiled}) {
-    for (const unsigned jobs : {1u, 8u}) {
-      core::AutonomousOptions opt;
-      opt.observedOutputs = diffcheck::observedOutputs(c);
-      opt.keepRecords = true;
-      opt.engine = engine;
-      campaign::ParallelOptions popt;
-      popt.jobs = jobs;
-      campaign::ParallelCampaignRunner runner(
-          core::autonomousEngineFactory(nl, c.runCycles, opt), popt);
-      artifacts.push_back(artifactString(runner.run(spec)));
-    }
+  core::AutonomousOptions opt;
+  opt.observedOutputs = diffcheck::observedOutputs(c);
+  opt.keepRecords = true;
+  std::vector<campaign::CampaignResult> results;
+  for (const unsigned jobs : {1u, 8u}) {
+    campaign::ParallelOptions popt;
+    popt.jobs = jobs;
+    campaign::ParallelCampaignRunner runner(
+        core::autonomousEngineFactory(nl, c.runCycles, opt), popt);
+    results.push_back(runner.run(spec));
   }
-  for (std::size_t i = 1; i < artifacts.size(); ++i) {
-    EXPECT_EQ(artifacts[0], artifacts[i]) << "variant " << i;
+  EXPECT_EQ(artifactString(results[0]), artifactString(results[1]));
+
+  core::AutonomousTool aut(nl, c.runCycles, opt);
+  vfit::VfitOptions vOpt;
+  vOpt.observedOutputs = opt.observedOutputs;
+  vfit::VfitTool reference(nl, c.runCycles, vOpt);
+  const auto pool = reference.campaignPool(spec);
+  ASSERT_EQ(results[0].records.size(), spec.experiments);
+  for (unsigned e = 0; e < spec.experiments; ++e) {
+    const auto ref = vfitref::scalarReference(reference, spec, pool, e);
+    const auto& record = results[0].records[e];
+    const std::string what = "index " + std::to_string(e);
+    vfitref::expectRecordMatches(record, ref, false, what);
+    const auto a = aut.runCampaignExperiment(spec, pool, e);
+    EXPECT_EQ(a.modeledSeconds, record.modeledSeconds) << what;
+    EXPECT_EQ(a.configSeconds + a.hostSeconds,
+              aut.injectionOverheadSeconds(ref.commands))
+        << what;
   }
 }
 

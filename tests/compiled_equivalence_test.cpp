@@ -1,22 +1,29 @@
-// CompiledEquivalence: the compiled bit-parallel engine is proven
-// bit-identical to the event-driven simulator.
+// CompiledEquivalence: VFIT campaigns run as bit-parallel waves on the
+// compiled engine, and this suite proves them bit-identical to the
+// event-driven simulator and to the scalar simulator-command reference
+// (VfitTool::runExperiment, see vfit_reference.hpp).
 //
 //   * net-for-net, cycle-for-cycle state equality on random builder designs
 //     under random scalar fault commands (force / release / deposit), driven
 //     through the abstract Engine interface;
 //   * campaign experiments field-for-field across the fault-model x
-//     target-class matrix (runCampaignWave vs runCampaignExperiment);
-//   * whole-campaign artifact string equality across engines, wave
-//     boundaries, --jobs counts and checkpoint spacing;
+//     target-class matrix (runCampaignWave vs the scalar reference);
+//   * partial waves and index subsets against full waves;
+//   * whole-campaign artifacts across wave boundaries, --jobs counts and a
+//     resumed --checkpoint journal, every record against the reference;
 //   * the MC8051 + Bubblesort workload, FF and RAM campaigns.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "campaign/artifact.hpp"
+#include "campaign/journal.hpp"
 #include "campaign/parallel.hpp"
 #include "campaign/types.hpp"
 #include "common/rng.hpp"
@@ -25,9 +32,9 @@
 #include "netlist/netlist.hpp"
 #include "rtl/builder.hpp"
 #include "sim/compiled.hpp"
-#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 #include "vfit/vfit.hpp"
+#include "vfit_reference.hpp"
 
 namespace fades {
 namespace {
@@ -39,6 +46,9 @@ using common::Rng;
 using netlist::Netlist;
 using rtl::Builder;
 using rtl::Bus;
+using vfitref::expectRecordMatches;
+using vfitref::expectRecordsMatch;
+using vfitref::scalarReference;
 
 // Random sequential design: registers, xor/mux cloud, and (on most seeds) a
 // synchronous-read RAM whose address, data and write-enable come from the
@@ -96,9 +106,9 @@ TEST(CompiledEquivalence, RandomDesignsNetForNetUnderFaultCommands) {
     const bool withRam = seed % 4 != 0;
     const Netlist nl = randomDesign(seed, 30, withRam);
     const std::unique_ptr<sim::Engine> ev =
-        sim::makeEngine(sim::EngineKind::EventDriven, nl);
+        std::make_unique<sim::Simulator>(nl);
     const std::unique_ptr<sim::Engine> cp =
-        sim::makeEngine(sim::EngineKind::Compiled, nl);
+        std::make_unique<sim::CompiledSimulator>(nl);
 
     Rng rng(seed * 7919 + 1);
     std::vector<netlist::NetId> forceable;
@@ -156,26 +166,53 @@ TEST(CompiledEquivalence, RandomDesignsNetForNetUnderFaultCommands) {
 
 // --------------------------------------- campaign experiment equivalence -----
 
-Netlist campaignDesign() { return randomDesign(42, 40, true); }
+// The campaign tests' design, built so that outcomes hinge on fault timing.
+// Random logic over an LFSR drives the named signals "sig" (VFIT's pulse and
+// indetermination targets). Three stage registers each load the one before
+// on their own phase of a free-running counter, and only the last is
+// observed; a RAM written on another phase feeds the middle stage. A fault
+// in a stage, a word or a signal reaches the output only if it is still
+// there at the next load, so a window one cycle longer or an injection one
+// cycle later changes outcomes.
+Netlist campaignDesign() {
+  Rng rng(42);
+  Builder b;
+  rtl::Register phase = b.makeRegister("phase", 3, 0);
+  b.connect(phase, b.increment(phase.q));
+  rtl::Register lfsr = b.makeRegister("lfsr", 8, 0x5A);
+  Bus next{b.lxor(lfsr.q[7],
+                  b.lxor(lfsr.q[5], b.lxor(lfsr.q[4], lfsr.q[3])))};
+  for (int i = 0; i < 7; ++i) next.push_back(lfsr.q[i]);
+  b.connect(lfsr, next);
 
-void expectOutcomeEq(const campaign::ExperimentOutcome& a,
-                     const campaign::ExperimentOutcome& b,
-                     const std::string& what) {
-  EXPECT_EQ(a.index, b.index) << what;
-  EXPECT_EQ(a.outcome, b.outcome) << what << " index " << a.index;
-  EXPECT_EQ(a.modeledSeconds, b.modeledSeconds) << what;
-  EXPECT_EQ(a.configSeconds, b.configSeconds) << what;
-  EXPECT_EQ(a.workloadSeconds, b.workloadSeconds) << what;
-  EXPECT_EQ(a.hostSeconds, b.hostSeconds) << what;
-  EXPECT_EQ(a.hasRecord, b.hasRecord) << what;
-  if (a.hasRecord && b.hasRecord) {
-    EXPECT_EQ(a.record.targetName, b.record.targetName) << what;
-    EXPECT_EQ(a.record.injectCycle, b.record.injectCycle) << what;
-    EXPECT_EQ(a.record.durationCycles, b.record.durationCycles) << what;
-    EXPECT_EQ(a.record.outcome, b.record.outcome) << what;
-    EXPECT_EQ(a.record.modeledSeconds, b.record.modeledSeconds) << what;
-    EXPECT_EQ(a.record.component, b.record.component) << what;
+  std::vector<rtl::NetId> pool = lfsr.q;
+  auto pick = [&] { return pool[rng.below(pool.size())]; };
+  for (unsigned g = 0; g < 24; ++g) {
+    pool.push_back(rng.coin() ? b.lxor(pick(), pick())
+                              : b.lmux(pick(), pick(), pick()));
   }
+  Bus sig;
+  for (int k = 0; k < 4; ++k) sig.push_back(b.lxor(pick(), pick()));
+  b.nameBus("sig", sig);
+
+  auto stage = [&](const char* name, unsigned loadPhase, const Bus& d) {
+    rtl::Register r = b.makeRegister(name, 4, 0);
+    b.connect(r, b.bMux(b.eqConst(phase.q, loadPhase), d, r.q));
+    return r.q;
+  };
+  const Bus s1 = stage("s1", 1, sig);
+  std::vector<std::uint8_t> init(8);
+  for (auto& v : init) v = static_cast<std::uint8_t>(rng.below(16));
+  const Bus word = b.ram("m", 3, 4, b.slice(lfsr.q, 2, 3), s1,
+                         b.eqConst(phase.q, 3), init);
+  const Bus s2 = stage("s2", 5, b.bXor(s1, word));
+  b.output("out", stage("s3", 7, s2));
+  return b.finish();
+}
+
+/// Every field of an outcome, as the campaign journal stores it exactly.
+std::string outcomeText(const campaign::ExperimentOutcome& x) {
+  return campaign::CampaignJournal::outcomeLine(x);
 }
 
 struct ModelClass {
@@ -188,7 +225,6 @@ TEST(CompiledEquivalence, CampaignExperimentsFieldForFieldAcrossMatrix) {
   vfit::VfitOptions opt;
   opt.observedOutputs = {"out"};
   opt.keepRecords = true;
-  opt.engine = sim::EngineKind::Compiled;
   vfit::VfitTool tool(nl, 150, opt);
 
   const std::vector<ModelClass> matrix = {
@@ -214,10 +250,18 @@ TEST(CompiledEquivalence, CampaignExperimentsFieldForFieldAcrossMatrix) {
       const auto wave = tool.runCampaignWave(spec, pool, indices);
       ASSERT_EQ(wave.size(), spec.experiments);
       for (unsigned i = 0; i < spec.experiments; ++i) {
-        const auto serial = tool.runCampaignExperiment(spec, pool, i);
-        expectOutcomeEq(wave[i], serial,
-                        std::string(campaign::toString(mc.model)) + "/" +
-                            campaign::toString(mc.targets) + "/" + band.label);
+        const std::string what =
+            std::string(campaign::toString(mc.model)) + "/" +
+            campaign::toString(mc.targets) + "/" + band.label + " index " +
+            std::to_string(i);
+        const auto ref = scalarReference(tool, spec, pool, i);
+        EXPECT_EQ(wave[i].index, i) << what;
+        EXPECT_EQ(wave[i].outcome, ref.outcome) << what;
+        EXPECT_EQ(wave[i].modeledSeconds, ref.modeledSeconds) << what;
+        EXPECT_EQ(wave[i].configSeconds, ref.commands * opt.secondsPerCommand)
+            << what;
+        ASSERT_TRUE(wave[i].hasRecord) << what;
+        expectRecordMatches(wave[i].record, ref, true, what);
       }
     }
   }
@@ -230,7 +274,6 @@ TEST(CompiledEquivalence, PartialWavesAndSubsetsMatchFullWaves) {
   vfit::VfitOptions opt;
   opt.observedOutputs = {"out"};
   opt.keepRecords = true;
-  opt.engine = sim::EngineKind::Compiled;
   vfit::VfitTool tool(nl, 120, opt);
 
   CampaignSpec spec;
@@ -249,14 +292,15 @@ TEST(CompiledEquivalence, PartialWavesAndSubsetsMatchFullWaves) {
     const std::vector<unsigned> one{i};
     const auto got = tool.runCampaignWave(spec, pool, one);
     ASSERT_EQ(got.size(), 1u);
-    expectOutcomeEq(got[0], full[i], "singleton wave");
+    EXPECT_EQ(outcomeText(got[0]), outcomeText(full[i])) << "singleton wave";
   }
   // A sparse subset (resume-gap shape).
   const std::vector<unsigned> sparse{3, 4, 9, 40, 41, 60};
   const auto got = tool.runCampaignWave(spec, pool, sparse);
   ASSERT_EQ(got.size(), sparse.size());
   for (std::size_t k = 0; k < sparse.size(); ++k) {
-    expectOutcomeEq(got[k], full[sparse[k]], "sparse wave");
+    EXPECT_EQ(outcomeText(got[k]), outcomeText(full[sparse[k]]))
+        << "sparse wave";
   }
 }
 
@@ -270,34 +314,40 @@ std::string artifactString(const campaign::CampaignResult& result) {
 
 TEST(CompiledEquivalence, WaveBoundarySweepArtifactsIdentical) {
   // 1 / 63 / 64 / 65 / 128 experiments: below, at, and straddling wave
-  // boundaries, the compiled campaign must serialize byte-identically to
-  // the event-driven one.
+  // boundaries. The campaign's 63-wide waves must serialize byte-identically
+  // to the same campaign folded from waves of one, and every record must
+  // match the scalar reference.
   const Netlist nl = campaignDesign();
+  vfit::VfitOptions opt;
+  opt.observedOutputs = {"out"};
+  opt.keepRecords = true;
+  vfit::VfitTool tool(nl, 120, opt);
   for (const unsigned n : {1u, 63u, 64u, 65u, 128u}) {
     CampaignSpec spec;
     spec.model = FaultModel::BitFlip;
     spec.targets = TargetClass::SequentialFF;
     spec.experiments = n;
     spec.seed = 1234;
+    const auto pool = tool.campaignPool(spec);
 
-    vfit::VfitOptions ev;
-    ev.observedOutputs = {"out"};
-    ev.keepRecords = true;
-    vfit::VfitTool evTool(nl, 120, ev);
-
-    vfit::VfitOptions cp = ev;
-    cp.engine = sim::EngineKind::Compiled;
-    vfit::VfitTool cpTool(nl, 120, cp);
-
-    EXPECT_EQ(artifactString(evTool.runCampaign(spec)),
-              artifactString(cpTool.runCampaign(spec)))
+    campaign::CampaignResult singles;
+    singles.spec = spec;
+    for (unsigned e = 0; e < n; ++e) {
+      singles.fold(tool.runCampaignExperiment(spec, pool, e));
+    }
+    const auto result = tool.runCampaign(spec);
+    EXPECT_EQ(artifactString(result), artifactString(singles))
         << n << " experiments";
+    expectRecordsMatch(tool, spec, result, std::to_string(n) + " experiments");
   }
 }
 
 TEST(CompiledEquivalence, ParallelRunnerJobsAndCheckpointInvariance) {
-  // Through the sharded runner: engines x jobs x checkpoint spacing all
-  // produce one artifact string.
+  // Through the sharded runner: --jobs 1 and 8, and a --jobs 8 run resumed
+  // from a --checkpoint journal that lost every other outcome (its waves
+  // have holes where the journal already holds the result), all produce
+  // one artifact string, and every record in it matches the scalar
+  // reference.
   const Netlist nl = campaignDesign();
   CampaignSpec spec;
   spec.model = FaultModel::Pulse;
@@ -305,27 +355,45 @@ TEST(CompiledEquivalence, ParallelRunnerJobsAndCheckpointInvariance) {
   spec.experiments = 100;
   spec.seed = 99;
 
-  std::vector<std::string> artifacts;
-  for (const auto engine :
-       {sim::EngineKind::EventDriven, sim::EngineKind::Compiled}) {
-    for (const unsigned jobs : {1u, 8u}) {
-      for (const unsigned ck : {32u, 128u}) {
-        vfit::VfitOptions opt;
-        opt.observedOutputs = {"out"};
-        opt.keepRecords = true;
-        opt.engine = engine;
-        opt.checkpointInterval = ck;
-        campaign::ParallelOptions popt;
-        popt.jobs = jobs;
-        campaign::ParallelCampaignRunner runner(
-            vfit::vfitEngineFactory(nl, 120, opt), popt);
-        artifacts.push_back(artifactString(runner.run(spec)));
-      }
-    }
+  vfit::VfitOptions opt;
+  opt.observedOutputs = {"out"};
+  opt.keepRecords = true;
+  auto run = [&](unsigned jobs, campaign::CampaignJournal* journal) {
+    campaign::ParallelOptions popt;
+    popt.jobs = jobs;
+    popt.journal = journal;
+    popt.resume = journal != nullptr;  // a missing journal starts fresh
+    return campaign::ParallelCampaignRunner(
+               vfit::vfitEngineFactory(nl, 120, opt), popt)
+        .run(spec);
+  };
+  const auto result = run(1, nullptr);
+  const std::string artifact = artifactString(result);
+  EXPECT_EQ(artifactString(run(8, nullptr)), artifact);
+
+  const std::string path = ::testing::TempDir() + "compiled-equivalence-" +
+                           std::to_string(::getpid()) + ".jsonl";
+  std::remove(path.c_str());
+  {
+    campaign::CampaignJournal journal(path);
+    run(8, &journal);
   }
-  for (std::size_t i = 1; i < artifacts.size(); ++i) {
-    EXPECT_EQ(artifacts[0], artifacts[i]) << "variant " << i;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 1 + spec.experiments);  // header + outcomes
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (std::size_t i = 0; i < lines.size(); i += 2) out << lines[i] << "\n";
   }
+  {
+    campaign::CampaignJournal journal(path);
+    EXPECT_EQ(artifactString(run(8, &journal)), artifact) << "resumed";
+  }
+  std::remove(path.c_str());
+
+  vfit::VfitTool tool(nl, 120, opt);
+  expectRecordsMatch(tool, spec, result, "jobs 1");
 }
 
 // --------------------------------------------------- MC8051 full workload ----
@@ -334,17 +402,9 @@ TEST(CompiledEquivalence, Mc8051BubblesortFfAndRamCampaigns) {
   const auto workload = mc8051::bubblesort(6);
   const Netlist nl = mc8051::buildCore(workload.bytes);
 
-  vfit::VfitOptions ev;
-  ev.keepRecords = true;
-  vfit::VfitTool evTool(nl, workload.cycles, ev);
-
-  vfit::VfitOptions cp = ev;
-  cp.engine = sim::EngineKind::Compiled;
-  vfit::VfitTool cpTool(nl, workload.cycles, cp);
-
-  // Compiled golden lane must match the event-driven golden run already at
-  // construction time (both tools ran the identical golden).
-  ASSERT_EQ(evTool.golden().outputs, cpTool.golden().outputs);
+  vfit::VfitOptions opt;
+  opt.keepRecords = true;
+  vfit::VfitTool tool(nl, workload.cycles, opt);
 
   for (const auto targets :
        {TargetClass::SequentialFF, TargetClass::MemoryBlockBit}) {
@@ -353,9 +413,8 @@ TEST(CompiledEquivalence, Mc8051BubblesortFfAndRamCampaigns) {
     spec.targets = targets;
     spec.experiments = 40;
     spec.seed = 2006;
-    EXPECT_EQ(artifactString(evTool.runCampaign(spec)),
-              artifactString(cpTool.runCampaign(spec)))
-        << campaign::toString(targets);
+    expectRecordsMatch(tool, spec, tool.runCampaign(spec),
+                       campaign::toString(targets));
   }
 }
 

@@ -190,8 +190,8 @@ TEST(CompiledLanes, ScalarEngineViewIsDropIn) {
   // scalar stimulus; every observation must agree cycle for cycle.
   const Netlist nlA = ramDesign();
   const Netlist nlB = ramDesign();
-  const std::unique_ptr<Engine> ev = makeEngine(EngineKind::EventDriven, nlA);
-  const std::unique_ptr<Engine> cp = makeEngine(EngineKind::Compiled, nlB);
+  const std::unique_ptr<Engine> ev = std::make_unique<Simulator>(nlA);
+  const std::unique_ptr<Engine> cp = std::make_unique<CompiledSimulator>(nlB);
 
   Rng rng(7);
   for (int c = 0; c < 200; ++c) {

@@ -4,11 +4,14 @@
 
 #include <memory>
 
+#include "campaign/parallel.hpp"
 #include "campaign/types.hpp"
+#include "core/autonomous.hpp"
 #include "core/fades.hpp"
 #include "core/lut_circuit.hpp"
 #include "core/permanent.hpp"
 #include "fpga/device.hpp"
+#include "obs/metrics.hpp"
 #include "rtl/builder.hpp"
 #include "synth/implement.hpp"
 #include "vfit/vfit.hpp"
@@ -217,6 +220,33 @@ TEST(Vfit, DelayUnsupportedLikeThePaper) {
                                   TargetClass::CombinationalLine, 0, 5, 1.0,
                                   rng),
                common::FadesError);
+}
+
+TEST(Vfit, DelayCampaignAbortsInsteadOfQuarantining) {
+  // An unsupported model is the caller's error, not a transient one: the
+  // runner aborts instead of retrying and quarantining every experiment.
+  // Same for the autonomous backend, which shares VFIT's fault semantics.
+  const auto& d = MiniDesign::instance();
+  core::AutonomousOptions aOpt;
+  aOpt.observedOutputs = {"out"};
+  CampaignSpec spec;
+  spec.model = FaultModel::Delay;
+  spec.targets = TargetClass::SequentialLine;
+  spec.experiments = 5;
+  const obs::Counter& quarantined =
+      obs::Registry::global().counter("campaign.quarantined");
+  for (const auto& factory :
+       {vfit::vfitEngineFactory(d.nl, d.cycles, miniVfitOptions()),
+        core::autonomousEngineFactory(d.nl, d.cycles, aOpt)}) {
+    const std::uint64_t before = quarantined.value();
+    try {
+      campaign::ParallelCampaignRunner(factory).run(spec);
+      ADD_FAILURE() << "a delay campaign ran to completion";
+    } catch (const common::FadesError& e) {
+      EXPECT_EQ(e.kind(), common::ErrorKind::InvalidArgument) << e.what();
+    }
+    EXPECT_EQ(quarantined.value(), before);
+  }
 }
 
 TEST(Vfit, CostIsFlatAcrossModelsAndDurations) {

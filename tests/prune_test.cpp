@@ -516,7 +516,6 @@ TEST(PrunePlan, JobSpecGatesAndFingerprintStability) {
   // The autonomous backend cannot synthesize collapsed outcomes.
   auto bad = job;
   bad.tool = "autonomous";
-  bad.engine = "compiled";
   EXPECT_THROW(service::validate(bad), common::FadesError);
 
   // A faulted link could quarantine a representative, which would break the

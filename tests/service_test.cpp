@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "campaign/journal.hpp"
@@ -232,6 +233,105 @@ TEST(ServiceJobSpec, ValidateRejectsNonsense) {
   job = demoJob(8);
   job.linkFaultRate = 1.5;
   EXPECT_THROW(service::validate(job), common::FadesError);
+  // Only FADES injects delays: a coordinator must never lease out a job
+  // whose every experiment the injector would refuse.
+  job = demoJob(8);
+  job.spec.model = campaign::FaultModel::Delay;
+  EXPECT_NO_THROW(service::validate(job));
+  for (const char* tool : {"vfit", "autonomous"}) {
+    job.tool = tool;
+    EXPECT_THROW(service::validate(job), common::FadesError) << tool;
+  }
+}
+
+TEST(ServiceJobSpec, IdentityIsPinnedAndTheToolFixesTheEngine) {
+  // campaign_8051's default 200-experiment job per tool. Fingerprints name
+  // the store's journals and key the worker caches, so they never move.
+  // The tool fixes the engine: the JobSpec field is ignored, and the wire
+  // refuses any other engine name.
+  for (const auto& [tool, engine, fp] :
+       {std::tuple{"fades", "event", "450ab3ae10f1e626"},
+        std::tuple{"vfit", "compiled", "7ad3a3685d13fb89"},
+        std::tuple{"autonomous", "compiled", "4ec98a752a1cd440"}}) {
+    service::JobSpec job;
+    job.tool = tool;
+    job.spec.experiments = 200;
+    job.spec.seed = 2006;
+    job.name = service::defaultName(job);
+    EXPECT_NO_THROW(service::validate(job)) << tool;
+    for (const char* field : {"event", "compiled", "hope"}) {
+      job.engine = field;
+      EXPECT_EQ(service::fingerprint(job), fp) << tool << " " << field;
+    }
+    Json wire = service::toJson(job);
+    EXPECT_EQ(wire.find("engine")->asString(), engine) << tool;
+    service::JobSpec back;
+    std::string error;
+    ASSERT_TRUE(service::jobSpecFromJson(wire, back, &error)) << error;
+    EXPECT_EQ(service::fingerprint(back), fp) << tool;
+    const std::string other =
+        std::string(engine) == "event" ? "compiled" : "event";
+    wire.set("engine", Json(other));
+    EXPECT_FALSE(service::jobSpecFromJson(wire, back, &error)) << tool;
+    EXPECT_NE(error.find("engine"), std::string::npos) << error;
+  }
+}
+
+TEST(ServiceJobSpec, BuildSystemNeedsOnlyKnownNames) {
+  // A job moved onto another tool to reuse its netlist builds even when no
+  // campaign of it could run: a fades delay job built as vfit.
+  service::JobSpec job = demoJob(8);
+  job.spec.model = campaign::FaultModel::Delay;
+  job.spec.targets = campaign::TargetClass::SequentialLine;
+  job.tool = "vfit";
+  EXPECT_THROW(service::validate(job), common::FadesError);
+  EXPECT_GT(service::buildSystem(job)->netlist.flopCount(), 0u);
+  job.tool = "hope";
+  EXPECT_THROW(service::buildSystem(job), common::FadesError);
+  job.tool = "vfit";
+  job.workload = "hope";
+  EXPECT_THROW(service::buildSystem(job), common::FadesError);
+}
+
+TEST(ServiceJobSpec, CliWordsAndNumbersAreStrict) {
+  // Every accepted spelling names the spec defaultName() names it by.
+  service::JobSpec job;
+  for (const char* m : {"bitflip", "pulse", "delay", "indet"}) {
+    for (const char* t : {"ff", "memory", "lut", "seqline", "combline"}) {
+      for (const char* u : {"any", "registers", "ram", "alu", "mem", "fsm"}) {
+        service::applyCampaignWords(m, t, u, "long", job.spec);
+        EXPECT_EQ(service::defaultName(job),
+                  std::string(m) + "_" + t + "_" + u);
+      }
+    }
+  }
+  EXPECT_EQ(job.spec.band.label, campaign::DurationBand::longBand().label);
+  job.spec.targets = campaign::TargetClass::CbInputLine;  // no CLI word
+  EXPECT_EQ(service::defaultName(job), "indet_cbinput_fsm");
+  // A misspelling is an error, never a silent default.
+  for (const auto& [m, t, u, b] :
+       {std::tuple{"pluse", "ff", "any", "short"},
+        std::tuple{"bitflip", "fff", "any", "short"},
+        std::tuple{"bitflip", "ff", "anyy", "short"},
+        std::tuple{"bitflip", "ff", "any", "longg"}}) {
+    EXPECT_THROW(service::applyCampaignWords(m, t, u, b, job.spec),
+                 common::FadesError);
+  }
+
+  unsigned count = 7;
+  EXPECT_TRUE(service::parseCount("4294967295", count));
+  EXPECT_EQ(count, 4294967295u);
+  for (const char* text : {"", "0", "12abc", "-3", " 5", "4294967296"}) {
+    EXPECT_FALSE(service::parseCount(text, count)) << "'" << text << "'";
+  }
+  double rate = 0.5;
+  EXPECT_TRUE(service::parseRate("0.25", rate));
+  EXPECT_EQ(rate, 0.25);
+  for (const char* text : {"", "abc", "1", "-0.1", "0.1x", "nan"}) {
+    EXPECT_FALSE(service::parseRate(text, rate)) << "'" << text << "'";
+  }
+  EXPECT_EQ(count, 4294967295u);  // failed parses leave `out` alone
+  EXPECT_EQ(rate, 0.25);
 }
 
 // ---------------------------------------------------------------------------
@@ -709,7 +809,6 @@ std::string serviceArtifact(const service::JobSpec& job, unsigned blockSize,
 TEST(ServiceWaves, CompiledVfitLeasesRunAsWaves) {
   service::JobSpec job = demoJob(200, 26);
   job.tool = "vfit";
-  job.engine = "compiled";
   const std::uint64_t before = counterValue("vfit.waves");
   const std::string merged = serviceArtifact(job, 16, 1, "waves");
   // 200 experiments in blocks of 16 are 13 leases of one wave each.
@@ -720,7 +819,7 @@ TEST(ServiceWaves, CompiledVfitLeasesRunAsWaves) {
 struct PrunedJob {
   const char* name;
   const char* tool;
-  const char* engine;
+  campaign::TargetClass targets;
 };
 
 // Keeps the test names the suite prints free of pointer values.
@@ -731,7 +830,7 @@ class ServicePrune : public ::testing::TestWithParam<PrunedJob> {};
 TEST_P(ServicePrune, TwoWorkersMatchThePrunedRunner) {
   service::JobSpec job = demoJob(96, 27);
   job.tool = GetParam().tool;
-  job.engine = GetParam().engine;
+  job.spec.targets = GetParam().targets;
   job.prune = true;
   // The case is only worth running if some member's representative sits
   // in another block, so a worker has to run it out of its own lease.
@@ -751,9 +850,10 @@ TEST_P(ServicePrune, TwoWorkersMatchThePrunedRunner) {
 
 INSTANTIATE_TEST_SUITE_P(
     Jobs, ServicePrune,
-    ::testing::Values(PrunedJob{"VfitEvent", "vfit", "event"},
-                      PrunedJob{"VfitCompiled", "vfit", "compiled"},
-                      PrunedJob{"Fades", "fades", "event"}),
+    ::testing::Values(
+        PrunedJob{"VfitCompiled", "vfit", campaign::TargetClass::SequentialFF},
+        PrunedJob{"VfitMemory", "vfit", campaign::TargetClass::MemoryBlockBit},
+        PrunedJob{"Fades", "fades", campaign::TargetClass::SequentialFF}),
     [](const ::testing::TestParamInfo<PrunedJob>& info) {
       return std::string(info.param.name);
     });

@@ -226,46 +226,7 @@ TEST(Sim, DepositRamChangesStoredWord) {
   EXPECT_EQ(s.portValue("dout"), 0x5Au);
 }
 
-// ------------------------------------------------------------ snapshot -----
-
-TEST(Sim, SnapshotRestoreReplaysIdentically) {
-  Builder b;
-  Register c = b.makeRegister("c", 8, 0);
-  b.connect(c, b.increment(c.q));
-  Bus addr = rtl::Bus(c.q.begin(), c.q.begin() + 3);
-  Bus din = c.q;
-  b.output("c", c.q);
-  b.output("m", b.ram("m", 3, 8, addr, din, b.one()));
-  Netlist nl = b.finish();
-  Simulator s(nl);
-  s.run(5);
-  const Snapshot snap = s.snapshot();
-  s.run(7);
-  const auto after12 = s.portValue("c");
-  const auto mem12 = s.portValue("m");
-
-  s.restore(snap);
-  EXPECT_EQ(s.cycle(), 5u);
-  s.run(7);
-  EXPECT_EQ(s.portValue("c"), after12);
-  EXPECT_EQ(s.portValue("m"), mem12);
-}
-
-TEST(Sim, SnapshotPreservesForces) {
-  Builder b;
-  NetId a = b.inputBit("a");
-  NetId x = b.lnot(a);
-  b.output("x", x);
-  Netlist nl = b.finish();
-  Simulator s(nl);
-  s.setInput("a", 0);
-  s.force(x, false);
-  const Snapshot snap = s.snapshot();
-  s.release(x);
-  s.restore(snap);
-  EXPECT_TRUE(s.isForced(x));
-  EXPECT_EQ(s.portValue("x"), 0u);
-}
+// --------------------------------------------------------- determinism -----
 
 TEST(Sim, DeterministicAcrossInstances) {
   auto build = [] {

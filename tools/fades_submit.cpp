@@ -13,8 +13,9 @@
 //                                             (no coordinator needed)
 //
 // Job args mirror campaign_8051: [--tool fades|vfit|autonomous]
-// [--engine event|compiled] [--workload bubblesort6|demo] [--link-faults R]
-// [--no-records] [--name NAME] [model] [targets] [unit] [faults] [band]
+// [--workload bubblesort6|demo] [--link-faults R] [--no-records]
+// [--name NAME] [model] [targets] [unit] [faults] [band]. A malformed or
+// inconsistent job is a usage error (exit 2) before any connection is made.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "netlist/netlist.hpp"
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
 #include "service/jobspec.hpp"
@@ -45,7 +45,7 @@ namespace {
       "       fades_submit --port P watch FP\n"
       "       fades_submit --port P fetch FP [--out FILE]\n"
       "       fades_submit --store DIR fetch FP [--out FILE]\n"
-      "job args: [--tool fades|vfit|autonomous] [--engine event|compiled]\n"
+      "job args: [--tool fades|vfit|autonomous]\n"
       "          [--workload bubblesort6|demo] [--link-faults R]\n"
       "          [--no-records] [--name NAME]\n"
       "          [model] [targets] [unit] [faults] [band]\n",
@@ -85,11 +85,10 @@ std::uint64_t numberField(const Json& j, const char* key) {
                                        : 0;
 }
 
-/// Parse campaign_8051-style job arguments into a JobSpec.
+/// Parse campaign_8051-style job arguments into a validated JobSpec.
 service::JobSpec parseJob(const std::vector<std::string>& args) {
   service::JobSpec job;
   job.spec.seed = 2006;
-  job.spec.experiments = 200;
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -99,12 +98,14 @@ service::JobSpec parseJob(const std::vector<std::string>& args) {
     };
     if (a == "--tool") {
       job.tool = value();
-    } else if (a == "--engine") {
-      job.engine = value();
     } else if (a == "--workload") {
       job.workload = value();
     } else if (a == "--link-faults") {
-      job.linkFaultRate = std::strtod(value().c_str(), nullptr);
+      const std::string& rate = value();
+      if (!service::parseRate(rate, job.linkFaultRate)) {
+        usageError("--link-faults expects a probability in [0, 1), got '" +
+                   rate + "'");
+      }
     } else if (a == "--no-records") {
       job.keepRecords = false;
     } else if (a == "--name") {
@@ -119,35 +120,18 @@ service::JobSpec parseJob(const std::vector<std::string>& args) {
   auto arg = [&](std::size_t i, const char* def) {
     return i < positional.size() ? positional[i] : std::string(def);
   };
-  const std::string model = arg(0, "bitflip");
-  const std::string targets = arg(1, "ff");
-  const std::string unit = arg(2, "any");
   const std::string faults = arg(3, "200");
-  const std::string band = arg(4, "short");
-  job.spec.model = model == "pulse"   ? campaign::FaultModel::Pulse
-                   : model == "delay" ? campaign::FaultModel::Delay
-                   : model == "indet" ? campaign::FaultModel::Indetermination
-                                      : campaign::FaultModel::BitFlip;
-  job.spec.targets =
-      targets == "memory"     ? campaign::TargetClass::MemoryBlockBit
-      : targets == "lut"      ? campaign::TargetClass::CombinationalLut
-      : targets == "seqline"  ? campaign::TargetClass::SequentialLine
-      : targets == "combline" ? campaign::TargetClass::CombinationalLine
-                              : campaign::TargetClass::SequentialFF;
-  job.spec.unit =
-      static_cast<int>(unit == "registers" ? netlist::Unit::Registers
-                       : unit == "ram"     ? netlist::Unit::Ram
-                       : unit == "alu"     ? netlist::Unit::Alu
-                       : unit == "mem"     ? netlist::Unit::MemCtrl
-                       : unit == "fsm"     ? netlist::Unit::Fsm
-                                           : netlist::Unit::None);
-  job.spec.band = band == "sub"    ? campaign::DurationBand::subCycle()
-                  : band == "long" ? campaign::DurationBand::longBand()
-                                   : campaign::DurationBand::shortBand();
-  job.spec.experiments =
-      static_cast<unsigned>(std::strtoul(faults.c_str(), nullptr, 10));
-  if (job.spec.experiments == 0) usageError("faults must be positive");
-  if (job.name.empty()) job.name = model + "_" + targets + "_" + unit;
+  if (!service::parseCount(faults, job.spec.experiments)) {
+    usageError("faults expects a positive integer, got '" + faults + "'");
+  }
+  try {
+    service::applyCampaignWords(arg(0, "bitflip"), arg(1, "ff"), arg(2, "any"),
+                                arg(4, "short"), job.spec);
+    service::validate(job);
+  } catch (const common::FadesError& e) {
+    usageError(e.what());
+  }
+  if (job.name.empty()) job.name = service::defaultName(job);
   return job;
 }
 
@@ -230,7 +214,12 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::strtoul(value(), nullptr, 10));
+      const std::string text = value();
+      unsigned parsed = 0;
+      if (!service::parseCount(text, parsed) || parsed > 65535) {
+        usageError("--port expects 1-65535, got '" + text + "'");
+      }
+      port = static_cast<std::uint16_t>(parsed);
     } else if (a == "--host") {
       host = value();
     } else if (a == "--store") {
@@ -254,7 +243,6 @@ int main(int argc, char** argv) {
 
     if (command == "submit") {
       const service::JobSpec job = parseJob(rest);
-      service::validate(job);
       const service::Socket sock = dial(host, port);
       Json msg = Json::object();
       msg.set("type", Json(std::string("submit")));
