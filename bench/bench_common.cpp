@@ -162,8 +162,7 @@ std::string toolFingerprint(core::FadesTool& tool) {
                    std::to_string(o.linkRetry.maxRetries) + "," +
                    std::to_string(o.linkRetry.backoffBaseSeconds) + "," +
                    std::to_string(o.linkRetry.backoffFactor) + "," +
-                   std::to_string(o.linkRetry.backoffCapSeconds) + "/" +
-                   std::to_string(o.experimentAttempts);
+                   std::to_string(o.linkRetry.backoffCapSeconds);
   for (const auto& out : o.observedOutputs) fp += "," + out;
   return fp;
 }
@@ -183,16 +182,14 @@ std::map<const core::FadesTool*, CachedRunner> gRunners;
 
 campaign::CampaignResult runCampaign(core::FadesTool& tool,
                                      const campaign::CampaignSpec& spec) {
-  const unsigned n = jobs();
-  if (n == 1) return tool.runCampaign(spec);
+  campaign::ParallelOptions popt;
+  popt.jobs = jobs();
+  popt.progressInterval = 100;
+  if (popt.jobs == 1) return campaign::runCampaign(spec, {&tool}, popt);
   auto& cached = gRunners[&tool];
   const std::string fp = toolFingerprint(tool);
   if (!cached.runner || cached.impl != &tool.implementation() ||
       cached.fingerprint != fp) {
-    campaign::ParallelOptions popt;
-    popt.jobs = n;
-    popt.progressInterval = tool.options().progressInterval;
-    popt.experimentAttempts = tool.options().experimentAttempts;
     cached.impl = &tool.implementation();
     cached.fingerprint = fp;
     cached.runner = std::make_unique<campaign::ParallelCampaignRunner>(

@@ -78,11 +78,12 @@ unsigned timingCount(unsigned defaultCount = 80);
 /// 0 means one worker per hardware thread.
 unsigned jobs();
 
-/// Run `spec` with `tool`'s configuration, sharded across jobs() workers.
-/// With jobs() <= 1 this is exactly tool.runCampaign(spec); otherwise a
-/// cached ParallelCampaignRunner (one per tool, replicating its device spec
-/// and options) runs it with bit-identical results - sharding changes the
-/// bench's wall-clock, never its numbers.
+/// Run `spec` with `tool`'s configuration, sharded across jobs() workers,
+/// with a progress heartbeat every 100 experiments. With jobs() <= 1 the
+/// tool is the only replica; otherwise a cached ParallelCampaignRunner (one
+/// per tool, replicating its device spec and options) runs it with
+/// bit-identical results - sharding changes the bench's wall-clock, never
+/// its numbers.
 campaign::CampaignResult runCampaign(core::FadesTool& tool,
                                      const campaign::CampaignSpec& spec);
 

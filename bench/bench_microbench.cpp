@@ -99,7 +99,9 @@ void runCampaignBench(benchmark::State& state, Tool& tool) {
   spec.targets = campaign::TargetClass::SequentialFF;
   spec.experiments = static_cast<unsigned>(state.range(0));
   spec.seed = 7;
-  for (auto _ : state) benchmark::DoNotOptimize(tool.runCampaign(spec));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(campaign::runCampaign(spec, {&tool}));
+  }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
@@ -136,8 +138,8 @@ void BM_AutonomousVsRtrModeledSpeedup(benchmark::State& state) {
 
   double rtrMean = 0, autMean = 0;
   for (auto _ : state) {
-    rtrMean = rtr.runCampaign(spec).modeledSeconds.mean();
-    autMean = aut.runCampaign(spec).modeledSeconds.mean();
+    rtrMean = campaign::runCampaign(spec, {&rtr}).modeledSeconds.mean();
+    autMean = campaign::runCampaign(spec, {&aut}).modeledSeconds.mean();
   }
   state.counters["rtr_injection_seconds"] = rtrMean;
   state.counters["autonomous_injection_seconds"] = autMean;
@@ -251,11 +253,10 @@ void runReconfigExperiments(benchmark::State& state,
   spec.targets = cls;
   spec.seed = 11;
   spec.experiments = 1u << 20;  // index wrap bound, never reached
-  const auto pool = tool.campaignPool(spec);
+  const auto pool = tool.enumeratePool(spec);
   unsigned index = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tool.runCampaignExperiment(spec, pool, index++));
+    benchmark::DoNotOptimize(tool.runExperimentAt(spec, pool, index++, 0));
   }
   state.SetItemsProcessed(state.iterations());
 }

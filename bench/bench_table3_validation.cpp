@@ -45,7 +45,7 @@ std::vector<campaign::CampaignResult> vfitSweep(
     spec.experiments = n;
     spec.seed = 5;
     spec.targetPool = pool;
-    out.push_back(tool.runCampaign(spec));
+    out.push_back(campaign::runCampaign(spec, {&tool}));
   }
   return out;
 }
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     fs.targetPool = ffPool;
     const auto f = bench::runCampaign(fades, fs);
     fs.targetPool = vfitFfPool;
-    const auto v = vfitTool.runCampaign(fs);
+    const auto v = campaign::runCampaign(fs, {&vfitTool});
     addRow("bit-flip", "FFs", common::fixed(f.failurePct(), 2),
            common::fixed(v.failurePct(), 2), "43.86", "43.70");
 
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
     fs.targetPool = memPool;
     const auto fm = bench::runCampaign(fades, fs);
     fs.targetPool = vfitMemPool;
-    const auto vm = vfitTool.runCampaign(fs);
+    const auto vm = campaign::runCampaign(fs, {&vfitTool});
     addRow("bit-flip", "memory", common::fixed(fm.failurePct(), 2),
            common::fixed(vm.failurePct(), 2), "80.95", "81.76");
   }

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     // Probe a few instants until the pulse disturbs multiple registers.
     for (int probe = 0; probe < 12; ++probe) {
       const auto cycle = 40 + rng.below(fades.runCycles() - 80);
-      const auto effects = fades.multiBitFlipProbe(c.lut, cycle, rng);
+      const auto effects = fades.multiBitFlipProbe(c.lut, cycle);
       if (effects.size() < 2) continue;
       const auto& site = impl.luts[c.lut];
       char where[96];

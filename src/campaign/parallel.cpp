@@ -248,26 +248,42 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
   const unsigned workers =
       std::max(1u, std::min(jobs_, std::max(1u, spec.experiments)));
   ensureEngines(workers);
+  std::vector<CampaignEngine*> replicas;
+  for (unsigned w = 0; w < workers; ++w) replicas.push_back(engines_[w].get());
+  return runCampaign(spec, replicas, opt_);
+}
 
-  obs::Span campaignSpan{"campaign.sharded",
+// ---------------------------------------------------------------------------
+// runCampaign
+// ---------------------------------------------------------------------------
+
+CampaignResult runCampaign(const CampaignSpec& spec,
+                           const std::vector<CampaignEngine*>& replicas,
+                           const ParallelOptions& options) {
+  require(!replicas.empty(), ErrorKind::InvalidArgument,
+          "a campaign needs at least one engine replica");
+  const unsigned workers = static_cast<unsigned>(replicas.size());
+  CampaignEngine& first = *replicas[0];
+
+  obs::Span campaignSpan{"campaign",
                          {{"model", toString(spec.model)},
                           {"targets", toString(spec.targets)},
                           {"jobs", std::to_string(workers)}}};
-  const std::vector<std::uint32_t> pool = engines_[0]->enumeratePool(spec);
+  const std::vector<std::uint32_t> pool = first.enumeratePool(spec);
 
   std::vector<ExperimentOutcome> outcomes(spec.experiments);
   ProgressTracker progress(toString(spec.model), spec.experiments,
-                           opt_.progressInterval);
+                           options.progressInterval);
 
   // Checkpoint/resume: journaled outcomes are folded back in without being
   // re-run, so a resumed campaign produces artifacts byte-identical to an
   // uninterrupted one (every outcome is a pure function of (spec, index)
   // and the fold order is index order either way).
   std::vector<char> alreadyDone(spec.experiments, 0);
-  if (opt_.journal != nullptr) {
-    opt_.journal->open(spec, opt_.resume);
+  if (options.journal != nullptr) {
+    options.journal->open(spec, options.resume);
     std::uint64_t resumed = 0;
-    for (const auto& [index, outcome] : opt_.journal->completed()) {
+    for (const auto& [index, outcome] : options.journal->completed()) {
       if (index >= spec.experiments) continue;
       outcomes[index] = outcome;
       alreadyDone[index] = 1;
@@ -279,7 +295,7 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
           .counter("campaign.resumed_experiments")
           .add(resumed);
       FADES_LOG(Info) << "campaign resume"
-                      << obs::kv("journal", opt_.journal->path())
+                      << obs::kv("journal", options.journal->path())
                       << obs::kv("resumed", resumed)
                       << obs::kv("total", spec.experiments);
     }
@@ -290,8 +306,8 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
   // finish (unless the journal already materialized them on a previous
   // run), so only the plan's executedCount() experiments execute.
   std::vector<char> fromJournal;
-  if (opt_.prunePlan != nullptr) {
-    const PrunePlan& plan = *opt_.prunePlan;
+  if (options.prunePlan != nullptr) {
+    const PrunePlan& plan = *options.prunePlan;
     plan.validate();
     require(specKey(plan.spec) == specKey(spec), ErrorKind::InvalidArgument,
             "prune plan was derived for a different campaign spec");
@@ -310,8 +326,8 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
   for (unsigned e = 0; e < spec.experiments; ++e) {
     if (!alreadyDone[e]) todo.push_back(e);
   }
-  const unsigned attempts = std::max(1u, opt_.experimentAttempts);
-  const std::size_t leaseWidth = std::max(1u, engines_[0]->waveWidth());
+  const unsigned attempts = std::max(1u, options.experimentAttempts);
+  const std::size_t leaseWidth = std::max(1u, first.waveWidth());
   obs::Counter& cQuarantined =
       obs::Registry::global().counter("campaign.quarantined");
   std::atomic<std::size_t> next{0};
@@ -320,7 +336,7 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
   std::exception_ptr firstError;
 
   const OutcomeSink record = [&](ExperimentOutcome outcome) {
-    if (opt_.journal != nullptr) opt_.journal->append(outcome);
+    if (options.journal != nullptr) options.journal->append(outcome);
     progress.record(outcome);
     outcomes[outcome.index] = std::move(outcome);
     return !abort.load(std::memory_order_relaxed);
@@ -333,7 +349,7 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
         if (base >= todo.size()) break;
         const std::span<const unsigned> lease(
             todo.data() + base, std::min(leaseWidth, todo.size() - base));
-        runLease(*engines_[w], spec, pool, lease, attempts, cQuarantined,
+        runLease(*replicas[w], spec, pool, lease, attempts, cQuarantined,
                  record);
       }
     } catch (...) {
@@ -354,13 +370,13 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
   if (firstError) std::rethrow_exception(firstError);
 
   // Materialize the collapsed members. Synthesis is cheap (no execution),
-  // so running it single-threaded on engine 0 after the join keeps the
-  // journal append order race-free.
-  if (opt_.prunePlan != nullptr) {
-    for (const auto& cls : opt_.prunePlan->classes) {
+  // so running it single-threaded on the first replica after the join keeps
+  // the journal append order race-free.
+  if (options.prunePlan != nullptr) {
+    for (const auto& cls : options.prunePlan->classes) {
       for (const std::uint64_t m : cls.members) {
         if (fromJournal[m]) continue;  // resumed from a previous run
-        record(materializeMember(*engines_[0], spec, pool,
+        record(materializeMember(first, spec, pool,
                                  static_cast<unsigned>(m),
                                  outcomes[cls.representative], attempts,
                                  cQuarantined));
@@ -368,8 +384,8 @@ CampaignResult ParallelCampaignRunner::run(const CampaignSpec& spec) {
     }
   }
 
-  // Merge in experiment-index order: the exact fold sequence of the serial
-  // loop, so sums and stats come out bit-identical.
+  // Merge in experiment-index order, whatever ran where, so sums and stats
+  // come out bit-identical for any replica count.
   CampaignResult result;
   result.spec = spec;
   for (const auto& outcome : outcomes) result.fold(outcome);

@@ -1,4 +1,4 @@
-// Sharded campaign execution.
+// Campaign execution: one executor for every injector.
 //
 // The paper's value proposition is throughput - emulation beats simulation
 // because the FPGA grinds through experiments faster (Figure 10 / Table 2) -
@@ -9,14 +9,19 @@
 // work (Lopez-Ongil et al.), where many independent fault experiments run
 // concurrently against replicas of the same implementation.
 //
+// FadesTool, vfit::VfitTool and AutonomousTool are CampaignEngines
+// themselves, and runCampaign() below is the only campaign loop: a caller
+// holding one tool passes it as the only replica, and
+// ParallelCampaignRunner builds replicas from a factory and hands them over.
+//
 // Determinism contract: experiment i of a campaign is a pure function of
 // (spec, i) - target choice, injection instant, duration and every in-fault
-// random draw come from Rng(common::streamSeed(spec.seed, ...)) - and the
-// merge folds per-experiment outcomes in index order through the same
-// CampaignResult::fold the serial loop uses. Outcome tallies, per-experiment
-// records and the modeled CostBreakdown are therefore bit-identical for any
-// shard count and any scheduling order; only wall-clock changes. Modeled
-// seconds model ONE board: sharding never reduces them.
+// random draw come from Rng(common::streamSeed(spec.seed, ...)) - and
+// runCampaign folds per-experiment outcomes in index order. Outcome
+// tallies, per-experiment records and the modeled CostBreakdown are
+// therefore bit-identical for any replica count and any scheduling order;
+// only wall-clock changes. Modeled seconds model ONE board: sharding never
+// reduces them.
 #pragma once
 
 #include <chrono>
@@ -183,7 +188,8 @@ class ProgressTracker {
 };
 
 struct ParallelOptions {
-  /// Worker (and device-replica) count; 0 = one per hardware thread.
+  /// Worker (and device-replica) count of ParallelCampaignRunner; 0 = one
+  /// per hardware thread. runCampaign() runs one worker per replica given.
   unsigned jobs = 1;
   /// Campaign heartbeat every N experiments (campaign-wide, not per shard);
   /// 0 disables it.
@@ -210,11 +216,21 @@ struct ParallelOptions {
   const PrunePlan* prunePlan = nullptr;
 };
 
-/// Partitions a campaign's experiment list across worker threads, each
-/// owning its own engine replica, and merges the per-experiment outcomes in
-/// index order. Replicas are built lazily on first run() - concurrently, so
-/// the one-time setup cost (bitstream download + golden run) is also paid in
-/// parallel - and are reused by subsequent run() calls.
+/// The one campaign executor. Runs `spec` on `replicas` (not owned), one
+/// worker per replica - the calling thread itself when there is one - each
+/// leasing waveWidth()-wide slices of the pending indices through runLease.
+/// Applies options' journal/resume, prune plan, heartbeat and attempt
+/// budget, and folds every outcome in experiment-index order; options.jobs
+/// is ignored. Replicas must come from one implementation and may be reused
+/// by later campaigns.
+CampaignResult runCampaign(const CampaignSpec& spec,
+                           const std::vector<CampaignEngine*>& replicas,
+                           const ParallelOptions& options = {});
+
+/// Owns `jobs` engine replicas and runs campaigns on them through
+/// runCampaign(). Replicas are built lazily on first run() - concurrently,
+/// so the one-time setup cost (bitstream download + golden run) is also
+/// paid in parallel - and are reused by subsequent run() calls.
 class ParallelCampaignRunner {
  public:
   explicit ParallelCampaignRunner(EngineFactory factory,

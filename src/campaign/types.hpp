@@ -125,11 +125,10 @@ struct ExperimentRecord {
   std::int64_t prunedFrom = -1;
 };
 
-/// Self-contained result of one campaign experiment. Both the serial
-/// campaign loop and the sharded parallel runner produce these and fold
-/// them into a CampaignResult strictly in experiment-index order, so every
-/// accumulated floating-point sum is bit-identical no matter which worker
-/// ran which experiment or in what order the shards finished.
+/// Self-contained result of one campaign experiment. campaign::runCampaign
+/// folds these into a CampaignResult strictly in experiment-index order, so
+/// every accumulated floating-point sum is bit-identical no matter which
+/// worker ran which experiment or in what order the shards finished.
 struct ExperimentOutcome {
   std::uint64_t index = 0;  // experiment index within the campaign
   Outcome outcome = Outcome::Silent;
@@ -205,9 +204,9 @@ struct CampaignResult {
     }
     modeledSeconds.add(seconds);
   }
-  /// Accumulate one experiment. The canonical fold shared by the serial
-  /// runner and the shard merge; keeping it in one place is what makes
-  /// "same outcomes in the same order => bit-identical result" hold.
+  /// Accumulate one experiment. The canonical fold of campaign::runCampaign
+  /// and the service merge; keeping it in one place is what makes "same
+  /// outcomes in the same order => bit-identical result" hold.
   void fold(const ExperimentOutcome& x) {
     if (x.quarantined) {
       quarantined.push_back(

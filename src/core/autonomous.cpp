@@ -4,12 +4,10 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace fades::core {
 
-using campaign::CampaignResult;
 using campaign::CampaignSpec;
 using common::ErrorKind;
 using common::require;
@@ -99,22 +97,22 @@ campaign::ExperimentOutcome AutonomousTool::remeter(
   return out;
 }
 
-std::vector<std::uint32_t> AutonomousTool::campaignPool(
-    const CampaignSpec& spec) const {
-  return vfit_.campaignPool(spec);
+std::vector<std::uint32_t> AutonomousTool::enumeratePool(
+    const CampaignSpec& spec) {
+  return vfit_.enumeratePool(spec);
 }
 
-campaign::ExperimentOutcome AutonomousTool::runCampaignExperiment(
+campaign::ExperimentOutcome AutonomousTool::runExperimentAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index) {
+    unsigned index, unsigned rerun) {
   const unsigned one[] = {index};
-  return runCampaignWave(spec, pool, one).front();
+  return runWaveAt(spec, pool, one, rerun).front();
 }
 
-std::vector<campaign::ExperimentOutcome> AutonomousTool::runCampaignWave(
+std::vector<campaign::ExperimentOutcome> AutonomousTool::runWaveAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices) {
-  auto outs = vfit_.runCampaignWave(spec, pool, indices);
+    std::span<const unsigned> indices, unsigned rerun) {
+  auto outs = vfit_.runWaveAt(spec, pool, indices, rerun);
   for (std::size_t i = 0; i < outs.size(); ++i) {
     outs[i] = remeter(std::move(outs[i]),
                       vfit_.planExperiment(spec, pool, indices[i]).commands);
@@ -122,50 +120,11 @@ std::vector<campaign::ExperimentOutcome> AutonomousTool::runCampaignWave(
   return outs;
 }
 
-CampaignResult AutonomousTool::runCampaign(const CampaignSpec& spec) {
-  const std::vector<std::uint32_t> pool = campaignPool(spec);
-  obs::Span campaignSpan{"autonomous.campaign",
-                         {{"model", campaign::toString(spec.model)},
-                          {"targets", campaign::toString(spec.targets)}}};
-  return vfit::foldWaves(spec, [&](std::span<const unsigned> indices) {
-    return runCampaignWave(spec, pool, indices);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// AutonomousCampaignEngine
-// ---------------------------------------------------------------------------
-
-AutonomousCampaignEngine::AutonomousCampaignEngine(const Netlist& netlist,
-                                                   std::uint64_t runCycles,
-                                                   AutonomousOptions options)
-    : tool_(netlist, runCycles, std::move(options)) {}
-
-std::vector<std::uint32_t> AutonomousCampaignEngine::enumeratePool(
-    const CampaignSpec& spec) {
-  return tool_.campaignPool(spec);
-}
-
-campaign::ExperimentOutcome AutonomousCampaignEngine::runExperimentAt(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, unsigned rerun) {
-  // No link model: injections never move bytes, so reruns replay identically.
-  (void)rerun;
-  return tool_.runCampaignExperiment(spec, pool, index);
-}
-
-std::vector<campaign::ExperimentOutcome> AutonomousCampaignEngine::runWaveAt(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices, unsigned /*rerun*/) {
-  return tool_.runCampaignWave(spec, pool, indices);
-}
-
 campaign::EngineFactory autonomousEngineFactory(const Netlist& netlist,
                                                 std::uint64_t runCycles,
                                                 AutonomousOptions options) {
   return [&netlist, runCycles, options] {
-    return std::make_unique<AutonomousCampaignEngine>(netlist, runCycles,
-                                                      options);
+    return std::make_unique<AutonomousTool>(netlist, runCycles, options);
   };
 }
 

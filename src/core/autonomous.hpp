@@ -63,7 +63,11 @@ struct AutonomousOptions {
   bool verifyInstrumentation = true;
 };
 
-class AutonomousTool {
+/// The autonomous-emulation injector, and a campaign::CampaignEngine with
+/// VFIT's wave width: campaigns run through campaign::runCampaign, on this
+/// tool alone or on autonomousEngineFactory's replicas. It keeps the
+/// default synthesizeOutcome, so prune plans are refused.
+class AutonomousTool : public campaign::CampaignEngine {
  public:
   /// `netlist` is the SOURCE model; the constructor builds the autonomous
   /// instrumentation itself (see model()) and the semantic engine over the
@@ -77,27 +81,28 @@ class AutonomousTool {
     return m != campaign::FaultModel::Delay;
   }
 
-  campaign::CampaignResult runCampaign(const campaign::CampaignSpec& spec);
-
+  // --- campaign::CampaignEngine --------------------------------------------
   /// Deterministic target enumeration; identical to VFIT's for the same
   /// spec, so aligned campaigns draw identical faults.
-  std::vector<std::uint32_t> campaignPool(
-      const campaign::CampaignSpec& spec) const;
+  std::vector<std::uint32_t> enumeratePool(
+      const campaign::CampaignSpec& spec) override;
 
   /// Campaign experiment `index` as a pure function of (spec, pool, index):
   /// the VFIT semantic outcome (a wave of one) re-metered under the
-  /// autonomous cost model.
-  campaign::ExperimentOutcome runCampaignExperiment(
+  /// autonomous cost model. Injections never move bytes, so a rerun
+  /// replays identically.
+  campaign::ExperimentOutcome runExperimentAt(
       const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index);
+      unsigned index, unsigned rerun) override;
 
   static constexpr unsigned kWaveExperiments = vfit::VfitTool::kWaveExperiments;
+  unsigned waveWidth() const override { return kWaveExperiments; }
 
-  /// Bit-parallel wave; per-index results are exactly
-  /// runCampaignExperiment's, as for VfitTool.
-  std::vector<campaign::ExperimentOutcome> runCampaignWave(
+  /// Bit-parallel wave; per-index results are exactly runExperimentAt's,
+  /// as for VfitTool.
+  std::vector<campaign::ExperimentOutcome> runWaveAt(
       const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      std::span<const unsigned> indices);
+      std::span<const unsigned> indices, unsigned rerun) override;
   const campaign::Observation& golden() const { return vfit_.golden(); }
 
   /// The instrumented netlist with its exact area overhead (gates/flops
@@ -122,31 +127,6 @@ class AutonomousTool {
   synth::AutonomousModel model_;
   vfit::VfitTool vfit_;  // semantic engine, metered under prefix "autonomous"
   std::uint64_t restoreCycles_ = 1;
-};
-
-/// One worker's replica for the sharded campaign runner; it leases whole
-/// 63-experiment waves. Outcomes are byte-identical at any --jobs.
-class AutonomousCampaignEngine final : public campaign::CampaignEngine {
- public:
-  AutonomousCampaignEngine(const netlist::Netlist& netlist,
-                           std::uint64_t runCycles, AutonomousOptions options);
-
-  std::vector<std::uint32_t> enumeratePool(
-      const campaign::CampaignSpec& spec) override;
-  campaign::ExperimentOutcome runExperimentAt(
-      const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, unsigned rerun) override;
-  unsigned waveWidth() const override {
-    return AutonomousTool::kWaveExperiments;
-  }
-  std::vector<campaign::ExperimentOutcome> runWaveAt(
-      const campaign::CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      std::span<const unsigned> indices, unsigned rerun) override;
-
-  AutonomousTool& tool() { return tool_; }
-
- private:
-  AutonomousTool tool_;
 };
 
 /// Factory for the parallel campaign runner: every worker gets its own

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -20,6 +19,15 @@ using common::Rng;
 using fpga::CbCoord;
 using fpga::CbField;
 using fpga::NodeKind;
+
+namespace {
+
+bool isSegment(const fpga::RoutingNodes& nodes, std::uint32_t node) {
+  const auto k = nodes.info(node).kind;
+  return k == NodeKind::HSeg || k == NodeKind::VSeg;
+}
+
+}  // namespace
 
 FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
                      std::uint64_t runCycles, FadesOptions options)
@@ -93,7 +101,7 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
     golden_.outputs.push_back(outputWord());
     dev_.step();
   }
-  captureFinalStateViaPort(golden_, /*chargeOnly=*/false);
+  captureFinalStateViaPort(golden_);
   port_.resetMeter();
   flushSettles();
 
@@ -104,7 +112,7 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
   port_.setLinkFaults(opt_.linkFaults);
 }
 
-void FadesTool::recoverLink() {
+void FadesTool::recover() {
   // A link fault can abandon a reconfiguration session mid-write, leaving a
   // partially updated configuration plane that no checkpoint restore can
   // repair (checkpoints hold dynamic state, not configuration). Re-download
@@ -127,11 +135,7 @@ std::uint64_t FadesTool::outputWord() const {
   return w;
 }
 
-void FadesTool::captureFinalStateViaPort(Observation& obs, bool chargeOnly) {
-  if (chargeOnly) {
-    port_.chargeCapture(fullStateReadBytes_);
-    return;
-  }
+void FadesTool::captureFinalStateViaPort(Observation& obs) {
   // One batched read-back of the capture plane plus the content plane; the
   // meter charges it as a single capture operation of the combined size.
   obs.finalFlops.clear();
@@ -160,7 +164,8 @@ void FadesTool::captureFinalStateViaPort(Observation& obs, bool chargeOnly) {
   port_.chargeCapture(fullStateReadBytes_);
 }
 
-void FadesTool::chargeExperimentBaseline() {
+void FadesTool::beginExperiment() {
+  port_.resetMeter();
   // Reset to the initial state (Figure 1 "new experiment"): GSR pulse plus
   // re-initialisation of the memory-block contents, which faults and the
   // workload itself may have dirtied (Section 4.1: memory bit-flips persist
@@ -173,21 +178,60 @@ void FadesTool::chargeExperimentBaseline() {
   port_.chargeRead(runCycles_ * 2);
 }
 
-double FadesTool::meterSeconds() const {
-  return opt_.link.seconds(port_.meter());
-}
-
 void FadesTool::flushSettles() {
   ctrSettles_.add(dev_.settles() - settlesFlushed_);
   settlesFlushed_ = dev_.settles();
 }
 
-const fpga::DeviceState& FadesTool::checkpointAtOrBefore(
-    std::uint64_t cycle, std::uint64_t& ckCycle) const {
+void FadesTool::locate(std::uint64_t cycle) {
+  // Host-side replay from the nearest checkpoint (the modeled flow runs the
+  // workload from reset; finishExperiment charges its duration).
   const std::size_t idx = std::min<std::size_t>(
       cycle / opt_.checkpointInterval, checkpoints_.size() - 1);
-  ckCycle = idx * opt_.checkpointInterval;
-  return checkpoints_[idx];
+  dev_.restoreState(checkpoints_[idx]);
+  for (std::uint64_t c = idx * opt_.checkpointInterval; c < cycle; ++c) {
+    dev_.step();
+  }
+}
+
+void FadesTool::stepObserved(std::int64_t& detectCycle) {
+  const std::uint64_t c = dev_.cycle();
+  if (detectCycle < 0 && outputWord() != golden_.outputs[c]) {
+    detectCycle = static_cast<std::int64_t>(c);
+  }
+  dev_.step();
+}
+
+Outcome FadesTool::observeToEnd(std::int64_t& detectCycle) {
+  while (detectCycle < 0 && dev_.cycle() < runCycles_) {
+    stepObserved(detectCycle);
+  }
+  if (detectCycle >= 0) {
+    port_.chargeCapture(fullStateReadBytes_);
+    return Outcome::Failure;
+  }
+  // The outputs matched the golden trace to the end, so the final state
+  // alone separates Latent from Silent.
+  Observation faulty;
+  captureFinalStateViaPort(faulty);
+  return faulty.finalFlops == golden_.finalFlops &&
+                 faulty.finalMemory == golden_.finalMemory
+             ? Outcome::Silent
+             : Outcome::Latent;
+}
+
+double FadesTool::finishExperiment(Outcome outcome) {
+  const double seconds = opt_.link.seconds(port_.meter()) +
+                         static_cast<double>(runCycles_) / opt_.fpgaClockHz +
+                         opt_.hostPerExperimentSeconds;
+  modeledSecondsHist_.observe(seconds);
+  switch (outcome) {
+    case Outcome::Failure: ctrFailures_.inc(); break;
+    case Outcome::Latent: ctrLatents_.inc(); break;
+    case Outcome::Silent: ctrSilents_.inc(); break;
+  }
+  flushSettles();
+  return seconds;
 }
 
 // ---------------------------------------------------------------------------
@@ -286,8 +330,66 @@ Unit FadesTool::targetUnit(TargetClass cls, std::uint32_t target) const {
 // Injection mechanisms (Section 4 / Table 1)
 // ---------------------------------------------------------------------------
 
-void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
-  const auto& layout = dev_.layout();
+void FadesTool::flipViaGsr(std::span<const std::uint32_t> targets) {
+  std::map<unsigned, std::vector<std::uint8_t>> capture;
+  for (unsigned col : usedCaptureCols_) {
+    capture[col] = port_.readCaptureFrame(col);
+  }
+  std::vector<std::pair<std::size_t, bool>> setBits, restoreBits;
+  for (std::uint32_t i = 0; i < impl_.flops.size(); ++i) {
+    const auto& site = impl_.flops[i];
+    const auto& bytes = capture[site.cb.x];
+    bool state = (bytes[site.cb.y >> 3] >> (site.cb.y & 7)) & 1u;
+    for (const std::uint32_t t : targets) {
+      if (t == i) state = !state;
+    }
+    const std::size_t bit = dev_.layout().cbFieldBit(site.cb, CbField::SrMode);
+    setBits.emplace_back(bit, state);
+    restoreBits.emplace_back(bit, site.init);
+  }
+  port_.setLogicBits(setBits);
+  port_.pulseGsr();
+  port_.setLogicBitsBlind(restoreBits);
+  dev_.settle();
+}
+
+std::vector<std::pair<std::size_t, std::uint32_t>> FadesTool::detour(
+    std::uint32_t from, std::uint32_t to, std::size_t forbiddenBit,
+    const std::unordered_set<std::uint32_t>& avoid) const {
+  const auto& nodes = dev_.nodes();
+  std::map<std::uint32_t, std::pair<std::uint32_t, std::size_t>> prev;
+  std::vector<std::uint32_t> queue{from};
+  prev[from] = {from, 0};
+  bool found = false;
+  for (std::size_t h = 0; h < queue.size() && !found; ++h) {
+    const std::uint32_t n = queue[h];
+    synth::forEachNeighbor(
+        dev_.layout(), nodes, n, [&](std::uint32_t nb, std::size_t bit) {
+          if (found || bit == forbiddenBit || prev.count(nb)) return;
+          if (nb == to) {
+            prev[nb] = {n, bit};
+            found = true;
+            return;
+          }
+          if (!isSegment(nodes, nb) || usedNodes_.count(nb) ||
+              avoid.count(nb) || queue.size() > 6000) {
+            return;
+          }
+          prev[nb] = {n, bit};
+          queue.push_back(nb);
+        });
+  }
+  std::vector<std::pair<std::size_t, std::uint32_t>> path;
+  if (!found) return path;
+  for (std::uint32_t n = to; n != from;) {
+    const auto [p, bit] = prev[n];
+    path.emplace_back(bit, n);
+    n = p;
+  }
+  return path;
+}
+
+void FadesTool::inject(ActiveFault& fault, Rng& rng) {
   switch (fault.model) {
     case FaultModel::BitFlip: {
       if (fault.cls == TargetClass::SequentialFF) {
@@ -308,29 +410,9 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
               {CbField::SrMode, impl_.flops[fault.target].init}};
           port_.updateCbFieldsBlind(fault.cb, clr);
         } else {
-          // GSR path: read back ALL flip-flop states, configure every FF's
-          // set/reset mux to reproduce its state (target inverted), pulse
-          // the global line, then restore the mux selections. This is the
-          // high-traffic approach the paper advises against.
-          std::map<unsigned, std::vector<std::uint8_t>> capture;
-          for (unsigned col : usedCaptureCols_) {
-            capture[col] = port_.readCaptureFrame(col);
-          }
-          std::vector<std::pair<std::size_t, bool>> setBits, restoreBits;
-          for (std::uint32_t i = 0; i < impl_.flops.size(); ++i) {
-            const auto& site = impl_.flops[i];
-            const auto& bytes = capture[site.cb.x];
-            bool state = (bytes[site.cb.y >> 3] >> (site.cb.y & 7)) & 1u;
-            if (i == fault.target) state = !state;
-            setBits.emplace_back(layout.cbFieldBit(site.cb, CbField::SrMode),
-                                 state);
-            restoreBits.emplace_back(
-                layout.cbFieldBit(site.cb, CbField::SrMode), site.init);
-          }
-          port_.setLogicBits(setBits);
-          port_.pulseGsr();
-          port_.setLogicBitsBlind(restoreBits);
-          dev_.settle();
+          // GSR path: the high-traffic approach the paper advises against.
+          const std::uint32_t target[] = {fault.target};
+          flipViaGsr(target);
         }
         fault.needsRemoval = false;  // bit-flips persist until rewritten
       } else {
@@ -367,64 +449,18 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         dev_.settle();
         fault.needsRemoval = true;
       }
-      (void)durationCycles;
       break;
     }
     case FaultModel::Delay: {
       const auto& route = impl_.routes[fault.target];
       const auto& nodes = dev_.nodes();
+      const auto& layout = dev_.layout();
       std::vector<std::pair<std::size_t, bool>> changes;  // (bit, newValue)
-
-      auto trySegment = [&](std::uint32_t node) {
-        const auto k = nodes.info(node).kind;
-        return k == NodeKind::HSeg || k == NodeKind::VSeg;
-      };
 
       if (opt_.delayVia == DelayVia::ShiftRegister) {
         // Figure 7: break the line at its driver and re-route it through an
         // unused CB whose flip-flop acts as a shift-register stage - the
         // signal arrives whole clock cycles late while the fault is active.
-        auto bfsTo = [&](std::uint32_t from, std::uint32_t to,
-                         std::size_t forbiddenBit,
-                         const std::set<std::uint32_t>& avoid)
-            -> std::pair<std::vector<std::size_t>,
-                         std::vector<std::uint32_t>> {
-          std::map<std::uint32_t, std::pair<std::uint32_t, std::size_t>> prev;
-          std::vector<std::uint32_t> queue{from};
-          prev[from] = {from, 0};
-          bool found = false;
-          for (std::size_t h = 0; h < queue.size() && !found; ++h) {
-            const std::uint32_t n = queue[h];
-            synth::forEachNeighbor(
-                dev_.layout(), nodes, n,
-                [&](std::uint32_t nb, std::size_t bit) {
-                  if (found || bit == forbiddenBit || prev.count(nb)) return;
-                  if (nb == to) {
-                    prev[nb] = {n, bit};
-                    found = true;
-                    return;
-                  }
-                  if (!trySegment(nb) || usedNodes_.count(nb) ||
-                      avoid.count(nb) || queue.size() > 6000) {
-                    return;
-                  }
-                  prev[nb] = {n, bit};
-                  queue.push_back(nb);
-                });
-          }
-          std::vector<std::size_t> bits;
-          std::vector<std::uint32_t> pathNodes;
-          if (!found) return {bits, pathNodes};
-          std::uint32_t n = to;
-          while (n != from) {
-            const auto [p, bit] = prev[n];
-            bits.push_back(bit);
-            pathNodes.push_back(n);
-            n = p;
-          }
-          return {bits, pathNodes};
-        };
-
         // The source pin must hang off the tree through exactly one edge.
         std::size_t srcEdge = route.edgeNodes.size();
         unsigned srcEdgeCount = 0;
@@ -443,7 +479,6 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
           // Find a fully unused CB near the first segment.
           double sx, sy;
           nodes.position(s0, sx, sy);
-          const auto& layout = dev_.layout();
           fpga::CbCoord spare{};
           bool haveSpare = false;
           for (int radius = 1; radius <= 6 && !haveSpare; ++radius) {
@@ -469,17 +504,14 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
           if (haveSpare) {
             const auto bypPin = nodes.cbIn(spare, fpga::CbInPin::Byp);
             const auto ffPin = nodes.cbOut(spare, fpga::CbOutPin::Ff);
-            const auto [leg1, leg1Nodes] =
-                bfsTo(route.sourceNode, bypPin, directBit, {});
-            std::set<std::uint32_t> avoid(leg1Nodes.begin(),
-                                          leg1Nodes.end());
-            const auto [leg2, leg2Nodes] =
-                bfsTo(ffPin, s0, directBit, avoid);
-            (void)leg2Nodes;
+            const auto leg1 = detour(route.sourceNode, bypPin, directBit, {});
+            std::unordered_set<std::uint32_t> avoid;
+            for (const auto& [bit, n] : leg1) avoid.insert(n);
+            const auto leg2 = detour(ffPin, s0, directBit, avoid);
             if (!leg1.empty() && !leg2.empty()) {
               changes.emplace_back(directBit, false);
-              for (auto bit : leg1) changes.emplace_back(bit, true);
-              for (auto bit : leg2) changes.emplace_back(bit, true);
+              for (const auto& [bit, n] : leg1) changes.emplace_back(bit, true);
+              for (const auto& [bit, n] : leg2) changes.emplace_back(bit, true);
               changes.emplace_back(layout.cbFieldBit(spare, CbField::FfUsed),
                                    true);
               changes.emplace_back(
@@ -493,46 +525,6 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         // detour passes through a random via waypoint several tiles away,
         // so the added wire length - and therefore the injected delay -
         // varies from fault to fault, like a physical delay distribution.
-        auto bfs = [&](std::uint32_t from, std::uint32_t to,
-                       std::size_t forbiddenBit,
-                       const std::map<std::uint32_t, bool>& avoid)
-            -> std::vector<std::pair<std::size_t, std::uint32_t>> {
-          // Returns (transistorBit, node) hops from `from` to `to`.
-          std::map<std::uint32_t, std::pair<std::uint32_t, std::size_t>> prev;
-          std::vector<std::uint32_t> queue{from};
-          prev[from] = {from, 0};
-          bool found = false;
-          for (std::size_t h = 0; h < queue.size() && !found; ++h) {
-            const std::uint32_t n = queue[h];
-            synth::forEachNeighbor(
-                dev_.layout(), nodes, n,
-                [&](std::uint32_t nb, std::size_t bit) {
-                  if (found || bit == forbiddenBit) return;
-                  if (prev.count(nb)) return;
-                  if (nb == to) {
-                    prev[nb] = {n, bit};
-                    found = true;
-                    return;
-                  }
-                  if (!trySegment(nb) || usedNodes_.count(nb) ||
-                      avoid.count(nb) || queue.size() > 6000) {
-                    return;
-                  }
-                  prev[nb] = {n, bit};
-                  queue.push_back(nb);
-                });
-          }
-          std::vector<std::pair<std::size_t, std::uint32_t>> path;
-          if (!found) return path;
-          std::uint32_t n = to;
-          while (n != from) {
-            const auto [p, bit] = prev[n];
-            path.emplace_back(bit, n);
-            n = p;
-          }
-          return path;
-        };
-
         std::vector<std::size_t> edgeOrder(route.edgeNodes.size());
         for (std::size_t i = 0; i < edgeOrder.size(); ++i) edgeOrder[i] = i;
         for (std::size_t i = edgeOrder.size(); i > 1; --i) {
@@ -540,7 +532,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
         }
         for (std::size_t ei : edgeOrder) {
           const auto [a, b] = route.edgeNodes[ei];
-          if (!trySegment(a) || !trySegment(b)) continue;
+          if (!isSegment(nodes, a) || !isSegment(nodes, b)) continue;
           const std::size_t directBit = route.transistorBits[ei];
 
           double ax, ay;
@@ -563,12 +555,12 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
                                         static_cast<unsigned>(vy), t);
             if (usedNodes_.count(via) || via == a || via == b) continue;
 
-            const auto leg1 = bfs(a, via, directBit, {});
+            const auto leg1 = detour(a, via, directBit, {});
             if (leg1.empty()) continue;
-            std::map<std::uint32_t, bool> avoid;
-            for (const auto& [bit, n] : leg1) avoid[n] = true;
+            std::unordered_set<std::uint32_t> avoid;
+            for (const auto& [bit, n] : leg1) avoid.insert(n);
             avoid.erase(via);
-            const auto leg2 = bfs(via, b, directBit, avoid);
+            const auto leg2 = detour(via, b, directBit, avoid);
             if (leg2.empty()) continue;
 
             changes.emplace_back(directBit, false);
@@ -590,7 +582,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng, double durationCycles) {
           bool done = false;
           synth::forEachNeighbor(dev_.layout(), nodes, w,
                                  [&](std::uint32_t nb, std::size_t bit) {
-                                   if (done || !trySegment(nb)) return;
+                                   if (done || !isSegment(nodes, nb)) return;
                                    if (usedNodes_.count(nb)) return;
                                    if (dev_.logicBit(bit)) return;
                                    changes.emplace_back(bit, true);
@@ -737,16 +729,10 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
             "fault-free design misses timing; increase clockPeriodNs");
   }
 
-  port_.resetMeter();
-  chargeExperimentBaseline();
-
+  beginExperiment();
   {
-    // Host-side replay from the nearest checkpoint (the modeled flow runs the
-    // workload from reset; its duration is charged via fpgaClockHz below).
     obs::Span locateSpan{"locate", {{"target", std::to_string(target)}}};
-    std::uint64_t ckCycle = 0;
-    dev_.restoreState(checkpointAtOrBefore(injectCycle, ckCycle));
-    for (std::uint64_t c = ckCycle; c < injectCycle; ++c) dev_.step();
+    locate(injectCycle);
   }
 
   // Sub-cycle faults overlap a sampling edge with probability = duration.
@@ -757,22 +743,6 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
     effectiveCycles = static_cast<std::uint64_t>(durationCycles + 0.5);
   }
 
-  Observation faulty;
-  faulty.outputs.assign(
-      golden_.outputs.begin(),
-      golden_.outputs.begin() + static_cast<std::ptrdiff_t>(injectCycle));
-  bool diverged = false;
-  std::int64_t detectCycle = -1;
-  auto stepObserved = [&] {
-    const std::uint64_t w = outputWord();
-    if (!diverged && w != golden_.outputs[faulty.outputs.size()]) {
-      diverged = true;
-      detectCycle = static_cast<std::int64_t>(faulty.outputs.size());
-    }
-    faulty.outputs.push_back(w);
-    dev_.step();
-  };
-
   ActiveFault fault;
   fault.model = model;
   fault.cls = cls;
@@ -780,9 +750,10 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
   fault.subCycle = durationCycles < 1.0;
   {
     obs::Span injectSpan{"inject", {{"model", campaign::toString(model)}}};
-    inject(fault, rng, durationCycles);
+    inject(fault, rng);
   }
 
+  std::int64_t detectCycle = -1;
   if (model == FaultModel::BitFlip) {
     // Transient in cause, persistent in effect: nothing to remove.
   } else if (effectiveCycles == 0) {
@@ -797,7 +768,7 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
       for (std::uint64_t k = 0;
            k < effectiveCycles && dev_.cycle() < runCycles_; ++k) {
         if (k > 0 && opt_.oscillatingIndetermination) oscillate(fault, rng);
-        stepObserved();
+        stepObserved(detectCycle);
       }
     }
     obs::Span removeSpan{"remove"};
@@ -806,46 +777,27 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
 
   Outcome outcome;
   {
-    // Observe to the end of the workload; once the trace has diverged the
-    // outcome is already Failure and the remaining observation is charged
-    // without being executed.
     obs::Span observeSpan{"observe"};
-    while (!diverged && dev_.cycle() < runCycles_) stepObserved();
-
-    if (diverged) {
-      captureFinalStateViaPort(faulty, /*chargeOnly=*/true);
-      outcome = Outcome::Failure;
-    } else {
-      faulty.outputs.resize(runCycles_);
-      captureFinalStateViaPort(faulty, /*chargeOnly=*/false);
-      outcome = campaign::classify(golden_, faulty);
-    }
+    outcome = observeToEnd(detectCycle);
   }
-
-  const double seconds = meterSeconds() +
-                         static_cast<double>(runCycles_) / opt_.fpgaClockHz +
-                         opt_.hostPerExperimentSeconds;
-  modeledSecondsHist_.observe(seconds);
-  switch (outcome) {
-    case Outcome::Failure: ctrFailures_.inc(); break;
-    case Outcome::Latent: ctrLatents_.inc(); break;
-    case Outcome::Silent: ctrSilents_.inc(); break;
-  }
-  flushSettles();
+  const double seconds = finishExperiment(outcome);
   if (modeledSeconds != nullptr) *modeledSeconds = seconds;
   if (meterOut != nullptr) *meterOut = port_.meter();
   if (detectCycleOut != nullptr) *detectCycleOut = detectCycle;
   return outcome;
 }
 
-std::vector<std::uint32_t> FadesTool::campaignPool(
-    const CampaignSpec& spec) const {
+// ---------------------------------------------------------------------------
+// campaign::CampaignEngine
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint32_t> FadesTool::enumeratePool(const CampaignSpec& spec) {
   return spec.targetPool.empty()
              ? targets(spec.model, spec.targets, static_cast<Unit>(spec.unit))
              : spec.targetPool;
 }
 
-campaign::ExperimentOutcome FadesTool::runCampaignExperiment(
+campaign::ExperimentOutcome FadesTool::runExperimentAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
     unsigned index, unsigned rerun) {
   // The link fault stream is keyed by (campaign seed, index, rerun) with a
@@ -911,7 +863,7 @@ campaign::ExperimentOutcome FadesTool::runCampaignExperiment(
   }
 }
 
-campaign::ExperimentOutcome FadesTool::synthesizeCampaignExperiment(
+campaign::ExperimentOutcome FadesTool::synthesizeOutcome(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
     unsigned index, const campaign::ExperimentOutcome& representative) {
   // Replay attempt 0 of this experiment's own stream for the planned
@@ -951,91 +903,39 @@ campaign::ExperimentOutcome FadesTool::synthesizeCampaignExperiment(
   return out;
 }
 
-CampaignResult FadesTool::runCampaign(const CampaignSpec& spec) {
-  CampaignResult result;
-  result.spec = spec;
-  obs::Span campaignSpan{"campaign",
-                         {{"model", campaign::toString(spec.model)},
-                          {"targets", campaign::toString(spec.targets)}}};
-  const auto pool = campaignPool(spec);
-  campaign::ProgressTracker progress(campaign::toString(spec.model),
-                                     spec.experiments, opt_.progressInterval);
-  // Same isolate/retry/quarantine discipline as the sharded runner: a
-  // transient error re-runs the experiment (fresh link fault stream via
-  // `rerun`) after link recovery; exhausting the budget quarantines that
-  // one experiment instead of discarding the whole campaign.
-  const unsigned attempts = std::max(1u, opt_.experimentAttempts);
-  obs::Counter& cQuarantined =
-      obs::Registry::global().counter("campaign.quarantined");
-  for (unsigned e = 0; e < spec.experiments; ++e) {
-    campaign::ExperimentOutcome outcome;
-    for (unsigned rerun = 0;; ++rerun) {
-      try {
-        outcome = runCampaignExperiment(spec, pool, e, rerun);
-        outcome.attempts = rerun + 1;
-        break;
-      } catch (const common::FadesError& err) {
-        if (!common::isTransientError(err.kind())) throw;
-        recoverLink();
-        if (rerun + 1 >= attempts) {
-          outcome = campaign::ExperimentOutcome{};
-          outcome.index = e;
-          outcome.quarantined = true;
-          outcome.failureKind = err.kind();
-          outcome.failureMessage = err.what();
-          outcome.attempts = rerun + 1;
-          cQuarantined.inc();
-          break;
-        }
-      }
-    }
-    result.fold(outcome);
-    progress.record(outcome);
-  }
-  return result;
-}
+namespace {
 
-// ---------------------------------------------------------------------------
-// Sharded-campaign engine adapter
-// ---------------------------------------------------------------------------
+// Ahead of FadesTool in FadesReplica's bases, so the device is built before
+// the tool configures it.
+struct OwnedDevice {
+  explicit OwnedDevice(const fpga::DeviceSpec& spec) : ownedDevice(spec) {}
+  fpga::Device ownedDevice;
+};
 
-FadesCampaignEngine::FadesCampaignEngine(const synth::Implementation& impl,
-                                         std::uint64_t runCycles,
-                                         FadesOptions options,
-                                         const fpga::DeviceSpec& deviceSpec)
-    : device_(deviceSpec),
-      tool_(std::make_unique<FadesTool>(device_, impl, runCycles,
-                                        std::move(options))) {}
+/// One worker's FADES replica: a FadesTool over a private device.
+class FadesReplica final : private OwnedDevice, public FadesTool {
+ public:
+  FadesReplica(const synth::Implementation& impl, std::uint64_t runCycles,
+               FadesOptions options, const fpga::DeviceSpec& deviceSpec)
+      : OwnedDevice(deviceSpec),
+        FadesTool(ownedDevice, impl, runCycles, std::move(options)) {}
+};
 
-std::vector<std::uint32_t> FadesCampaignEngine::enumeratePool(
-    const CampaignSpec& spec) {
-  return tool_->campaignPool(spec);
-}
-
-campaign::ExperimentOutcome FadesCampaignEngine::runExperimentAt(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, unsigned rerun) {
-  return tool_->runCampaignExperiment(spec, pool, index, rerun);
-}
-
-campaign::ExperimentOutcome FadesCampaignEngine::synthesizeOutcome(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, const campaign::ExperimentOutcome& representative) {
-  return tool_->synthesizeCampaignExperiment(spec, pool, index,
-                                             representative);
-}
-
-void FadesCampaignEngine::recover() { tool_->recoverLink(); }
+}  // namespace
 
 campaign::EngineFactory fadesEngineFactory(
     const synth::Implementation& impl, std::uint64_t runCycles,
     FadesOptions options, std::optional<fpga::DeviceSpec> deviceSpec) {
   return [&impl, runCycles, options = std::move(options),
           deviceSpec = std::move(deviceSpec)] {
-    return std::make_unique<FadesCampaignEngine>(
+    return std::make_unique<FadesReplica>(
         impl, runCycles, options, deviceSpec ? *deviceSpec : impl.spec);
   };
 }
+
+// ---------------------------------------------------------------------------
+// Multiple bit-flips (extension)
+// ---------------------------------------------------------------------------
 
 Outcome FadesTool::runMultipleBitFlipExperiment(
     std::span<const std::uint32_t> flopTargets, std::uint64_t injectCycle,
@@ -1045,69 +945,13 @@ Outcome FadesTool::runMultipleBitFlipExperiment(
   require(injectCycle < runCycles_, ErrorKind::InvalidArgument,
           "injection instant beyond workload");
 
-  port_.resetMeter();
-  chargeExperimentBaseline();
-  std::uint64_t ckCycle = 0;
-  dev_.restoreState(checkpointAtOrBefore(injectCycle, ckCycle));
-  for (std::uint64_t c = ckCycle; c < injectCycle; ++c) dev_.step();
-
-  // GSR-based multiple flip: read back all FF states, program every FF's
-  // set/reset mux with its current value - the targets inverted - and pulse
-  // the global line once.
+  beginExperiment();
+  locate(injectCycle);
   port_.beginSession();
-  std::map<unsigned, std::vector<std::uint8_t>> capture;
-  for (unsigned col : usedCaptureCols_) {
-    capture[col] = port_.readCaptureFrame(col);
-  }
-  std::vector<std::pair<std::size_t, bool>> setBits, restoreBits;
-  for (std::uint32_t i = 0; i < impl_.flops.size(); ++i) {
-    const auto& site = impl_.flops[i];
-    const auto& bytes = capture[site.cb.x];
-    bool state = (bytes[site.cb.y >> 3] >> (site.cb.y & 7)) & 1u;
-    for (auto t : flopTargets) {
-      if (t == i) state = !state;
-    }
-    setBits.emplace_back(dev_.layout().cbFieldBit(site.cb, CbField::SrMode),
-                         state);
-    restoreBits.emplace_back(
-        dev_.layout().cbFieldBit(site.cb, CbField::SrMode), site.init);
-  }
-  port_.setLogicBits(setBits);
-  port_.pulseGsr();
-  port_.setLogicBitsBlind(restoreBits);
-  dev_.settle();
-
-  Observation faulty;
-  faulty.outputs.assign(
-      golden_.outputs.begin(),
-      golden_.outputs.begin() + static_cast<std::ptrdiff_t>(injectCycle));
-  bool diverged = false;
-  while (!diverged && dev_.cycle() < runCycles_) {
-    const std::uint64_t w = outputWord();
-    diverged |= (w != golden_.outputs[faulty.outputs.size()]);
-    faulty.outputs.push_back(w);
-    dev_.step();
-  }
-
-  Outcome outcome;
-  if (diverged) {
-    captureFinalStateViaPort(faulty, /*chargeOnly=*/true);
-    outcome = Outcome::Failure;
-  } else {
-    faulty.outputs.resize(runCycles_);
-    captureFinalStateViaPort(faulty, /*chargeOnly=*/false);
-    outcome = campaign::classify(golden_, faulty);
-  }
-  const double seconds = meterSeconds() +
-                         static_cast<double>(runCycles_) / opt_.fpgaClockHz +
-                         opt_.hostPerExperimentSeconds;
-  modeledSecondsHist_.observe(seconds);
-  switch (outcome) {
-    case Outcome::Failure: ctrFailures_.inc(); break;
-    case Outcome::Latent: ctrLatents_.inc(); break;
-    case Outcome::Silent: ctrSilents_.inc(); break;
-  }
-  flushSettles();
+  flipViaGsr(flopTargets);
+  std::int64_t detectCycle = -1;
+  const Outcome outcome = observeToEnd(detectCycle);
+  const double seconds = finishExperiment(outcome);
   if (modeledSeconds != nullptr) *modeledSeconds = seconds;
   return outcome;
 }
@@ -1117,10 +961,9 @@ Outcome FadesTool::runMultipleBitFlipExperiment(
 // ---------------------------------------------------------------------------
 
 std::vector<RegisterEffect> FadesTool::multiBitFlipProbe(
-    std::uint32_t lutIndex, std::uint64_t cycle, Rng& rng) {
+    std::uint32_t lutIndex, std::uint64_t cycle) {
   require(lutIndex < impl_.luts.size(), ErrorKind::InvalidArgument,
           "lut index out of range");
-  (void)rng;
 
   auto registerValues = [&] {
     // Group flip-flop states into registers by HDL name ("acc[3]" -> acc).
@@ -1139,9 +982,7 @@ std::vector<RegisterEffect> FadesTool::multiBitFlipProbe(
   };
 
   // Golden next-state.
-  std::uint64_t ckCycle = 0;
-  dev_.restoreState(checkpointAtOrBefore(cycle, ckCycle));
-  for (std::uint64_t c = ckCycle; c < cycle; ++c) dev_.step();
+  locate(cycle);
   const fpga::DeviceState atCycle = dev_.captureState();
   dev_.step();
   const auto goldenRegs = registerValues();
@@ -1156,6 +997,7 @@ std::vector<RegisterEffect> FadesTool::multiBitFlipProbe(
   const auto faultyRegs = registerValues();
   port_.setLutTable(cb, original);
   dev_.settle();
+  flushSettles();
 
   std::vector<RegisterEffect> out;
   for (const auto& [name, gv] : goldenRegs) {

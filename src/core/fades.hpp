@@ -36,7 +36,6 @@
 
 namespace fades::core {
 
-using campaign::CampaignResult;
 using campaign::CampaignSpec;
 using campaign::FaultModel;
 using campaign::Observation;
@@ -75,9 +74,6 @@ struct FadesOptions {
   std::vector<std::string> observedOutputs{"p0", "p1"};
   unsigned checkpointInterval = 128;
   bool keepRecords = false;
-  /// Campaign progress heartbeat (structured INFO log + campaign.progress_pct
-  /// gauge) every N experiments; 0 disables it.
-  unsigned progressInterval = 100;
   /// Deterministic unreliable-link emulation: every metered transfer after
   /// setup can hit a readback CRC mismatch, transient write failure or
   /// timeout, and is retried per `linkRetry`. The fault stream is seeded
@@ -86,11 +82,6 @@ struct FadesOptions {
   /// so outcomes and artifacts stay bit-identical to a fault-free run.
   bits::LinkFaultOptions linkFaults{};
   bits::RetryPolicy linkRetry{};
-  /// Runs one experiment gets in the serial runCampaign loop before a
-  /// persistent transient error (LinkError / InjectionError) quarantines it
-  /// instead of aborting the campaign. The sharded runner has its own
-  /// campaign::ParallelOptions::experimentAttempts.
-  unsigned experimentAttempts = 3;
   /// Golden-run instruction trace for root-cause attribution: entry c is the
   /// PC/opcode of the instruction in flight at cycle c (from, e.g.,
   /// mc8051::Iss::tracePcPerCycle). When set and keepRecords is on, every
@@ -108,7 +99,13 @@ struct RegisterEffect {
   std::uint64_t faulty = 0;
 };
 
-class FadesTool {
+/// The RTR injector over one device, and a campaign::CampaignEngine:
+/// campaigns run through campaign::runCampaign, on this tool alone or on
+/// the replicas fadesEngineFactory builds. Every experiment kind -
+/// campaign, multiple bit-flip, permanent fault, Table 4 probe - locates
+/// its instant through one checkpoint replay, and the first three share
+/// one observe/classify tail and one finish step.
+class FadesTool : public campaign::CampaignEngine {
  public:
   /// Configures the device with the implementation's bitstream (the one-time
   /// download of Figure 1) and records the golden run.
@@ -128,12 +125,11 @@ class FadesTool {
   /// annotations (rtl::Builder unit tags survive synthesis onto every site).
   Unit targetUnit(TargetClass cls, std::uint32_t target) const;
 
-  CampaignResult runCampaign(const CampaignSpec& spec);
-
+  // --- campaign::CampaignEngine --------------------------------------------
   /// The spec's target pool: its explicit pool when set, otherwise the full
   /// enumeration. Deterministic per implementation, so every device replica
   /// of a sharded campaign sees the same pool.
-  std::vector<std::uint32_t> campaignPool(const CampaignSpec& spec) const;
+  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
 
   /// Run campaign experiment `index` of `spec` against `pool`. A pure
   /// function of (spec, pool, index, rerun): the experiment's random stream
@@ -141,11 +137,10 @@ class FadesTool {
   /// fault sites redraw from per-attempt streams. `rerun` counts
   /// experiment-level retries after transient errors; it only reseeds the
   /// link fault stream, so a retried experiment faces fresh link faults but
-  /// computes the identical result. Both the serial runCampaign loop and
-  /// the sharded runner execute experiments through this one path.
-  campaign::ExperimentOutcome runCampaignExperiment(
+  /// computes the identical result.
+  campaign::ExperimentOutcome runExperimentAt(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, unsigned rerun = 0);
+      unsigned index, unsigned rerun) override;
 
   /// Materialize the outcome of experiment `index` from its fades.prune/1
   /// class representative without touching the device: replays the
@@ -153,15 +148,16 @@ class FadesTool {
   /// duration) and clones the measured fields (outcome, costs, detect
   /// cycle) from `representative`. Only valid for experiments a PrunePlan
   /// proved equivalent to the representative.
-  campaign::ExperimentOutcome synthesizeCampaignExperiment(
+  campaign::ExperimentOutcome synthesizeOutcome(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, const campaign::ExperimentOutcome& representative);
+      unsigned index,
+      const campaign::ExperimentOutcome& representative) override;
 
   /// Recover from a link failure that may have abandoned a reconfiguration
   /// session mid-write: re-download the full configuration file on a quiet
   /// link (fault model suspended, meter reset afterwards), the way a real
   /// host re-initializes a flaky board.
-  void recoverLink();
+  void recover() override;
 
   /// `detectCycleOut`, when non-null, receives the first cycle whose
   /// observed outputs diverge from the golden run (-1 if they never do) -
@@ -177,8 +173,7 @@ class FadesTool {
   /// every architectural register whose value diverges from the golden run
   /// on the next clock edge.
   std::vector<RegisterEffect> multiBitFlipProbe(std::uint32_t lutIndex,
-                                                std::uint64_t cycle,
-                                                common::Rng& rng);
+                                                std::uint64_t cycle);
 
   /// Extension (paper Section 8, "the occurrence of multiple bit-flips"):
   /// flip `multiplicity` distinct flip-flops simultaneously. The natural
@@ -217,18 +212,44 @@ class FadesTool {
     bool subCycle = false;
   };
 
-  void inject(ActiveFault& fault, common::Rng& rng, double durationCycles);
+  void inject(ActiveFault& fault, common::Rng& rng);
   void remove(ActiveFault& fault);
   void oscillate(ActiveFault& fault, common::Rng& rng);
+  /// GSR path (Section 4.1): read back every flip-flop, program each one's
+  /// set/reset mux with its current state - `targets` inverted - pulse the
+  /// global line once and put the mux selections back. One pass covers any
+  /// number of targets.
+  void flipViaGsr(std::span<const std::uint32_t> targets);
+  /// Breadth-first detour through unused wire segments from `from` to `to`,
+  /// never closing `forbiddenBit` nor entering `avoid`: the (transistor bit,
+  /// node) hops walked back from `to`, or nothing when the search (capped
+  /// at 6000 queued nodes) finds no path.
+  std::vector<std::pair<std::size_t, std::uint32_t>> detour(
+      std::uint32_t from, std::uint32_t to, std::size_t forbiddenBit,
+      const std::unordered_set<std::uint32_t>& avoid) const;
+
+  // The experiment flow of Figure 1, shared by every experiment kind.
+  /// New experiment: reset the meter and charge the reset to the initial
+  /// state plus the output-trace upload.
+  void beginExperiment();
+  /// Put the device at `cycle` of the fault-free run: restore the nearest
+  /// checkpoint at or before it and replay the rest.
+  void locate(std::uint64_t cycle);
+  /// One observed clock cycle: records the first cycle whose outputs leave
+  /// the golden trace in `detectCycle` (-1 until then).
+  void stepObserved(std::int64_t& detectCycle);
+  /// Observe to the end of the workload and classify. Once the trace has
+  /// diverged the outcome is Failure, and the rest of the run and the final
+  /// state read-back are charged without being executed.
+  Outcome observeToEnd(std::int64_t& detectCycle);
+  /// Close an experiment: its modeled seconds (the meter since
+  /// beginExperiment, the workload at the FPGA clock and the host's share),
+  /// the outcome counters and fpga.settles.
+  double finishExperiment(Outcome outcome);
 
   std::uint64_t outputWord() const;
-  void captureFinalStateViaPort(Observation& obs, bool chargeOnly);
-  void chargeExperimentBaseline();
-  double meterSeconds() const;
+  void captureFinalStateViaPort(Observation& obs);
   void flushSettles();
-
-  const fpga::DeviceState& checkpointAtOrBefore(std::uint64_t cycle,
-                                                std::uint64_t& ckCycle) const;
 
   fpga::Device& dev_;
   const synth::Implementation& impl_;
@@ -255,43 +276,18 @@ class FadesTool {
   obs::Counter& ctrSilents_;
   obs::Histogram& modeledSecondsHist_;
   // fpga.settles mirror of dev_.settles(), flushed as a delta after the
-  // golden run and after each runExperiment / MBU experiment.
+  // golden run and at the end of every experiment and probe.
   obs::Counter& ctrSettles_;
   std::uint64_t settlesFlushed_ = 0;
 };
 
-/// One worker's FADES replica for sharded campaigns: a private simulated
-/// device configured from the shared (immutable) implementation, plus the
-/// tool driving it. Each replica pays the one-time setup - bitstream
-/// download and golden run - in its own thread.
-class FadesCampaignEngine final : public campaign::CampaignEngine {
- public:
-  FadesCampaignEngine(const synth::Implementation& impl,
-                      std::uint64_t runCycles, FadesOptions options,
-                      const fpga::DeviceSpec& deviceSpec);
-
-  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
-  campaign::ExperimentOutcome runExperimentAt(
-      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, unsigned rerun) override;
-  campaign::ExperimentOutcome synthesizeOutcome(
-      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, const campaign::ExperimentOutcome& representative)
-      override;
-  void recover() override;
-
-  FadesTool& tool() { return *tool_; }
-
- private:
-  fpga::Device device_;
-  std::unique_ptr<FadesTool> tool_;
-};
-
 /// Engine factory for campaign::ParallelCampaignRunner: every call builds a
-/// fresh Device + FadesTool replica. `impl` is captured by reference and
-/// must outlive the runner. `deviceSpec` overrides the implementation's
-/// device spec (e.g. a delay-calibrated clock period); pass nothing to use
-/// impl.spec.
+/// FadesTool that owns a fresh Device, configured from the shared
+/// (immutable) implementation; each replica pays the one-time setup -
+/// bitstream download and golden run - in its own thread. `impl` is
+/// captured by reference and must outlive the runner. `deviceSpec`
+/// overrides the implementation's device spec (e.g. a delay-calibrated
+/// clock period); pass nothing to use impl.spec.
 campaign::EngineFactory fadesEngineFactory(
     const synth::Implementation& impl, std::uint64_t runCycles,
     FadesOptions options, std::optional<fpga::DeviceSpec> deviceSpec = {});

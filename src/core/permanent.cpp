@@ -58,9 +58,8 @@ Outcome PermanentFaults::runExperiment(PermanentFaultModel model,
   auto& port = tool_.port_;
   const auto& impl = tool_.implementation();
 
-  port.resetMeter();
-  tool_.chargeExperimentBaseline();
-  dev.restoreState(tool_.checkpoints_.front());
+  tool_.beginExperiment();
+  tool_.locate(0);
 
   // ---- inject (one reconfiguration session, never removed mid-run) -------
   std::vector<std::pair<std::size_t, bool>> restoreBits;
@@ -168,38 +167,18 @@ Outcome PermanentFaults::runExperiment(PermanentFaultModel model,
   }
 
   // ---- observe the whole run ------------------------------------------------
-  Observation faulty;
-  bool diverged = false;
-  while (!diverged && dev.cycle() < tool_.runCycles_) {
-    const std::uint64_t w = tool_.outputWord();
-    diverged |= (w != tool_.golden_.outputs[faulty.outputs.size()]);
-    faulty.outputs.push_back(w);
-    dev.step();
-  }
+  std::int64_t detectCycle = -1;
+  const Outcome outcome = tool_.observeToEnd(detectCycle);
 
-  Outcome outcome;
-  if (diverged) {
-    tool_.captureFinalStateViaPort(faulty, /*chargeOnly=*/true);
-    outcome = Outcome::Failure;
-  } else {
-    faulty.outputs.resize(tool_.runCycles_);
-    tool_.captureFinalStateViaPort(faulty, /*chargeOnly=*/false);
-    outcome = campaign::classify(tool_.golden_, faulty);
-  }
-
-  // ---- restore the configuration for the next experiment -------------------
+  // ---- restore the configuration for the next experiment (charged) ---------
   port.beginSession();
   if (isLutStuck) port.setLutTableBlind(lutCb, originalTable);
   if (!restoreBits.empty()) port.setLogicBitsBlind(restoreBits);
   if (usedShortPolicy) dev.setShortPolicy(fpga::ShortPolicy::Error);
   dev.settle();
 
-  if (modeledSeconds != nullptr) {
-    *modeledSeconds =
-        tool_.meterSeconds() +
-        static_cast<double>(tool_.runCycles_) / tool_.opt_.fpgaClockHz +
-        tool_.opt_.hostPerExperimentSeconds;
-  }
+  const double seconds = tool_.finishExperiment(outcome);
+  if (modeledSeconds != nullptr) *modeledSeconds = seconds;
   return outcome;
 }
 

@@ -1,11 +1,9 @@
 #include "vfit/vfit.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fades::vfit {
 
@@ -226,8 +224,7 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
   return campaign::classify(golden_, faulty);
 }
 
-std::vector<std::uint32_t> VfitTool::campaignPool(
-    const CampaignSpec& spec) const {
+std::vector<std::uint32_t> VfitTool::enumeratePool(const CampaignSpec& spec) {
   const auto unit = static_cast<Unit>(spec.unit);
 
   // Enumerate targets up front (the fault-location process).
@@ -367,16 +364,16 @@ campaign::ExperimentOutcome VfitTool::makeOutcome(const CampaignSpec& spec,
   return out;
 }
 
-campaign::ExperimentOutcome VfitTool::runCampaignExperiment(
+campaign::ExperimentOutcome VfitTool::runExperimentAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index) {
+    unsigned index, unsigned rerun) {
   const unsigned one[] = {index};
-  return runCampaignWave(spec, pool, one).front();
+  return runWaveAt(spec, pool, one, rerun).front();
 }
 
-campaign::ExperimentOutcome VfitTool::synthesizeCampaignExperiment(
+campaign::ExperimentOutcome VfitTool::synthesizeOutcome(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, const campaign::ExperimentOutcome& representative) const {
+    unsigned index, const campaign::ExperimentOutcome& representative) {
   // Costs come from this experiment's OWN plan - VFIT's cost model is a
   // pure function of (target, instant, window) - so only the behavioral
   // outcome is cloned from the representative.
@@ -390,9 +387,9 @@ campaign::ExperimentOutcome VfitTool::synthesizeCampaignExperiment(
   return out;
 }
 
-std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
+std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices) {
+    std::span<const unsigned> indices, unsigned /*rerun*/) {
   require(indices.size() <= kWaveExperiments, ErrorKind::InvalidArgument,
           "wave exceeds the lane budget");
   require(supports(spec.model), ErrorKind::InvalidArgument, kNoDelay);
@@ -528,69 +525,11 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runCampaignWave(
   return out;
 }
 
-CampaignResult VfitTool::runCampaign(const CampaignSpec& spec) {
-  const std::vector<std::uint32_t> pool = campaignPool(spec);
-  obs::Span campaignSpan{opt_.metricsPrefix + ".campaign",
-                         {{"model", campaign::toString(spec.model)},
-                          {"targets", campaign::toString(spec.targets)}}};
-  return foldWaves(spec, [&](std::span<const unsigned> indices) {
-    return runCampaignWave(spec, pool, indices);
-  });
-}
-
-CampaignResult foldWaves(const CampaignSpec& spec, const WaveRunner& runWave) {
-  CampaignResult result;
-  result.spec = spec;
-  std::vector<unsigned> indices;
-  for (unsigned first = 0; first < spec.experiments;
-       first += VfitTool::kWaveExperiments) {
-    indices.resize(
-        std::min(VfitTool::kWaveExperiments, spec.experiments - first));
-    std::iota(indices.begin(), indices.end(), first);
-    for (const auto& o : runWave(indices)) result.fold(o);
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// VfitCampaignEngine
-// ---------------------------------------------------------------------------
-
-VfitCampaignEngine::VfitCampaignEngine(const Netlist& netlist,
-                                       std::uint64_t runCycles,
-                                       VfitOptions options)
-    : tool_(netlist, runCycles, std::move(options)) {}
-
-std::vector<std::uint32_t> VfitCampaignEngine::enumeratePool(
-    const CampaignSpec& spec) {
-  return tool_.campaignPool(spec);
-}
-
-campaign::ExperimentOutcome VfitCampaignEngine::runExperimentAt(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, unsigned rerun) {
-  // No link model on the simulator side: reruns replay identically.
-  (void)rerun;
-  return tool_.runCampaignExperiment(spec, pool, index);
-}
-
-std::vector<campaign::ExperimentOutcome> VfitCampaignEngine::runWaveAt(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    std::span<const unsigned> indices, unsigned /*rerun*/) {
-  return tool_.runCampaignWave(spec, pool, indices);
-}
-
-campaign::ExperimentOutcome VfitCampaignEngine::synthesizeOutcome(
-    const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-    unsigned index, const campaign::ExperimentOutcome& representative) {
-  return tool_.synthesizeCampaignExperiment(spec, pool, index, representative);
-}
-
 campaign::EngineFactory vfitEngineFactory(const Netlist& netlist,
                                           std::uint64_t runCycles,
                                           VfitOptions options) {
   return [&netlist, runCycles, options] {
-    return std::make_unique<VfitCampaignEngine>(netlist, runCycles, options);
+    return std::make_unique<VfitTool>(netlist, runCycles, options);
   };
 }
 

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -34,7 +33,6 @@
 
 namespace fades::vfit {
 
-using campaign::CampaignResult;
 using campaign::CampaignSpec;
 using campaign::FaultModel;
 using campaign::Observation;
@@ -68,7 +66,11 @@ struct VfitOptions {
   std::string metricsPrefix = "vfit";
 };
 
-class VfitTool {
+/// The simulator-command injector, and a campaign::CampaignEngine whose
+/// waveWidth() is one compiled wave: campaigns run through
+/// campaign::runCampaign, on this tool alone or on vfitEngineFactory's
+/// replicas.
+class VfitTool : public campaign::CampaignEngine {
  public:
   /// The netlist is the HDL model; runCycles is the workload length.
   VfitTool(const Netlist& netlist, std::uint64_t runCycles,
@@ -83,33 +85,33 @@ class VfitTool {
   std::vector<NetId> signalTargets(Unit unit) const;
   std::vector<RamId> ramTargets() const;
 
-  CampaignResult runCampaign(const CampaignSpec& spec);
-
+  // --- campaign::CampaignEngine --------------------------------------------
   /// Deterministic target enumeration for a spec (the fault-location
-  /// process); shared by the campaign loop, the parallel runner and the
-  /// prune plan.
-  std::vector<std::uint32_t> campaignPool(const CampaignSpec& spec) const;
+  /// process); shared by the campaign executor and the prune plan.
+  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
 
   /// Campaign experiment `index` as a pure function of (spec, pool, index):
-  /// a wave of one. The per-index unit the runner retries, the prune member
-  /// checks and the diffcheck oracle call.
-  campaign::ExperimentOutcome runCampaignExperiment(
+  /// a wave of one. The per-index unit the executor retries, the prune
+  /// member checks and the diffcheck oracle call. There is no link model,
+  /// so a rerun replays identically.
+  campaign::ExperimentOutcome runExperimentAt(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index);
+      unsigned index, unsigned rerun) override;
 
   /// Experiments per compiled wave: 63 faulty lanes; lane 0 stays golden
   /// and is checked against the event-driven golden run every wave.
   static constexpr unsigned kWaveExperiments =
       sim::CompiledSimulator::kLanes - 1;
+  unsigned waveWidth() const override { return kWaveExperiments; }
 
   /// Run the experiments named by `indices` (at most kWaveExperiments) in
   /// one bit-parallel pass on the compiled engine. Lane assignment is
   /// irrelevant to the result - lanes are independent machines - so partial
   /// waves and arbitrary index subsets return exactly what a full wave
   /// returns per index. An unsupported fault model is InvalidArgument.
-  std::vector<campaign::ExperimentOutcome> runCampaignWave(
+  std::vector<campaign::ExperimentOutcome> runWaveAt(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      std::span<const unsigned> indices);
+      std::span<const unsigned> indices, unsigned rerun) override;
 
   /// The scalar simulator-command reference: one experiment replayed from
   /// reset on the event-driven simulator, injecting through force / release
@@ -147,17 +149,16 @@ class VfitTool {
   /// representative without simulating: the cost model is a pure function
   /// of the experiment's own plan (re-derived here), and the behavioral
   /// outcome is cloned from the representative the plan proved equivalent.
-  campaign::ExperimentOutcome synthesizeCampaignExperiment(
+  campaign::ExperimentOutcome synthesizeOutcome(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, const campaign::ExperimentOutcome& representative) const;
+      unsigned index,
+      const campaign::ExperimentOutcome& representative) override;
 
  private:
   Unit targetUnit(const CampaignSpec& spec, std::uint32_t target) const;
   campaign::ExperimentOutcome makeOutcome(const CampaignSpec& spec,
                                           const LanePlan& plan,
                                           Outcome outcome) const;
-  Observation observeRun(std::uint64_t fromCycle,
-                         const std::vector<std::uint64_t>& prefixOutputs);
   std::uint64_t outputWord() const;
   void captureFinalState(Observation& obs) const;
 
@@ -176,43 +177,6 @@ class VfitTool {
   std::uint64_t goldenEvents_ = 0;
   double goldenSeconds_ = 0;
 };
-
-/// One worker's VFIT replica for the sharded campaign runner - the
-/// simulator-side counterpart of FadesCampaignEngine. It leases whole waves
-/// (waveWidth() = 63) and runs them bit-parallel; outcomes are
-/// bit-identical at any --jobs.
-class VfitCampaignEngine final : public campaign::CampaignEngine {
- public:
-  VfitCampaignEngine(const Netlist& netlist, std::uint64_t runCycles,
-                     VfitOptions options);
-
-  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
-  campaign::ExperimentOutcome runExperimentAt(
-      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, unsigned rerun) override;
-  unsigned waveWidth() const override { return VfitTool::kWaveExperiments; }
-  std::vector<campaign::ExperimentOutcome> runWaveAt(
-      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      std::span<const unsigned> indices, unsigned rerun) override;
-  campaign::ExperimentOutcome synthesizeOutcome(
-      const CampaignSpec& spec, std::span<const std::uint32_t> pool,
-      unsigned index, const campaign::ExperimentOutcome& representative)
-      override;
-
-  VfitTool& tool() { return tool_; }
-
- private:
-  VfitTool tool_;
-};
-
-/// Runs one wave: the outcomes of `indices`, in order.
-using WaveRunner = std::function<std::vector<campaign::ExperimentOutcome>(
-    std::span<const unsigned> indices)>;
-
-/// A whole campaign from waves of up to kWaveExperiments consecutive
-/// indices, folded in index order - the runCampaign loop of both
-/// simulator-backed injectors.
-CampaignResult foldWaves(const CampaignSpec& spec, const WaveRunner& runWave);
 
 /// Factory for the parallel campaign runner: every worker gets its own
 /// VfitTool replica (each pays the golden run in its own thread). The

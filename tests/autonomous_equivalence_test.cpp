@@ -87,15 +87,15 @@ TEST(AutonomousEquivalence, RandomDesignsMatchVfitAcrossMatrix) {
       spec.model = m.model;
       spec.targets = m.targets;
 
-      const auto vPool = vfit.campaignPool(spec);
-      const auto aPool = aut.campaignPool(spec);
+      const auto vPool = vfit.enumeratePool(spec);
+      const auto aPool = aut.enumeratePool(spec);
       ASSERT_EQ(vPool, aPool) << "pools diverge, seed " << seed;
 
       const double expectedWorkload =
           static_cast<double>(c.runCycles) / aOpt.fpgaClockHz;
       for (unsigned e = 0; e < spec.experiments; ++e) {
-        const auto v = vfit.runCampaignExperiment(spec, vPool, e);
-        const auto a = aut.runCampaignExperiment(spec, aPool, e);
+        const auto v = vfit.runExperimentAt(spec, vPool, e, 0);
+        const auto a = aut.runExperimentAt(spec, aPool, e, 0);
         const auto tag = std::string(campaign::toString(m.model)) + "/" +
                          campaign::toString(m.targets) + " seed " +
                          std::to_string(seed) + " exp " + std::to_string(e);
@@ -134,10 +134,11 @@ std::string artifactString(const campaign::CampaignResult& result) {
 }
 
 TEST(AutonomousEquivalence, JobsAndEngineArtifactInvariance) {
-  // The runner's autonomous engine replicas at --jobs 1 and 8 produce one
-  // artifact, and every experiment in it reproduces the scalar
-  // simulator-command reference: its draws and classification, and its
-  // command count metered under the autonomous cost model.
+  // The runner's autonomous engine replicas at --jobs 1 and 8, and one
+  // borrowed tool run twice, produce one artifact, and every experiment in
+  // it reproduces the scalar simulator-command reference: its draws and
+  // classification, and its command count metered under the autonomous
+  // cost model.
   const diffcheck::CaseSpec c = rtlCase(5, /*withRam=*/false);
   const Netlist nl = diffcheck::buildDesign(c);
 
@@ -160,17 +161,22 @@ TEST(AutonomousEquivalence, JobsAndEngineArtifactInvariance) {
   EXPECT_EQ(artifactString(results[0]), artifactString(results[1]));
 
   core::AutonomousTool aut(nl, c.runCycles, opt);
+  for (const char* what : {"borrowed tool", "borrowed tool, second run"}) {
+    EXPECT_EQ(artifactString(campaign::runCampaign(spec, {&aut})),
+              artifactString(results[0]))
+        << what;
+  }
   vfit::VfitOptions vOpt;
   vOpt.observedOutputs = opt.observedOutputs;
   vfit::VfitTool reference(nl, c.runCycles, vOpt);
-  const auto pool = reference.campaignPool(spec);
+  const auto pool = reference.enumeratePool(spec);
   ASSERT_EQ(results[0].records.size(), spec.experiments);
   for (unsigned e = 0; e < spec.experiments; ++e) {
     const auto ref = vfitref::scalarReference(reference, spec, pool, e);
     const auto& record = results[0].records[e];
     const std::string what = "index " + std::to_string(e);
     vfitref::expectRecordMatches(record, ref, false, what);
-    const auto a = aut.runCampaignExperiment(spec, pool, e);
+    const auto a = aut.runExperimentAt(spec, pool, e, 0);
     EXPECT_EQ(a.modeledSeconds, record.modeledSeconds) << what;
     EXPECT_EQ(a.configSeconds + a.hostSeconds,
               aut.injectionOverheadSeconds(ref.commands))
@@ -205,8 +211,8 @@ TEST(AutonomousEquivalence, Mc8051BubblesortMatchesVfit) {
     spec.experiments = 16;
     spec.seed = 2006;
 
-    const auto vres = vfit.runCampaign(spec);
-    const auto ares = aut.runCampaign(spec);
+    const auto vres = campaign::runCampaign(spec, {&vfit});
+    const auto ares = campaign::runCampaign(spec, {&aut});
     EXPECT_EQ(vres.failures, ares.failures);
     EXPECT_EQ(vres.latents, ares.latents);
     EXPECT_EQ(vres.silents, ares.silents);

@@ -312,12 +312,12 @@ void expectReplicaOrderEquivalence(const FadesOptions& options,
   spec.unit = static_cast<int>(unit);
   spec.seed = 7;
   spec.experiments = experiments;
-  const auto pool = up.campaignPool(spec);
-  ASSERT_EQ(pool, down.campaignPool(spec));
+  const auto pool = up.enumeratePool(spec);
+  ASSERT_EQ(pool, down.enumeratePool(spec));
 
   // Every experiment must hand the next one the downloaded configuration.
   auto run = [&](FadesTool& tool, fpga::Device& dev, unsigned e) {
-    auto out = tool.runCampaignExperiment(spec, pool, e);
+    auto out = tool.runExperimentAt(spec, pool, e, 0);
     EXPECT_TRUE(dev.readbackBitstream().logic == d.impl.bitstream.logic)
         << "experiment " << e << " left the logic plane modified";
     return out;

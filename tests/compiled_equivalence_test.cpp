@@ -7,10 +7,11 @@
 //     under random scalar fault commands (force / release / deposit), driven
 //     through the abstract Engine interface;
 //   * campaign experiments field-for-field across the fault-model x
-//     target-class matrix (runCampaignWave vs the scalar reference);
+//     target-class matrix (runWaveAt vs the scalar reference);
 //   * partial waves and index subsets against full waves;
-//   * whole-campaign artifacts across wave boundaries, --jobs counts and a
-//     resumed --checkpoint journal, every record against the reference;
+//   * whole-campaign artifacts across wave boundaries, --jobs counts, a
+//     borrowed tool as the only replica and a resumed --checkpoint
+//     journal, every record against the reference;
 //   * the MC8051 + Bubblesort workload, FF and RAM campaigns.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -243,11 +244,11 @@ TEST(CompiledEquivalence, CampaignExperimentsFieldForFieldAcrossMatrix) {
       spec.band = band;
       spec.experiments = 30;
       spec.seed = 77;
-      const auto pool = tool.campaignPool(spec);
+      const auto pool = tool.enumeratePool(spec);
 
       std::vector<unsigned> indices(spec.experiments);
       for (unsigned i = 0; i < spec.experiments; ++i) indices[i] = i;
-      const auto wave = tool.runCampaignWave(spec, pool, indices);
+      const auto wave = tool.runWaveAt(spec, pool, indices, 0);
       ASSERT_EQ(wave.size(), spec.experiments);
       for (unsigned i = 0; i < spec.experiments; ++i) {
         const std::string what =
@@ -281,22 +282,22 @@ TEST(CompiledEquivalence, PartialWavesAndSubsetsMatchFullWaves) {
   spec.targets = TargetClass::CombinationalLut;
   spec.experiments = 63;
   spec.seed = 5;
-  const auto pool = tool.campaignPool(spec);
+  const auto pool = tool.enumeratePool(spec);
 
   std::vector<unsigned> all(63);
   for (unsigned i = 0; i < 63; ++i) all[i] = i;
-  const auto full = tool.runCampaignWave(spec, pool, all);
+  const auto full = tool.runWaveAt(spec, pool, all, 0);
 
   // Singleton waves.
   for (unsigned i : {0u, 17u, 62u}) {
     const std::vector<unsigned> one{i};
-    const auto got = tool.runCampaignWave(spec, pool, one);
+    const auto got = tool.runWaveAt(spec, pool, one, 0);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(outcomeText(got[0]), outcomeText(full[i])) << "singleton wave";
   }
   // A sparse subset (resume-gap shape).
   const std::vector<unsigned> sparse{3, 4, 9, 40, 41, 60};
-  const auto got = tool.runCampaignWave(spec, pool, sparse);
+  const auto got = tool.runWaveAt(spec, pool, sparse, 0);
   ASSERT_EQ(got.size(), sparse.size());
   for (std::size_t k = 0; k < sparse.size(); ++k) {
     EXPECT_EQ(outcomeText(got[k]), outcomeText(full[sparse[k]]))
@@ -328,14 +329,14 @@ TEST(CompiledEquivalence, WaveBoundarySweepArtifactsIdentical) {
     spec.targets = TargetClass::SequentialFF;
     spec.experiments = n;
     spec.seed = 1234;
-    const auto pool = tool.campaignPool(spec);
+    const auto pool = tool.enumeratePool(spec);
 
     campaign::CampaignResult singles;
     singles.spec = spec;
     for (unsigned e = 0; e < n; ++e) {
-      singles.fold(tool.runCampaignExperiment(spec, pool, e));
+      singles.fold(tool.runExperimentAt(spec, pool, e, 0));
     }
-    const auto result = tool.runCampaign(spec);
+    const auto result = campaign::runCampaign(spec, {&tool});
     EXPECT_EQ(artifactString(result), artifactString(singles))
         << n << " experiments";
     expectRecordsMatch(tool, spec, result, std::to_string(n) + " experiments");
@@ -345,9 +346,9 @@ TEST(CompiledEquivalence, WaveBoundarySweepArtifactsIdentical) {
 TEST(CompiledEquivalence, ParallelRunnerJobsAndCheckpointInvariance) {
   // Through the sharded runner: --jobs 1 and 8, and a --jobs 8 run resumed
   // from a --checkpoint journal that lost every other outcome (its waves
-  // have holes where the journal already holds the result), all produce
-  // one artifact string, and every record in it matches the scalar
-  // reference.
+  // have holes where the journal already holds the result); and twice on
+  // one borrowed tool. All produce one artifact string, and every record
+  // in it matches the scalar reference.
   const Netlist nl = campaignDesign();
   CampaignSpec spec;
   spec.model = FaultModel::Pulse;
@@ -393,6 +394,10 @@ TEST(CompiledEquivalence, ParallelRunnerJobsAndCheckpointInvariance) {
   std::remove(path.c_str());
 
   vfit::VfitTool tool(nl, 120, opt);
+  for (const char* what : {"borrowed tool", "borrowed tool, second run"}) {
+    EXPECT_EQ(artifactString(campaign::runCampaign(spec, {&tool})), artifact)
+        << what;
+  }
   expectRecordsMatch(tool, spec, result, "jobs 1");
 }
 
@@ -413,7 +418,7 @@ TEST(CompiledEquivalence, Mc8051BubblesortFfAndRamCampaigns) {
     spec.targets = targets;
     spec.experiments = 40;
     spec.seed = 2006;
-    expectRecordsMatch(tool, spec, tool.runCampaign(spec),
+    expectRecordsMatch(tool, spec, campaign::runCampaign(spec, {&tool}),
                        campaign::toString(targets));
   }
 }

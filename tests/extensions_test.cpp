@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "core/fades.hpp"
+#include "core/permanent.hpp"
 #include "fpga/bitstream_io.hpp"
 #include "obs/metrics.hpp"
 #include "rtl/builder.hpp"
@@ -452,10 +453,7 @@ TEST(Mbu, MatchesSequenceOfSingleFlipsSemantically) {
 
 // ----------------------------------------------- network evaluations -----
 
-TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
-  // fpga.settles counts LUT-network evaluations exactly: one per emulated
-  // cycle, plus one each for the checkpoint restore, the injection and the
-  // removal (or, for a bit-flip, the first cycle after it).
+synth::Implementation lfsrImplementation() {
   Builder b;
   rtl::Register lfsr = b.makeRegister("lfsr", 8, 1);
   auto fb = b.lxor(lfsr.q[7], b.lxor(lfsr.q[5], b.lxor(lfsr.q[4], lfsr.q[3])));
@@ -463,7 +461,14 @@ TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
   for (int i = 0; i < 7; ++i) next.push_back(lfsr.q[i]);
   b.connect(lfsr, next);
   b.output("out", lfsr.q);
-  const auto impl = synth::implement(b.finish(), fpga::DeviceSpec::small());
+  return synth::implement(b.finish(), fpga::DeviceSpec::small());
+}
+
+TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
+  // fpga.settles counts LUT-network evaluations exactly: one per emulated
+  // cycle, plus one each for the checkpoint restore, the injection and the
+  // removal (or, for a bit-flip, the first cycle after it).
+  const auto impl = lfsrImplementation();
   fpga::Device dev(impl.spec);
   core::FadesOptions opt;
   opt.observedOutputs = {"out"};
@@ -498,6 +503,39 @@ TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
   for (std::uint32_t i = 0; i < 3; ++i) {
     expectCost(FaultModel::BitFlip, TargetClass::SequentialFF, 2 * i,
                3 + 15 * i, 1.0);
+  }
+}
+
+TEST(FadesSettles, PermanentCampaignsAndProbesFlushEveryEvaluation) {
+  // Permanent-fault experiments and Table 4 probes replay and emulate on the
+  // same device, so the registry counter must follow it through them too.
+  const auto impl = lfsrImplementation();
+  fpga::Device dev(impl.spec);
+  core::FadesOptions opt;
+  opt.observedOutputs = {"out"};
+  core::FadesTool tool(dev, impl, 48, opt);
+  const obs::Counter& settles =
+      obs::Registry::global().counter("fpga.settles");
+  auto expectFlushed = [&](const std::string& what, const auto& run) {
+    const std::uint64_t device0 = dev.settles(), registry0 = settles.value();
+    run();
+    EXPECT_GT(dev.settles(), device0) << what;
+    EXPECT_EQ(settles.value() - registry0, dev.settles() - device0) << what;
+  };
+
+  core::PermanentFaults permanent(tool);
+  core::PermanentCampaignSpec spec;
+  spec.model = core::PermanentFaultModel::StuckAt0;
+  spec.experiments = 10;
+  spec.seed = 3;
+  expectFlushed("stuck-at-0 campaign", [&] { permanent.runCampaign(spec); });
+
+  const auto luts = tool.targets(campaign::FaultModel::Pulse,
+                                 campaign::TargetClass::CombinationalLut,
+                                 Unit::None);
+  for (const std::uint64_t cycle : {0u, 20u, 47u}) {
+    expectFlushed("probe at " + std::to_string(cycle),
+                  [&] { tool.multiBitFlipProbe(luts[0], cycle); });
   }
 }
 

@@ -277,8 +277,8 @@ TEST(Vfit, CampaignIsDeterministic) {
   spec.unit = static_cast<int>(Unit::Registers);
   spec.experiments = 40;
   spec.seed = 77;
-  const auto r1 = tool.runCampaign(spec);
-  const auto r2 = tool.runCampaign(spec);
+  const auto r1 = campaign::runCampaign(spec, {&tool});
+  const auto r2 = campaign::runCampaign(spec, {&tool});
   EXPECT_EQ(r1.failures, r2.failures);
   EXPECT_EQ(r1.latents, r2.latents);
   EXPECT_EQ(r1.silents, r2.silents);
@@ -464,8 +464,8 @@ TEST(Fades, CampaignDeterministicAndComplete) {
   spec.band = DurationBand::shortBand();
   spec.experiments = 25;
   spec.seed = 99;
-  const auto r1 = rig.tool->runCampaign(spec);
-  const auto r2 = rig.tool->runCampaign(spec);
+  const auto r1 = campaign::runCampaign(spec, {rig.tool.get()});
+  const auto r2 = campaign::runCampaign(spec, {rig.tool.get()});
   EXPECT_EQ(r1.total(), 25u);
   EXPECT_EQ(r1.failures, r2.failures);
   EXPECT_EQ(r1.latents, r2.latents);
@@ -488,14 +488,13 @@ TEST(Fades, CbInputPulseTargetsExist) {
 
 TEST(Fades, MultiBitFlipProbeFindsRegisterEffects) {
   FadesRig rig;
-  Rng rng(31);
   const auto luts =
       rig.tool->targets(FaultModel::Pulse, TargetClass::CombinationalLut,
                         Unit::Registers);
   ASSERT_FALSE(luts.empty());
   bool anyEffect = false;
   for (auto lut : luts) {
-    const auto effects = rig.tool->multiBitFlipProbe(lut, 20, rng);
+    const auto effects = rig.tool->multiBitFlipProbe(lut, 20);
     for (const auto& e : effects) {
       EXPECT_NE(e.golden, e.faulty);
       anyEffect = true;

@@ -1,8 +1,8 @@
-// Determinism-equivalence suite for the sharded campaign runner: the same
-// campaign run serially, and sharded across 1, 2 and 8 workers, must
-// produce identical outcome tallies, per-experiment records and modeled
-// cost - bit-for-bit. Sharding is allowed to change wall-clock and nothing
-// else.
+// Determinism-equivalence suite for the campaign executor: the same
+// campaign run on one borrowed tool, and sharded across 1, 2 and 8 runner
+// replicas, must produce identical outcome tallies, per-experiment records
+// and modeled cost - bit-for-bit. Sharding is allowed to change wall-clock
+// and nothing else.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -87,7 +87,6 @@ FadesOptions miniOptions() {
   FadesOptions o;
   o.observedOutputs = {"out"};
   o.keepRecords = true;
-  o.progressInterval = 0;
   return o;
 }
 
@@ -149,13 +148,16 @@ TEST_P(ShardInvariance, OneTwoAndEightShardsAgreeWithSerial) {
   const auto [model, targets] = GetParam();
   const auto spec = miniSpec(model, targets);
 
-  // Serial reference straight through the tool.
+  // Serial reference: the executor on one borrowed tool, twice, so the
+  // second run starts from whatever the first left on the device.
   const auto& d = MiniDesign::instance();
   fpga::Device device(d.impl.spec);
   FadesTool tool(device, d.impl, d.cycles, miniOptions());
-  const CampaignResult serial = tool.runCampaign(spec);
+  const CampaignResult serial = campaign::runCampaign(spec, {&tool});
   ASSERT_EQ(serial.total(), spec.experiments);
   ASSERT_EQ(serial.records.size(), spec.experiments);
+  expectSameResult(serial, campaign::runCampaign(spec, {&tool}),
+                   "borrowed tool, second run");
 
   for (unsigned jobs : {1u, 2u, 8u}) {
     ParallelOptions popt;

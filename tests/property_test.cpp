@@ -198,8 +198,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AssemblerFuzz, ::testing::Range(1, 11));
 // --------------------------------------- sharded campaign equivalence -----
 
 /// For any small random design and any small random campaign spec, the
-/// sharded runner merged over 2-5 workers equals the serial FadesTool run
-/// field for field - bit-identical floating-point sums included.
+/// sharded runner merged over 2-5 workers equals the campaign run on one
+/// borrowed FadesTool field for field - bit-identical floating-point sums
+/// included.
 TEST(ParallelEquivalence, RandomCampaignsShardedEqualsSerial) {
   using campaign::CampaignSpec;
   using campaign::DurationBand;
@@ -222,7 +223,6 @@ TEST(ParallelEquivalence, RandomCampaignsShardedEqualsSerial) {
     core::FadesOptions opt;
     opt.observedOutputs = {"out"};
     opt.keepRecords = true;
-    opt.progressInterval = 0;
 
     CampaignSpec spec;
     const auto& kind = kinds[rng.below(std::size(kinds))];
@@ -234,8 +234,8 @@ TEST(ParallelEquivalence, RandomCampaignsShardedEqualsSerial) {
 
     fpga::Device device(impl.spec);
     core::FadesTool tool(device, impl, cycles, opt);
-    if (tool.campaignPool(spec).empty()) continue;
-    const auto serial = tool.runCampaign(spec);
+    if (tool.enumeratePool(spec).empty()) continue;
+    const auto serial = campaign::runCampaign(spec, {&tool});
 
     campaign::ParallelOptions popt;
     popt.jobs = 2 + static_cast<unsigned>(rng.below(4));
@@ -294,7 +294,6 @@ TEST(LinkFaultEquivalence, RandomFaultRatesAreInvisibleInResults) {
     core::FadesOptions clean;
     clean.observedOutputs = {"out"};
     clean.keepRecords = true;
-    clean.progressInterval = 0;
 
     CampaignSpec spec;
     spec.model = rng.coin() ? FaultModel::BitFlip : FaultModel::Pulse;
@@ -307,8 +306,8 @@ TEST(LinkFaultEquivalence, RandomFaultRatesAreInvisibleInResults) {
 
     fpga::Device device(impl.spec);
     core::FadesTool tool(device, impl, cycles, clean);
-    if (tool.campaignPool(spec).empty()) continue;
-    const auto baseline = tool.runCampaign(spec);
+    if (tool.enumeratePool(spec).empty()) continue;
+    const auto baseline = campaign::runCampaign(spec, {&tool});
 
     // Modest rates with the default generous retry budget: every fault is
     // retried away, nothing quarantines.
@@ -325,7 +324,7 @@ TEST(LinkFaultEquivalence, RandomFaultRatesAreInvisibleInResults) {
 
     fpga::Device faultyDevice(impl.spec);
     core::FadesTool faultyTool(faultyDevice, impl, cycles, faulty);
-    const auto serial = faultyTool.runCampaign(spec);
+    const auto serial = campaign::runCampaign(spec, {&faultyTool});
 
     campaign::ParallelOptions popt;
     popt.jobs = 2 + static_cast<unsigned>(rng.below(3));

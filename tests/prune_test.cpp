@@ -190,7 +190,7 @@ VerifyStats verifyVfit(const Netlist& nl, CampaignSpec spec) {
   opt.observedOutputs = {"out"};
   opt.keepRecords = true;
   vfit::VfitTool tool(nl, kCycles, opt);
-  const auto pool = tool.campaignPool(spec);
+  const auto pool = tool.enumeratePool(spec);
   if (pool.empty()) return {};
 
   sim::Simulator golden(nl);
@@ -209,12 +209,12 @@ VerifyStats verifyVfit(const Netlist& nl, CampaignSpec spec) {
   VerifyStats st;
   st.classes = plan.classes.size();
   for (const auto& cls : plan.classes) {
-    const auto rep = tool.runCampaignExperiment(
-        spec, pool, static_cast<unsigned>(cls.representative));
+    const auto rep = tool.runExperimentAt(
+        spec, pool, static_cast<unsigned>(cls.representative), 0);
     for (const std::uint64_t m : cls.members) {
       const auto real =
-          tool.runCampaignExperiment(spec, pool, static_cast<unsigned>(m));
-      const auto synth = tool.synthesizeCampaignExperiment(
+          tool.runExperimentAt(spec, pool, static_cast<unsigned>(m), 0);
+      const auto synth = tool.synthesizeOutcome(
           spec, pool, static_cast<unsigned>(m), rep);
       expectOutcomeEq(real, synth, cls.representative);
       ++st.members;
@@ -244,7 +244,7 @@ VerifyStats verifyFades(const Netlist& nl, CampaignSpec spec,
     }
     if (spec.targetPool.empty()) return {};
   }
-  const auto pool = tool.campaignPool(spec);
+  const auto pool = tool.enumeratePool(spec);
   if (pool.empty()) return {};
 
   sim::Simulator golden(nl);
@@ -264,12 +264,12 @@ VerifyStats verifyFades(const Netlist& nl, CampaignSpec spec,
   VerifyStats st;
   st.classes = plan.classes.size();
   for (const auto& cls : plan.classes) {
-    const auto rep = tool.runCampaignExperiment(
-        spec, pool, static_cast<unsigned>(cls.representative));
+    const auto rep = tool.runExperimentAt(
+        spec, pool, static_cast<unsigned>(cls.representative), 0);
     for (const std::uint64_t m : cls.members) {
       const auto real =
-          tool.runCampaignExperiment(spec, pool, static_cast<unsigned>(m));
-      const auto synth = tool.synthesizeCampaignExperiment(
+          tool.runExperimentAt(spec, pool, static_cast<unsigned>(m), 0);
+      const auto synth = tool.synthesizeOutcome(
           spec, pool, static_cast<unsigned>(m), rep);
       expectOutcomeEq(real, synth, cls.representative);
       ++st.members;
@@ -401,7 +401,7 @@ TEST(PrunePlan, DelayCampaignsAreNeverPruned) {
   core::FadesTool tool(device, impl, kCycles, opt);
   const auto spec = makeSpec(FaultModel::Delay, TargetClass::SequentialLine,
                              DurationBand::shortBand(), 24, 42);
-  const auto pool = tool.campaignPool(spec);
+  const auto pool = tool.enumeratePool(spec);
   ASSERT_FALSE(pool.empty());
 
   sim::Simulator golden(nl);

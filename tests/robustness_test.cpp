@@ -90,7 +90,6 @@ FadesOptions miniOptions() {
   FadesOptions o;
   o.observedOutputs = {"out"};
   o.keepRecords = true;
-  o.progressInterval = 0;
   return o;
 }
 
@@ -455,7 +454,7 @@ TEST(LinkFaults, RetriedTransfersKeepResultsBitIdentical) {
 
   fpga::Device cleanDevice(d.impl.spec);
   FadesTool cleanTool(cleanDevice, d.impl, d.cycles, miniOptions());
-  const CampaignResult baseline = cleanTool.runCampaign(spec);
+  const CampaignResult baseline = campaign::runCampaign(spec, {&cleanTool});
   ASSERT_EQ(baseline.total(), spec.experiments);
 
   FadesOptions opt = miniOptions();
@@ -466,7 +465,7 @@ TEST(LinkFaults, RetriedTransfersKeepResultsBitIdentical) {
   const std::uint64_t retriesBefore = counterValue("config.retries");
   fpga::Device faultyDevice(d.impl.spec);
   FadesTool faultyTool(faultyDevice, d.impl, d.cycles, opt);
-  const CampaignResult faulty = faultyTool.runCampaign(spec);
+  const CampaignResult faulty = campaign::runCampaign(spec, {&faultyTool});
 
   // Faults really fired and were retried away - visible in telemetry only.
   EXPECT_GT(counterValue("config.link_faults_injected"), faultsBefore);
@@ -492,15 +491,15 @@ TEST(LinkFaults, QuarantineIsDeterministicAcrossJobCounts) {
   opt.linkFaults.writeFailRate = 0.05;
   opt.linkFaults.timeoutRate = 0.005;
   opt.linkRetry.maxRetries = 0;
-  opt.experimentAttempts = 2;
   const auto spec = miniSpec(FaultModel::BitFlip, TargetClass::SequentialFF);
+  constexpr unsigned kAttempts = 2;
 
   const std::uint64_t quarantinedBefore = counterValue("campaign.quarantined");
   std::vector<CampaignResult> results;
   for (unsigned jobs : {1u, 8u}) {
     ParallelOptions popt;
     popt.jobs = jobs;
-    popt.experimentAttempts = opt.experimentAttempts;
+    popt.experimentAttempts = kAttempts;
     ParallelCampaignRunner runner(miniFactory(opt), popt);
     results.push_back(runner.run(spec));
   }
@@ -513,10 +512,19 @@ TEST(LinkFaults, QuarantineIsDeterministicAcrossJobCounts) {
   EXPECT_GT(counterValue("campaign.quarantined"), quarantinedBefore);
   for (const auto& q : one.quarantined) {
     EXPECT_EQ(q.kind, ErrorKind::LinkError);
-    EXPECT_EQ(q.attempts, opt.experimentAttempts);
+    EXPECT_EQ(q.attempts, kAttempts);
     EXPECT_FALSE(q.error.empty());
   }
   expectSameResult(one, eight, "quarantine jobs=1 vs jobs=8");
+
+  // A borrowed tool as the only replica quarantines the same set.
+  const auto& d = MiniDesign::instance();
+  fpga::Device device(d.impl.spec);
+  FadesTool tool(device, d.impl, d.cycles, opt);
+  ParallelOptions popt;
+  popt.experimentAttempts = kAttempts;
+  expectSameResult(one, campaign::runCampaign(spec, {&tool}, popt),
+                   "quarantine jobs=1 vs borrowed tool");
 }
 
 // --------------------------------------- retry semantics, synthetic -----

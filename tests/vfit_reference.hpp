@@ -63,7 +63,7 @@ inline void expectRecordsMatch(vfit::VfitTool& tool,
                                const campaign::CampaignSpec& spec,
                                const campaign::CampaignResult& result,
                                const std::string& what) {
-  const auto pool = tool.campaignPool(spec);
+  const auto pool = tool.enumeratePool(spec);
   ASSERT_EQ(result.records.size(), spec.experiments) << what;
   for (unsigned e = 0; e < spec.experiments; ++e) {
     expectRecordMatches(result.records[e], scalarReference(tool, spec, pool, e),
