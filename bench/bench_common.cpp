@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <algorithm>
 #include <exception>
-#include <map>
 
 #include "campaign/artifact.hpp"
 #include "campaign/parallel.hpp"
@@ -138,66 +137,17 @@ unsigned jobs() {
   return 1;
 }
 
-namespace {
-
-// Everything a replica's behavior depends on, so a recycled tool address
-// (some benches build short-lived tools on the stack) never reuses a runner
-// configured for a different tool.
-std::string toolFingerprint(core::FadesTool& tool) {
-  const auto& o = tool.options();
-  const auto& spec = tool.device().spec();
-  std::string fp = spec.name + "/" + std::to_string(spec.clockPeriodNs) +
-                   "/" + std::to_string(tool.runCycles()) + "/" +
-                   std::to_string(static_cast<int>(o.bitFlipVia)) +
-                   std::to_string(static_cast<int>(o.delayVia)) +
-                   std::to_string(o.fullDownloadForDelay) +
-                   std::to_string(o.oscillatingIndetermination) +
-                   std::to_string(o.keepRecords) + "/" +
-                   std::to_string(o.fpgaClockHz) + "/" +
-                   std::to_string(o.hostPerExperimentSeconds) + "/" +
-                   std::to_string(o.checkpointInterval) + "/" +
-                   std::to_string(o.linkFaults.readCrcRate) + "," +
-                   std::to_string(o.linkFaults.writeFailRate) + "," +
-                   std::to_string(o.linkFaults.timeoutRate) + "/" +
-                   std::to_string(o.linkRetry.maxRetries) + "," +
-                   std::to_string(o.linkRetry.backoffBaseSeconds) + "," +
-                   std::to_string(o.linkRetry.backoffFactor) + "," +
-                   std::to_string(o.linkRetry.backoffCapSeconds);
-  for (const auto& out : o.observedOutputs) fp += "," + out;
-  return fp;
-}
-
-struct CachedRunner {
-  const synth::Implementation* impl = nullptr;
-  std::string fingerprint;
-  std::unique_ptr<campaign::ParallelCampaignRunner> runner;
-};
-
-// One runner per tool: replicas are expensive (each pays the bitstream
-// download and golden run), so band sweeps and repeat campaigns over the
-// same tool reuse them.
-std::map<const core::FadesTool*, CachedRunner> gRunners;
-
-}  // namespace
-
 campaign::CampaignResult runCampaign(core::FadesTool& tool,
                                      const campaign::CampaignSpec& spec) {
   campaign::ParallelOptions popt;
   popt.jobs = jobs();
   popt.progressInterval = 100;
   if (popt.jobs == 1) return campaign::runCampaign(spec, {&tool}, popt);
-  auto& cached = gRunners[&tool];
-  const std::string fp = toolFingerprint(tool);
-  if (!cached.runner || cached.impl != &tool.implementation() ||
-      cached.fingerprint != fp) {
-    cached.impl = &tool.implementation();
-    cached.fingerprint = fp;
-    cached.runner = std::make_unique<campaign::ParallelCampaignRunner>(
-        core::fadesEngineFactory(tool.implementation(), tool.runCycles(),
-                                 tool.options(), tool.device().spec()),
-        popt);
-  }
-  return cached.runner->run(spec);
+  campaign::ParallelCampaignRunner runner(
+      core::fadesEngineFactory(tool.implementation(), tool.runCycles(),
+                               tool.options(), tool.device().spec()),
+      popt);
+  return runner.run(spec);
 }
 
 System8051::System8051()

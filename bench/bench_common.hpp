@@ -79,11 +79,11 @@ unsigned timingCount(unsigned defaultCount = 80);
 unsigned jobs();
 
 /// Run `spec` with `tool`'s configuration, sharded across jobs() workers,
-/// with a progress heartbeat every 100 experiments. With jobs() <= 1 the
-/// tool is the only replica; otherwise a cached ParallelCampaignRunner (one
-/// per tool, replicating its device spec and options) runs it with
-/// bit-identical results - sharding changes the bench's wall-clock, never
-/// its numbers.
+/// with a progress heartbeat every 100 experiments. At jobs() == 1 the tool
+/// is the only replica; otherwise a fresh ParallelCampaignRunner builds
+/// replicas from the tool's implementation, device spec and options for
+/// this call and gives bit-identical results - sharding changes the
+/// bench's wall-clock, never its numbers.
 campaign::CampaignResult runCampaign(core::FadesTool& tool,
                                      const campaign::CampaignSpec& spec);
 

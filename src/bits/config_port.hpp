@@ -144,7 +144,6 @@ class ConfigPort {
   }
   const LinkFaultOptions& linkFaults() const { return linkFaults_; }
   void setRetryPolicy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retryPolicy() const { return retry_; }
   /// Re-seed the link fault stream. Campaign runners call this once per
   /// (experiment index, rerun attempt) so the fault pattern an experiment
   /// sees is a pure function of the campaign spec - independent of shard

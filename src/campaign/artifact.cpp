@@ -29,6 +29,37 @@ Json toJson(const CampaignSpec& spec) {
   return j;
 }
 
+bool specFromJson(const Json& j, CampaignSpec& out, std::string* error) {
+  auto fail = [error](const char* why) {
+    if (error != nullptr) *error = why;
+    return false;
+  };
+  std::string model;
+  std::string targets;
+  if (!j.get("model", model) || !faultModelFromString(model, out.model)) {
+    return fail("spec has no valid fault model");
+  }
+  if (!j.get("targets", targets) ||
+      !targetClassFromString(targets, out.targets)) {
+    return fail("spec has no valid target class");
+  }
+  std::int64_t unit = 0;
+  std::uint64_t experiments = 0;
+  if (!j.get("unit", unit) || !j.get("experiments", experiments) ||
+      !j.get("seed", out.seed)) {
+    return fail("spec misses unit/experiments/seed");
+  }
+  out.unit = static_cast<int>(unit);
+  out.experiments = static_cast<unsigned>(experiments);
+  const Json* band = j.find("band");
+  if (band == nullptr || !band->get("label", out.band.label) ||
+      !band->get("min_cycles", out.band.minCycles) ||
+      !band->get("max_cycles", out.band.maxCycles)) {
+    return fail("spec has no valid duration band");
+  }
+  return true;
+}
+
 Json toJson(const ExperimentRecord& record) {
   Json j = Json::object();
   j.set("target", Json(record.targetName));
@@ -48,53 +79,21 @@ Json toJson(const ExperimentRecord& record) {
   return j;
 }
 
-namespace {
-
-bool fieldU64(const Json& j, const char* key, std::uint64_t& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = static_cast<std::uint64_t>(f->asInt());
-  return true;
-}
-
-bool fieldI64(const Json& j, const char* key, std::int64_t& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = f->asInt();
-  return true;
-}
-
-bool fieldDouble(const Json& j, const char* key, double& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = f->asNumber();
-  return true;
-}
-
-bool fieldString(const Json& j, const char* key, std::string& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isString()) return false;
-  out = f->asString();
-  return true;
-}
-
-}  // namespace
-
 bool recordFromJson(const Json& j, ExperimentRecord& out) {
   out = ExperimentRecord{};
   std::string outcome;
-  if (!j.isObject() || !fieldString(j, "target", out.targetName) ||
-      !fieldU64(j, "inject_cycle", out.injectCycle) ||
-      !fieldDouble(j, "duration_cycles", out.durationCycles) ||
-      !fieldString(j, "outcome", outcome) ||
-      !fieldDouble(j, "modeled_seconds", out.modeledSeconds)) {
+  if (!j.isObject() || !j.get("target", out.targetName) ||
+      !j.get("inject_cycle", out.injectCycle) ||
+      !j.get("duration_cycles", out.durationCycles) ||
+      !j.get("outcome", outcome) ||
+      !j.get("modeled_seconds", out.modeledSeconds)) {
     return false;
   }
-  fieldString(j, "component", out.component);
-  fieldI64(j, "pc", out.pc);
-  fieldI64(j, "opcode", out.opcode);
-  fieldI64(j, "detect_cycle", out.detectCycle);
-  fieldI64(j, "pruned_from", out.prunedFrom);
+  j.get("component", out.component);
+  j.get("pc", out.pc);
+  j.get("opcode", out.opcode);
+  j.get("detect_cycle", out.detectCycle);
+  j.get("pruned_from", out.prunedFrom);
   return outcomeFromString(outcome, out.outcome);
 }
 

@@ -13,6 +13,11 @@ namespace fades::campaign {
 
 obs::Json toJson(const DurationBand& band);
 obs::Json toJson(const CampaignSpec& spec);
+/// Inverse of toJson(CampaignSpec), shared by the job-spec and prune-plan
+/// readers; the written target_pool_size is informational and not read
+/// back. False, with the reason in *error when given, if a field is
+/// missing or invalid.
+bool specFromJson(const obs::Json& j, CampaignSpec& out, std::string* error);
 obs::Json toJson(const ExperimentRecord& record);
 
 /// Inverse of toJson(ExperimentRecord), shared by the journal reader and

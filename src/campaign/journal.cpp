@@ -28,27 +28,6 @@ Json headerJson(const CampaignSpec& spec) {
   return j;
 }
 
-bool readU64(const Json& j, const char* key, std::uint64_t& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = static_cast<std::uint64_t>(f->asInt());
-  return true;
-}
-
-bool readDouble(const Json& j, const char* key, double& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = f->asNumber();
-  return true;
-}
-
-bool readString(const Json& j, const char* key, std::string& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isString()) return false;
-  out = f->asString();
-  return true;
-}
-
 }  // namespace
 
 Json CampaignJournal::outcomeJson(const ExperimentOutcome& x) {
@@ -85,7 +64,7 @@ bool CampaignJournal::outcomeFromJson(const Json& j, ExperimentOutcome& out) {
   if (!j.isObject()) return false;
   out = ExperimentOutcome{};
   std::uint64_t attempts = 0;
-  if (!readU64(j, "index", out.index) || !readU64(j, "attempts", attempts)) {
+  if (!j.get("index", out.index) || !j.get("attempts", attempts)) {
     return false;
   }
   out.attempts = static_cast<unsigned>(attempts);
@@ -93,22 +72,22 @@ bool CampaignJournal::outcomeFromJson(const Json& j, ExperimentOutcome& out) {
   if (quarantined != nullptr && quarantined->asBool()) {
     out.quarantined = true;
     std::string kind;
-    if (!readString(j, "kind", kind) ||
-        !readString(j, "error", out.failureMessage)) {
+    if (!j.get("kind", kind) ||
+        !j.get("error", out.failureMessage)) {
       return false;
     }
     return errorKindFromString(kind, out.failureKind);
   }
   std::string outcome;
-  if (!readString(j, "outcome", outcome) ||
+  if (!j.get("outcome", outcome) ||
       !outcomeFromString(outcome, out.outcome) ||
-      !readDouble(j, "modeled_seconds", out.modeledSeconds) ||
-      !readDouble(j, "config_seconds", out.configSeconds) ||
-      !readDouble(j, "workload_seconds", out.workloadSeconds) ||
-      !readDouble(j, "host_seconds", out.hostSeconds) ||
-      !readU64(j, "bytes_to_device", out.bytesToDevice) ||
-      !readU64(j, "bytes_from_device", out.bytesFromDevice) ||
-      !readU64(j, "sessions", out.sessions)) {
+      !j.get("modeled_seconds", out.modeledSeconds) ||
+      !j.get("config_seconds", out.configSeconds) ||
+      !j.get("workload_seconds", out.workloadSeconds) ||
+      !j.get("host_seconds", out.hostSeconds) ||
+      !j.get("bytes_to_device", out.bytesToDevice) ||
+      !j.get("bytes_from_device", out.bytesFromDevice) ||
+      !j.get("sessions", out.sessions)) {
     return false;
   }
   if (const Json* record = j.find("record")) {
@@ -175,7 +154,7 @@ void CampaignJournal::open(const CampaignSpec& spec, bool resume) {
             const auto header = Json::parse(line);
             std::string schema;
             require(header && header->isObject() &&
-                        readString(*header, "schema", schema) &&
+                        header->get("schema", schema) &&
                         schema == kSchema,
                     ErrorKind::ConfigError,
                     "journal " + path_ +

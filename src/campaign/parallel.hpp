@@ -16,7 +16,7 @@
 //
 // Determinism contract: experiment i of a campaign is a pure function of
 // (spec, i) - target choice, injection instant, duration and every in-fault
-// random draw come from Rng(common::streamSeed(spec.seed, ...)) - and
+// random draw come from the stream campaign::drawExperiment opens - and
 // runCampaign folds per-experiment outcomes in index order. Outcome
 // tallies, per-experiment records and the modeled CostBreakdown are
 // therefore bit-identical for any replica count and any scheduling order;

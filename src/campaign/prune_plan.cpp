@@ -139,66 +139,22 @@ bool fail(std::string* error, const std::string& why) {
   return false;
 }
 
-bool specFromJson(const Json& j, CampaignSpec& out, std::string* error) {
-  if (!j.isObject()) return fail(error, "spec is not an object");
-  const Json* model = j.find("model");
-  const Json* targets = j.find("targets");
-  if (model == nullptr || !model->isString() ||
-      !faultModelFromString(model->asString(), out.model)) {
-    return fail(error, "spec has no valid fault model");
-  }
-  if (targets == nullptr || !targets->isString() ||
-      !targetClassFromString(targets->asString(), out.targets)) {
-    return fail(error, "spec has no valid target class");
-  }
-  const Json* unit = j.find("unit");
-  const Json* experiments = j.find("experiments");
-  const Json* seed = j.find("seed");
-  const Json* band = j.find("band");
-  if (unit == nullptr || !unit->isNumber() || experiments == nullptr ||
-      !experiments->isNumber() || seed == nullptr || !seed->isNumber()) {
-    return fail(error, "spec misses unit/experiments/seed");
-  }
-  out.unit = static_cast<int>(unit->asInt());
-  out.experiments = static_cast<unsigned>(experiments->asInt());
-  out.seed = static_cast<std::uint64_t>(seed->asInt());
-  if (band == nullptr || !band->isObject()) {
-    return fail(error, "spec misses band");
-  }
-  const Json* label = band->find("label");
-  const Json* minC = band->find("min_cycles");
-  const Json* maxC = band->find("max_cycles");
-  if (label == nullptr || !label->isString() || minC == nullptr ||
-      !minC->isNumber() || maxC == nullptr || !maxC->isNumber()) {
-    return fail(error, "spec has no valid duration band");
-  }
-  out.band.label = label->asString();
-  out.band.minCycles = minC->asNumber();
-  out.band.maxCycles = maxC->asNumber();
-  return true;
-}
-
 }  // namespace
 
 bool prunePlanFromJson(const Json& j, PrunePlan& out, std::string* error) {
   out = PrunePlan{};
   if (!j.isObject()) return fail(error, "prune plan is not an object");
-  const Json* schema = j.find("schema");
-  if (schema == nullptr || !schema->isString() ||
-      schema->asString() != PrunePlan::kSchema) {
+  std::string schema;
+  if (!j.get("schema", schema) || schema != PrunePlan::kSchema) {
     return fail(error,
                 std::string("prune plan is not ") + PrunePlan::kSchema);
   }
   const Json* spec = j.find("spec");
   if (spec == nullptr || !specFromJson(*spec, out.spec, error)) return false;
-  const Json* runCycles = j.find("run_cycles");
-  const Json* poolSize = j.find("pool_size");
-  if (runCycles == nullptr || !runCycles->isNumber() || poolSize == nullptr ||
-      !poolSize->isNumber()) {
+  if (!j.get("run_cycles", out.runCycles) ||
+      !j.get("pool_size", out.poolSize)) {
     return fail(error, "prune plan misses run_cycles/pool_size");
   }
-  out.runCycles = static_cast<std::uint64_t>(runCycles->asInt());
-  out.poolSize = static_cast<std::uint64_t>(poolSize->asInt());
   const Json* classes = j.find("classes");
   if (classes == nullptr || !classes->isArray()) {
     return fail(error, "prune plan misses classes");
@@ -206,20 +162,15 @@ bool prunePlanFromJson(const Json& j, PrunePlan& out, std::string* error) {
   for (const Json& cj : classes->items()) {
     if (!cj.isObject()) return fail(error, "prune class is not an object");
     PruneClass c;
-    const Json* rep = cj.find("representative");
-    const Json* reason = cj.find("reason");
-    const Json* target = cj.find("target");
+    std::string reason;
     const Json* members = cj.find("members");
-    if (rep == nullptr || !rep->isNumber() || reason == nullptr ||
-        !reason->isString() ||
-        !pruneReasonFromString(reason->asString(), c.reason) ||
-        target == nullptr || !target->isString() || members == nullptr ||
+    if (!cj.get("representative", c.representative) ||
+        !cj.get("reason", reason) || !pruneReasonFromString(reason, c.reason) ||
+        !cj.get("target", c.target) || members == nullptr ||
         !members->isArray()) {
       return fail(error, "prune class misses representative/reason/target/"
                          "members");
     }
-    c.representative = static_cast<std::uint64_t>(rep->asInt());
-    c.target = target->asString();
     if (const Json* window = cj.find("window");
         window != nullptr && window->isArray() && window->size() == 2) {
       c.windowBegin = window->items()[0].asInt();

@@ -1,5 +1,7 @@
 #include "campaign/types.hpp"
 
+#include <utility>
+
 namespace fades::campaign {
 
 const char* toString(FaultModel m) {
@@ -92,6 +94,38 @@ Outcome classify(const Observation& golden, const Observation& faulty) {
     return Outcome::Latent;
   }
   return Outcome::Silent;
+}
+
+ExperimentDraw drawExperiment(const CampaignSpec& spec,
+                              std::span<const std::uint32_t> pool,
+                              std::uint64_t runCycles, std::uint64_t index,
+                              unsigned attempt) {
+  ExperimentDraw d;
+  d.rng = common::Rng(common::streamSeed(spec.seed, index * 131 + attempt));
+  d.target = pool[d.rng.below(pool.size())];
+  d.injectCycle = d.rng.below(runCycles);
+  d.duration = spec.band.minCycles +
+               d.rng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
+  return d;
+}
+
+std::uint64_t activeCycles(double duration, common::Rng& rng) {
+  if (duration < 1.0) return rng.uniform01() < duration ? 1 : 0;
+  return static_cast<std::uint64_t>(duration + 0.5);
+}
+
+ExperimentRecord makeRecord(const FaultDraw& draw, Outcome outcome,
+                            double modeledSeconds, std::string targetName,
+                            std::string component, std::int64_t detectCycle,
+                            const InstructionTrace* trace) {
+  ExperimentRecord r{std::move(targetName), draw.injectCycle, draw.duration,
+                     outcome, modeledSeconds, std::move(component)};
+  r.detectCycle = detectCycle;
+  if (trace != nullptr && draw.injectCycle < trace->size()) {
+    r.pc = (*trace)[draw.injectCycle].pc;
+    r.opcode = (*trace)[draw.injectCycle].opcode;
+  }
+  return r;
 }
 
 }  // namespace fades::campaign

@@ -9,11 +9,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 
 namespace fades::campaign {
@@ -89,6 +91,37 @@ struct CampaignSpec {
   std::vector<std::uint32_t> targetPool;
 };
 
+/// The fault of one experiment (Section 6.1): a uniformly drawn target
+/// from the pool, a uniformly drawn injection instant and a duration
+/// uniform over the spec's band.
+struct FaultDraw {
+  std::uint32_t target = 0;
+  std::uint64_t injectCycle = 0;
+  double duration = 0;
+};
+
+/// What drawExperiment returns: the fault, and the experiment's stream just
+/// after those three draws, from which the injector takes its edge-rule and
+/// in-fault draws.
+struct ExperimentDraw : FaultDraw {
+  common::Rng rng{0};
+};
+
+/// Experiment `index`'s draw. Its stream is streamSeed(spec.seed,
+/// 131 * index + attempt), a pure function of (spec, index, attempt), so
+/// every worker, every tool and the prune analysis draw the same fault; a
+/// site that cannot host the fault is redrawn at the next attempt (attempts
+/// stay far below the stride, so no two experiments share a stream).
+ExperimentDraw drawExperiment(const CampaignSpec& spec,
+                              std::span<const std::uint32_t> pool,
+                              std::uint64_t runCycles, std::uint64_t index,
+                              unsigned attempt = 0);
+
+/// Clock edges a fault of `duration` cycles reaches. A sub-cycle fault
+/// overlaps a sampling edge with probability equal to its length (one draw
+/// from `rng`); a longer one lasts its duration rounded half up (no draw).
+std::uint64_t activeCycles(double duration, common::Rng& rng);
+
 /// One golden-run instruction sample: the instruction in flight during a
 /// given clock cycle. Produced by an ISS trace hook (mc8051::Iss::
 /// tracePcPerCycle) and attached to the injectors via their options so each
@@ -124,6 +157,14 @@ struct ExperimentRecord {
   /// field, so they stay byte-identical).
   std::int64_t prunedFrom = -1;
 };
+
+/// The record of an experiment whose fault is `draw`. The injector names
+/// the target and its component; with an instruction trace, pc and opcode
+/// are the instruction in flight at the injection instant.
+ExperimentRecord makeRecord(const FaultDraw& draw, Outcome outcome,
+                            double modeledSeconds, std::string targetName,
+                            std::string component, std::int64_t detectCycle,
+                            const InstructionTrace* trace);
 
 /// Self-contained result of one campaign experiment. campaign::runCampaign
 /// folds these into a CampaignResult strictly in experiment-index order, so

@@ -22,6 +22,9 @@ using fpga::NodeKind;
 
 namespace {
 
+/// Golden-run cycles between the checkpoints locate() replays from.
+constexpr std::uint64_t kCheckpointInterval = 128;
+
 bool isSegment(const fpga::RoutingNodes& nodes, std::uint32_t node) {
   const auto k = nodes.info(node).kind;
   return k == NodeKind::HSeg || k == NodeKind::VSeg;
@@ -95,7 +98,7 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
   // Golden run: trace, checkpoints, final state.
   golden_.outputs.reserve(runCycles_);
   for (std::uint64_t c = 0; c < runCycles_; ++c) {
-    if (c % opt_.checkpointInterval == 0) {
+    if (c % kCheckpointInterval == 0) {
       checkpoints_.push_back(dev_.captureState());
     }
     golden_.outputs.push_back(outputWord());
@@ -187,9 +190,9 @@ void FadesTool::locate(std::uint64_t cycle) {
   // Host-side replay from the nearest checkpoint (the modeled flow runs the
   // workload from reset; finishExperiment charges its duration).
   const std::size_t idx = std::min<std::size_t>(
-      cycle / opt_.checkpointInterval, checkpoints_.size() - 1);
+      cycle / kCheckpointInterval, checkpoints_.size() - 1);
   dev_.restoreState(checkpoints_[idx]);
-  for (std::uint64_t c = idx * opt_.checkpointInterval; c < cycle; ++c) {
+  for (std::uint64_t c = idx * kCheckpointInterval; c < cycle; ++c) {
     dev_.step();
   }
 }
@@ -735,13 +738,8 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
     locate(injectCycle);
   }
 
-  // Sub-cycle faults overlap a sampling edge with probability = duration.
-  std::uint64_t effectiveCycles;
-  if (durationCycles < 1.0) {
-    effectiveCycles = rng.uniform01() < durationCycles ? 1 : 0;
-  } else {
-    effectiveCycles = static_cast<std::uint64_t>(durationCycles + 0.5);
-  }
+  const std::uint64_t effectiveCycles =
+      campaign::activeCycles(durationCycles, rng);
 
   ActiveFault fault;
   fault.model = model;
@@ -811,25 +809,19 @@ campaign::ExperimentOutcome FadesTool::runExperimentAt(
       std::uint64_t{index} * 131 + rerun));
   // A handful of sites cannot host certain faults (e.g. a net with no free
   // fabric around it for a delay detour); redraw like the paper's tool
-  // would skip an unusable location. Each attempt derives its own stream
-  // from (seed, index, attempt) alone, so redraws never perturb any other
-  // experiment - the invariant sharded execution relies on. The stride
-  // keeps attempt streams clear of neighbouring experiments (attempts cap
-  // at 20 << 131).
+  // would skip an unusable location. Each attempt is its own
+  // campaign::drawExperiment, so redraws never perturb any other
+  // experiment - the invariant sharded execution relies on (attempts cap
+  // at 20, far below its stride of 131).
   for (unsigned attempt = 0;; ++attempt) {
-    Rng erng(common::streamSeed(spec.seed,
-                                std::uint64_t{index} * 131 + attempt));
-    const auto target = pool[erng.below(pool.size())];
-    const auto injectCycle = erng.below(runCycles_);
-    const double duration =
-        spec.band.minCycles +
-        erng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
+    campaign::ExperimentDraw draw =
+        campaign::drawExperiment(spec, pool, runCycles_, index, attempt);
     campaign::ExperimentOutcome out;
     bits::TransferMeter meter;
     std::int64_t detectCycle = -1;
     try {
-      out.outcome = runExperiment(spec.model, spec.targets, target,
-                                  injectCycle, duration, erng,
+      out.outcome = runExperiment(spec.model, spec.targets, draw.target,
+                                  draw.injectCycle, draw.duration, draw.rng,
                                   &out.modeledSeconds, &meter, &detectCycle);
     } catch (const common::FadesError& err) {
       if (err.kind() != common::ErrorKind::InjectionError || attempt >= 20) {
@@ -846,18 +838,11 @@ campaign::ExperimentOutcome FadesTool::runExperimentAt(
     out.sessions = meter.sessions;
     if (opt_.keepRecords) {
       out.hasRecord = true;
-      out.record = campaign::ExperimentRecord{
-          targetName(spec.targets, target), injectCycle, duration,
-          out.outcome, out.modeledSeconds};
-      out.record.component =
-          netlist::toString(targetUnit(spec.targets, target));
-      out.record.detectCycle = detectCycle;
-      if (opt_.instructionTrace != nullptr &&
-          injectCycle < opt_.instructionTrace->size()) {
-        const auto& sample = (*opt_.instructionTrace)[injectCycle];
-        out.record.pc = sample.pc;
-        out.record.opcode = sample.opcode;
-      }
+      out.record = campaign::makeRecord(
+          draw, out.outcome, out.modeledSeconds,
+          targetName(spec.targets, draw.target),
+          netlist::toString(targetUnit(spec.targets, draw.target)),
+          detectCycle, opt_.instructionTrace.get());
     }
     return out;
   }
@@ -866,15 +851,11 @@ campaign::ExperimentOutcome FadesTool::runExperimentAt(
 campaign::ExperimentOutcome FadesTool::synthesizeOutcome(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
     unsigned index, const campaign::ExperimentOutcome& representative) {
-  // Replay attempt 0 of this experiment's own stream for the planned
-  // fields. Prunable target kinds (FF state, BRAM content, LUT outputs,
-  // dead nets) never raise InjectionError, so attempt 0 is the experiment.
-  Rng erng(common::streamSeed(spec.seed, std::uint64_t{index} * 131));
-  const auto target = pool[erng.below(pool.size())];
-  const auto injectCycle = erng.below(runCycles_);
-  const double duration =
-      spec.band.minCycles +
-      erng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
+  // This experiment's own draw gives the planned fields. Prunable target
+  // kinds (FF state, BRAM content, LUT outputs, dead nets) never raise
+  // InjectionError, so attempt 0 is the experiment.
+  const campaign::ExperimentDraw draw =
+      campaign::drawExperiment(spec, pool, runCycles_, index);
 
   // The measured half - behavior and reconfiguration traffic - is exactly
   // the representative's (that equivalence is what the plan proved; traffic
@@ -886,18 +867,12 @@ campaign::ExperimentOutcome FadesTool::synthesizeOutcome(
   out.record = campaign::ExperimentRecord{};
   if (opt_.keepRecords) {
     out.hasRecord = true;
-    out.record = campaign::ExperimentRecord{
-        targetName(spec.targets, target), injectCycle, duration, out.outcome,
-        out.modeledSeconds};
-    out.record.component = netlist::toString(targetUnit(spec.targets, target));
-    out.record.detectCycle =
-        representative.hasRecord ? representative.record.detectCycle : -1;
-    if (opt_.instructionTrace != nullptr &&
-        injectCycle < opt_.instructionTrace->size()) {
-      const auto& sample = (*opt_.instructionTrace)[injectCycle];
-      out.record.pc = sample.pc;
-      out.record.opcode = sample.opcode;
-    }
+    out.record = campaign::makeRecord(
+        draw, out.outcome, out.modeledSeconds,
+        targetName(spec.targets, draw.target),
+        netlist::toString(targetUnit(spec.targets, draw.target)),
+        representative.hasRecord ? representative.record.detectCycle : -1,
+        opt_.instructionTrace.get());
     out.record.prunedFrom = static_cast<std::int64_t>(representative.index);
   }
   return out;

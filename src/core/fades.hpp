@@ -72,7 +72,6 @@ struct FadesOptions {
   /// (Section 6.2's oscillating variant; much more reconfiguration traffic).
   bool oscillatingIndetermination = false;
   std::vector<std::string> observedOutputs{"p0", "p1"};
-  unsigned checkpointInterval = 128;
   bool keepRecords = false;
   /// Deterministic unreliable-link emulation: every metered transfer after
   /// setup can hit a readback CRC mismatch, transient write failure or
@@ -132,22 +131,22 @@ class FadesTool : public campaign::CampaignEngine {
   std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
 
   /// Run campaign experiment `index` of `spec` against `pool`. A pure
-  /// function of (spec, pool, index, rerun): the experiment's random stream
-  /// is derived statelessly from the campaign seed and index, and unusable
-  /// fault sites redraw from per-attempt streams. `rerun` counts
-  /// experiment-level retries after transient errors; it only reseeds the
-  /// link fault stream, so a retried experiment faces fresh link faults but
-  /// computes the identical result.
+  /// function of (spec, pool, index, rerun): target, instant, duration and
+  /// the in-fault draws come from campaign::drawExperiment, and a fault
+  /// site that cannot host the fault is redrawn at the next attempt.
+  /// `rerun` counts experiment-level retries after transient errors; it
+  /// only reseeds the link fault stream, so a retried experiment faces
+  /// fresh link faults but computes the identical result.
   campaign::ExperimentOutcome runExperimentAt(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
       unsigned index, unsigned rerun) override;
 
   /// Materialize the outcome of experiment `index` from its fades.prune/1
-  /// class representative without touching the device: replays the
-  /// experiment's own draws for the planned fields (target, instant,
-  /// duration) and clones the measured fields (outcome, costs, detect
-  /// cycle) from `representative`. Only valid for experiments a PrunePlan
-  /// proved equivalent to the representative.
+  /// class representative without touching the device: the planned fields
+  /// (target, instant, duration) come from the experiment's own
+  /// campaign::drawExperiment, and the measured fields (outcome, costs,
+  /// detect cycle) are cloned from `representative`. Only valid for
+  /// experiments a PrunePlan proved equivalent to the representative.
   campaign::ExperimentOutcome synthesizeOutcome(
       const CampaignSpec& spec, std::span<const std::uint32_t> pool,
       unsigned index,

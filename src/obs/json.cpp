@@ -26,6 +26,34 @@ const Json* Json::find(const std::string& key) const {
   return nullptr;
 }
 
+bool Json::get(const std::string& key, std::string& out) const {
+  const Json* f = find(key);
+  if (f == nullptr || !f->isString()) return false;
+  out = f->asString();
+  return true;
+}
+
+bool Json::get(const std::string& key, double& out) const {
+  const Json* f = find(key);
+  if (f == nullptr || !f->isNumber()) return false;
+  out = f->asNumber();
+  return true;
+}
+
+bool Json::get(const std::string& key, std::int64_t& out) const {
+  const Json* f = find(key);
+  if (f == nullptr || !f->isNumber()) return false;
+  out = f->asInt();
+  return true;
+}
+
+bool Json::get(const std::string& key, std::uint64_t& out) const {
+  const Json* f = find(key);
+  if (f == nullptr || !f->isNumber()) return false;
+  out = static_cast<std::uint64_t>(f->asInt());
+  return true;
+}
+
 std::string Json::escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);

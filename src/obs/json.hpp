@@ -65,6 +65,15 @@ class Json {
   Json& set(const std::string& key, Json value);
   /// Member lookup; nullptr when absent (or not an object).
   const Json* find(const std::string& key) const;
+  /// Typed member read: when member `key` is present with the requested
+  /// type (a string, or a number for the numeric overloads), store it in
+  /// `out` and return true; otherwise leave `out` alone and return false.
+  /// The integer overloads read asInt(), so a negative number read as
+  /// uint64_t wraps to a huge value that a caller's bounds check rejects.
+  bool get(const std::string& key, std::string& out) const;
+  bool get(const std::string& key, double& out) const;
+  bool get(const std::string& key, std::int64_t& out) const;
+  bool get(const std::string& key, std::uint64_t& out) const;
   const std::vector<std::pair<std::string, Json>>& members() const {
     return members_;
   }

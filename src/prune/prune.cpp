@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace fades::prune {
 
@@ -465,26 +464,17 @@ PrunePlan buildPlan(const CampaignSpec& spec,
   };
 
   for (unsigned i = 0; i < spec.experiments; ++i) {
-    // Replicate the campaign draw order exactly (FadesTool::runExperimentAt
-    // attempt 0 == VfitTool::planExperiment): target, instant, duration,
-    // then the sub-cycle sampling draw. Supported target kinds never
+    // The injectors' own draw and edge rule, so the plan classifies exactly
+    // the faults the campaign will inject. Supported target kinds never
     // redraw, so attempt 0 is the experiment.
-    common::Rng erng(common::streamSeed(spec.seed, std::uint64_t{i} * 131));
-    const std::uint32_t handle =
-        pool[erng.below(pool.size())];
-    const std::uint64_t injectCycle = erng.below(in.runCycles);
-    const double duration =
-        spec.band.minCycles +
-        erng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
-    std::uint64_t effectiveCycles;
-    if (duration < 1.0) {
-      effectiveCycles = erng.uniform01() < duration ? 1 : 0;
-    } else {
-      effectiveCycles = static_cast<std::uint64_t>(duration + 0.5);
-    }
+    campaign::ExperimentDraw draw =
+        campaign::drawExperiment(spec, pool, in.runCycles, i);
+    const std::uint32_t handle = draw.target;
+    const std::uint64_t injectCycle = draw.injectCycle;
     const std::uint64_t window =
-        std::min(effectiveCycles, in.runCycles - injectCycle);
-    const bool subCycle = duration < 1.0;
+        std::min(campaign::activeCycles(draw.duration, draw.rng),
+                 in.runCycles - injectCycle);
+    const bool subCycle = draw.duration < 1.0;
     const std::uint64_t costSig =
         (window << 1) | static_cast<std::uint64_t>(subCycle);
 

@@ -94,16 +94,6 @@ NetId Builder::lnot(NetId a) {
   nl_.addGate(GateOp::Not, a, {}, {}, unit_, out);
   return out;
 }
-NetId Builder::lnand(NetId a, NetId b) {
-  NetId out = nl_.addNet();
-  nl_.addGate(GateOp::Nand, a, b, {}, unit_, out);
-  return out;
-}
-NetId Builder::lnor(NetId a, NetId b) {
-  NetId out = nl_.addNet();
-  nl_.addGate(GateOp::Nor, a, b, {}, unit_, out);
-  return out;
-}
 NetId Builder::lxnor(NetId a, NetId b) {
   NetId out = nl_.addNet();
   nl_.addGate(GateOp::Xnor, a, b, {}, unit_, out);

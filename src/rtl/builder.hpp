@@ -64,8 +64,6 @@ class Builder {
   NetId lor(NetId a, NetId b);
   NetId lxor(NetId a, NetId b);
   NetId lnot(NetId a);
-  NetId lnand(NetId a, NetId b);
-  NetId lnor(NetId a, NetId b);
   NetId lxnor(NetId a, NetId b);
   NetId lmux(NetId sel, NetId whenTrue, NetId whenFalse);
   NetId andAll(const Bus& bits);

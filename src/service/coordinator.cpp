@@ -37,20 +37,6 @@ Json typed(const char* type) {
   return j;
 }
 
-bool readString(const Json& j, const char* key, std::string& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isString()) return false;
-  out = f->asString();
-  return true;
-}
-
-bool readU64(const Json& j, const char* key, std::uint64_t& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = static_cast<std::uint64_t>(f->asInt());
-  return true;
-}
-
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorOptions options)
@@ -80,9 +66,9 @@ Coordinator::Coordinator(CoordinatorOptions options)
     std::string event;
     std::string worker;
     std::string reason;
-    if (readString(*parsed, "event", event) && event == "ban" &&
-        readString(*parsed, "worker", worker)) {
-      readString(*parsed, "reason", reason);
+    if (parsed->get("event", event) && event == "ban" &&
+        parsed->get("worker", worker)) {
+      parsed->get("reason", reason);
       WorkerState& w = workers_[worker];
       w.name = worker;
       w.banned = true;
@@ -280,15 +266,15 @@ void Coordinator::handleConnection(Socket sock) {
     if (!hello) return;
     std::string type;
     std::string schema;
-    if (!readString(*hello, "type", type) || type != "hello" ||
-        !readString(*hello, "schema", schema) || schema != kWireSchema) {
+    if (!hello->get("type", type) || type != "hello" ||
+        !hello->get("schema", schema) || schema != kWireSchema) {
       sendMessage(sock, errorReply("expected a fades.wire/1 hello"),
                   &cBytesStreamed_);
       return;
     }
     std::string role;
-    readString(*hello, "role", role);
-    if (role == "worker" && readString(*hello, "worker", helloWorker)) {
+    hello->get("role", role);
+    if (role == "worker" && hello->get("worker", helloWorker)) {
       counted = true;
       gWorkersActive_.set(activeWorkers_.fetch_add(1) + 1);
     }
@@ -322,12 +308,12 @@ void Coordinator::handleConnection(Socket sock) {
 
 Json Coordinator::dispatch(const Json& msg, std::string& helloWorker) {
   std::string type;
-  if (!readString(msg, "type", type)) {
+  if (!msg.get("type", type)) {
     return errorReply("message has no type");
   }
   if (type == "lease_request") {
     std::string worker = helloWorker;
-    readString(msg, "worker", worker);
+    msg.get("worker", worker);
     if (worker.empty()) return errorReply("lease_request needs a worker name");
     return handleLease(worker);
   }
@@ -632,9 +618,9 @@ Json Coordinator::handleHeartbeat(const Json& msg) {
   std::string fp;
   std::uint64_t leaseId = 0;
   std::uint64_t first = 0;
-  if (!readString(msg, "worker", worker) ||
-      !readString(msg, "fingerprint", fp) ||
-      !readU64(msg, "lease_id", leaseId) || !readU64(msg, "first", first)) {
+  if (!msg.get("worker", worker) ||
+      !msg.get("fingerprint", fp) ||
+      !msg.get("lease_id", leaseId) || !msg.get("first", first)) {
     return errorReply("heartbeat misses worker/fingerprint/lease_id/first");
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -659,8 +645,8 @@ Json Coordinator::handleComplete(const Json& msg) {
   std::string worker;
   std::string fp;
   std::uint64_t first = 0;
-  if (!readString(msg, "worker", worker) ||
-      !readString(msg, "fingerprint", fp) || !readU64(msg, "first", first)) {
+  if (!msg.get("worker", worker) ||
+      !msg.get("fingerprint", fp) || !msg.get("first", first)) {
     return errorReply("complete misses worker/fingerprint/first");
   }
   const Json* outcomesJson = msg.find("outcomes");
@@ -752,12 +738,12 @@ Json Coordinator::handleRelease(const Json& msg) {
   std::uint64_t leaseId = 0;
   std::uint64_t first = 0;
   std::string error;
-  if (!readString(msg, "worker", worker) ||
-      !readString(msg, "fingerprint", fp) ||
-      !readU64(msg, "lease_id", leaseId) || !readU64(msg, "first", first)) {
+  if (!msg.get("worker", worker) ||
+      !msg.get("fingerprint", fp) ||
+      !msg.get("lease_id", leaseId) || !msg.get("first", first)) {
     return errorReply("release misses worker/fingerprint/lease_id/first");
   }
-  readString(msg, "error", error);
+  msg.get("error", error);
   std::lock_guard<std::mutex> lock(mu_);
   Campaign* c = findCampaignLocked(fp);
   Block* block =
@@ -797,7 +783,7 @@ Json Coordinator::handleStatus(const Json& msg) {
   Json j = typed("status_report");
   std::lock_guard<std::mutex> lock(mu_);
   std::string fp;
-  if (readString(msg, "fingerprint", fp)) {
+  if (msg.get("fingerprint", fp)) {
     Campaign* c = findCampaignLocked(fp);
     if (c == nullptr) return errorReply("unknown campaign " + fp);
     j.set("fingerprint", Json(fp));
@@ -824,7 +810,7 @@ Json Coordinator::handleStatus(const Json& msg) {
 
 Json Coordinator::handleFetch(const Json& msg) {
   std::string fp;
-  if (!readString(msg, "fingerprint", fp)) {
+  if (!msg.get("fingerprint", fp)) {
     return errorReply("fetch misses fingerprint");
   }
   std::string object;

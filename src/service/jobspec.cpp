@@ -32,20 +32,6 @@ namespace {
 
 constexpr const char* kJobSchema = "fades.job/1";
 
-bool readString(const Json& j, const char* key, std::string& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isString()) return false;
-  out = f->asString();
-  return true;
-}
-
-bool readNumber(const Json& j, const char* key, double& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = f->asNumber();
-  return true;
-}
-
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
@@ -88,20 +74,20 @@ bool jobSpecFromJson(const Json& j, JobSpec& out, std::string* error) {
   if (!j.isObject()) return fail(error, "job spec is not an object");
   out = JobSpec{};
   std::string schema;
-  if (!readString(j, "schema", schema) || schema != kJobSchema) {
+  if (!j.get("schema", schema) || schema != kJobSchema) {
     return fail(error, "job spec is not " + std::string(kJobSchema));
   }
-  if (!readString(j, "tool", out.tool) ||
-      !readString(j, "engine", out.engine) ||
-      !readString(j, "workload", out.workload) ||
-      !readString(j, "name", out.name)) {
+  if (!j.get("tool", out.tool) ||
+      !j.get("engine", out.engine) ||
+      !j.get("workload", out.workload) ||
+      !j.get("name", out.name)) {
     return fail(error, "job spec misses tool/engine/workload/name");
   }
   if (out.engine != engineFor(out.tool)) {
     return fail(error, "engine '" + out.engine + "' does not match tool '" +
                            out.tool + "'");
   }
-  if (!readNumber(j, "link_fault_rate", out.linkFaultRate)) {
+  if (!j.get("link_fault_rate", out.linkFaultRate)) {
     return fail(error, "job spec misses link_fault_rate");
   }
   const Json* keep = j.find("keep_records");
@@ -113,34 +99,7 @@ bool jobSpecFromJson(const Json& j, JobSpec& out, std::string* error) {
   if (spec == nullptr || !spec->isObject()) {
     return fail(error, "job spec misses spec");
   }
-  std::string model;
-  std::string targets;
-  if (!readString(*spec, "model", model) ||
-      !campaign::faultModelFromString(model, out.spec.model)) {
-    return fail(error, "spec has no valid fault model");
-  }
-  if (!readString(*spec, "targets", targets) ||
-      !campaign::targetClassFromString(targets, out.spec.targets)) {
-    return fail(error, "spec has no valid target class");
-  }
-  const Json* unit = spec->find("unit");
-  const Json* experiments = spec->find("experiments");
-  const Json* seed = spec->find("seed");
-  if (unit == nullptr || !unit->isNumber() || experiments == nullptr ||
-      !experiments->isNumber() || seed == nullptr || !seed->isNumber()) {
-    return fail(error, "spec misses unit/experiments/seed");
-  }
-  out.spec.unit = static_cast<int>(unit->asInt());
-  out.spec.experiments = static_cast<unsigned>(experiments->asInt());
-  out.spec.seed = static_cast<std::uint64_t>(seed->asInt());
-  const Json* band = spec->find("band");
-  if (band == nullptr || !band->isObject() ||
-      !readString(*band, "label", out.spec.band.label) ||
-      !readNumber(*band, "min_cycles", out.spec.band.minCycles) ||
-      !readNumber(*band, "max_cycles", out.spec.band.maxCycles)) {
-    return fail(error, "spec has no valid duration band");
-  }
-  return true;
+  return campaign::specFromJson(*spec, out.spec, error);
 }
 
 void validate(const JobSpec& job) {

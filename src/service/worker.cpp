@@ -24,23 +24,9 @@ using obs::Json;
 
 namespace {
 
-bool readString(const Json& j, const char* key, std::string& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isString()) return false;
-  out = f->asString();
-  return true;
-}
-
-bool readU64(const Json& j, const char* key, std::uint64_t& out) {
-  const Json* f = j.find(key);
-  if (f == nullptr || !f->isNumber()) return false;
-  out = static_cast<std::uint64_t>(f->asInt());
-  return true;
-}
-
 std::string messageType(const Json& j) {
   std::string type;
-  readString(j, "type", type);
+  j.get("type", type);
   return type;
 }
 
@@ -139,7 +125,7 @@ WorkerDaemon::Served WorkerDaemon::serveConnection(const Socket& sock) {
     }
     if (type == "idle") {
       std::uint64_t retryMs = 200;
-      readU64(*reply, "retry_ms", retryMs);
+      reply->get("retry_ms", retryMs);
       sleepInterruptible(static_cast<int>(std::min<std::uint64_t>(
           retryMs, 5000)));
       continue;
@@ -194,10 +180,10 @@ void WorkerDaemon::runLease(const Socket& sock, const Json& lease) {
   const Json* jobJson = lease.find("job");
   std::string error;
   JobSpec job;
-  require(readString(lease, "fingerprint", fp) &&
-              readU64(lease, "lease_id", leaseId) &&
-              readU64(lease, "first", first) &&
-              readU64(lease, "count", count) && jobJson != nullptr &&
+  require(lease.get("fingerprint", fp) &&
+              lease.get("lease_id", leaseId) &&
+              lease.get("first", first) &&
+              lease.get("count", count) && jobJson != nullptr &&
               jobSpecFromJson(*jobJson, job, &error) &&
               first + count <= job.spec.experiments,
           ErrorKind::LinkError, "malformed lease: " + error);
@@ -349,7 +335,7 @@ void WorkerDaemon::runLease(const Socket& sock, const Json& lease) {
   }
   if (messageType(*ack) == "error") {
     std::string why;
-    readString(*ack, "error", why);
+    ack->get("error", why);
     FADES_LOG(Warn) << "completion rejected" << obs::kv("worker", opt_.name)
                     << obs::kv("fingerprint", fp) << obs::kv("error", why);
   }

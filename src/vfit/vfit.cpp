@@ -293,26 +293,16 @@ Unit VfitTool::targetUnit(const CampaignSpec& spec,
 VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
                                             std::span<const std::uint32_t> pool,
                                             unsigned index) const {
-  // The scalar reference's draw order exactly: the campaign's target /
-  // instant / duration, then runExperiment's effective-cycle and
-  // indetermination draws, all from the same per-experiment stream. The
-  // stream derivation is the FADES campaign loop's, so identical specs over
-  // identical pools draw identical faults in both tools.
-  LanePlan p;
-  p.index = index;
-  Rng erng(common::streamSeed(spec.seed, std::uint64_t{index} * 131));
-  p.target = pool[erng.below(pool.size())];
-  p.injectCycle = erng.below(runCycles_);
-  p.duration = spec.band.minCycles +
-               erng.uniform01() * (spec.band.maxCycles - spec.band.minCycles);
-
-  std::uint64_t effectiveCycles;
-  if (p.duration < 1.0) {
-    effectiveCycles = erng.uniform01() < p.duration ? 1 : 0;
-  } else {
-    effectiveCycles = static_cast<std::uint64_t>(p.duration + 0.5);
-  }
-  p.window = std::min(effectiveCycles, runCycles_ - p.injectCycle);
+  // The scalar reference's draw order exactly: the campaign draw (FADES
+  // draws the same one, so identical specs over identical pools fault the
+  // same sites in both tools), then the edge rule and the indetermination
+  // values from the same stream.
+  campaign::ExperimentDraw draw =
+      campaign::drawExperiment(spec, pool, runCycles_, index);
+  LanePlan p{draw,
+             std::min(campaign::activeCycles(draw.duration, draw.rng),
+                      runCycles_ - draw.injectCycle),
+             /*commands=*/0, /*values=*/{}};
 
   switch (spec.model) {
     case FaultModel::BitFlip:
@@ -323,10 +313,10 @@ VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
       p.commands = static_cast<unsigned>(2 * p.window + 1);
       break;
     case FaultModel::Indetermination: {
-      bool value = erng.coin();
+      bool value = draw.rng.coin();
       p.values.reserve(p.window);
       for (std::uint64_t k = 0; k < p.window; ++k) {
-        if (opt_.oscillatingIndetermination && k > 0) value = erng.coin();
+        if (opt_.oscillatingIndetermination && k > 0) value = draw.rng.coin();
         p.values.push_back(value ? 1 : 0);
       }
       // Signals pay a trailing release; deposits do not.
@@ -342,10 +332,11 @@ VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
 }
 
 campaign::ExperimentOutcome VfitTool::makeOutcome(const CampaignSpec& spec,
+                                                  unsigned index,
                                                   const LanePlan& plan,
                                                   Outcome outcome) const {
   campaign::ExperimentOutcome out;
-  out.index = plan.index;
+  out.index = index;
   out.outcome = outcome;
   // Same expression (and operand order) as runExperiment's modeledSeconds,
   // so the wave and the scalar reference agree bit for bit.
@@ -356,10 +347,9 @@ campaign::ExperimentOutcome VfitTool::makeOutcome(const CampaignSpec& spec,
   out.hostSeconds = opt_.secondsFixedPerExperiment;
   if (opt_.keepRecords) {
     out.hasRecord = true;
-    out.record = campaign::ExperimentRecord{
-        std::to_string(plan.target), plan.injectCycle, plan.duration, outcome,
-        out.modeledSeconds};
-    out.record.component = netlist::toString(targetUnit(spec, plan.target));
+    out.record = campaign::makeRecord(
+        plan, outcome, out.modeledSeconds, std::to_string(plan.target),
+        netlist::toString(targetUnit(spec, plan.target)), -1, nullptr);
   }
   return out;
 }
@@ -378,7 +368,7 @@ campaign::ExperimentOutcome VfitTool::synthesizeOutcome(
   // pure function of (target, instant, window) - so only the behavioral
   // outcome is cloned from the representative.
   campaign::ExperimentOutcome out =
-      makeOutcome(spec, planExperiment(spec, pool, index),
+      makeOutcome(spec, index, planExperiment(spec, pool, index),
                   representative.outcome);
   out.attempts = 0;
   if (out.hasRecord) {
@@ -520,7 +510,7 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
     const Outcome o = campaign::classify(golden_, faulty);
     registry.counter(opt_.metricsPrefix + ".commands").add(plans[i - 1].commands);
     registry.counter(opt_.metricsPrefix + ".experiments").inc();
-    out.push_back(makeOutcome(spec, plans[i - 1], o));
+    out.push_back(makeOutcome(spec, indices[i - 1], plans[i - 1], o));
   }
   return out;
 }

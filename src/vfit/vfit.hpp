@@ -127,16 +127,14 @@ class VfitTool : public campaign::CampaignEngine {
   const Observation& golden() const { return golden_; }
   double goldenModelSeconds() const { return goldenSeconds_; }
 
-  /// Pre-drawn fault script of one experiment: the campaign draws (target,
-  /// instant, duration) followed by runExperiment's own draws, in that
-  /// order, so a wave consumes the per-experiment RNG stream exactly as the
-  /// scalar reference does. Public because the autonomous backend re-meters
-  /// the same plan (command count, window) under its own cost model.
-  struct LanePlan {
-    unsigned index = 0;
-    std::uint32_t target = 0;
-    std::uint64_t injectCycle = 0;
-    double duration = 0;
+  /// Pre-drawn fault script of one experiment: its campaign draw, then the
+  /// edge rule (campaign::activeCycles) and the indetermination values from
+  /// the draw's stream, in the order runExperiment makes them. The stream
+  /// itself stays out: the wave loop walks every plan each cycle, and a
+  /// 32-byte stream per plan slows VFIT campaigns by about a quarter.
+  /// Public because the autonomous backend re-meters the same plan
+  /// (command count, window) under its own cost model.
+  struct LanePlan : campaign::FaultDraw {
     std::uint64_t window = 0;  // active cycles, clipped to the workload end
     unsigned commands = 0;
     std::vector<std::uint8_t> values;  // indetermination value per cycle
@@ -157,7 +155,7 @@ class VfitTool : public campaign::CampaignEngine {
  private:
   Unit targetUnit(const CampaignSpec& spec, std::uint32_t target) const;
   campaign::ExperimentOutcome makeOutcome(const CampaignSpec& spec,
-                                          const LanePlan& plan,
+                                          unsigned index, const LanePlan& plan,
                                           Outcome outcome) const;
   std::uint64_t outputWord() const;
   void captureFinalState(Observation& obs) const;

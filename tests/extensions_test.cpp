@@ -467,18 +467,19 @@ synth::Implementation lfsrImplementation() {
 TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
   // fpga.settles counts LUT-network evaluations exactly: one per emulated
   // cycle, plus one each for the checkpoint restore, the injection and the
-  // removal (or, for a bit-flip, the first cycle after it).
+  // removal (or, for a bit-flip, the first cycle after it). Checkpoints sit
+  // every 128 cycles, and the 300-cycle run injects after the second and
+  // the third, so locating also replays from a later checkpoint.
   const auto impl = lfsrImplementation();
   fpga::Device dev(impl.spec);
   core::FadesOptions opt;
   opt.observedOutputs = {"out"};
-  opt.checkpointInterval = 16;
   const obs::Counter& settles =
       obs::Registry::global().counter("fpga.settles");
   const std::uint64_t registryBefore = settles.value();
-  core::FadesTool tool(dev, impl, 48, opt);
-  EXPECT_EQ(dev.settles(), 1u + 48u);  // download, then the golden run
-  EXPECT_EQ(settles.value() - registryBefore, 1u + 48u);
+  core::FadesTool tool(dev, impl, 300, opt);
+  EXPECT_EQ(dev.settles(), 1u + 300u);  // download, then the golden run
+  EXPECT_EQ(settles.value() - registryBefore, 1u + 300u);
 
   using campaign::FaultModel;
   using campaign::TargetClass;
@@ -488,7 +489,7 @@ TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
                         double duration) {
     const std::uint64_t device0 = dev.settles(), registry0 = settles.value();
     tool.runExperiment(model, cls, target, cycle, duration, rng);
-    const std::uint64_t expected = 3 + dev.cycle() - cycle / 16 * 16;
+    const std::uint64_t expected = 3 + dev.cycle() - cycle / 128 * 128;
     EXPECT_EQ(dev.settles() - device0, expected)
         << "inject at " << cycle << " for " << duration;
     EXPECT_EQ(settles.value() - registry0, expected);
@@ -498,11 +499,11 @@ TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
   const double durations[] = {0.0, 0.5, 1.0, 3.0, 7.0, 10.0};
   for (unsigned i = 0; i < 6; ++i) {
     expectCost(FaultModel::Pulse, TargetClass::CombinationalLut,
-               luts[i % luts.size()], 5 + 7 * i, durations[i]);
+               luts[i % luts.size()], 5 + 53 * i, durations[i]);
   }
   for (std::uint32_t i = 0; i < 3; ++i) {
     expectCost(FaultModel::BitFlip, TargetClass::SequentialFF, 2 * i,
-               3 + 15 * i, 1.0);
+               3 + 130 * i, 1.0);
   }
 }
 

@@ -52,6 +52,65 @@ TEST(Campaign, ClassifyTrichotomy) {
   EXPECT_EQ(campaign::classify(golden, both), Outcome::Failure);
 }
 
+TEST(Campaign, DrawExperimentPinsTheStreamProtocol) {
+  // Target, instant and duration come from streamSeed(seed, 131*i +
+  // attempt) in that order; every injector and the prune plan depend on
+  // these exact values, so a change to the protocol fails here first.
+  CampaignSpec spec;
+  spec.seed = 2006;
+  spec.band = DurationBand::shortBand();
+  std::vector<std::uint32_t> pool;
+  for (std::uint32_t k = 0; k < 97; ++k) pool.push_back(7 * k + 5);
+  struct Pinned {
+    unsigned index, attempt;
+    std::uint32_t target;
+    std::uint64_t injectCycle;
+    double duration, next;
+  };
+  const Pinned pinned[] = {
+      {0, 0, 306, 263, 9.6988773731676687, 0.76484047424294799},
+      {1, 0, 236, 959, 7.3105911734325995, 0.38736904525371896},
+      {2, 0, 257, 958, 6.8225708380341583, 0.92691615485297929},
+      {3, 0, 418, 1466, 5.274917402761174, 0.92523021665355221},
+      {0, 1, 68, 402, 9.251636345790601, 0.96348081035459787},
+  };
+  for (const Pinned& p : pinned) {
+    auto d = campaign::drawExperiment(spec, pool, 1601, p.index, p.attempt);
+    const std::string what =
+        "index " + std::to_string(p.index) + " attempt " +
+        std::to_string(p.attempt);
+    EXPECT_EQ(d.target, p.target) << what;
+    EXPECT_EQ(d.injectCycle, p.injectCycle) << what;
+    EXPECT_EQ(d.duration, p.duration) << what;
+    EXPECT_EQ(d.rng.uniform01(), p.next) << what;  // left after three draws
+  }
+}
+
+TEST(Campaign, ActiveCyclesDrawsOnlyForSubCycleFaults) {
+  // Below one cycle: one draw, and an edge is reached iff it falls under the
+  // duration (the first uniform01() of seeds 1 and 2 is 0.703 and 0.102).
+  struct SubCycle {
+    double duration;
+    std::uint64_t seed, expected;
+  };
+  for (const SubCycle& t : {SubCycle{0.3, 1, 0}, SubCycle{0.3, 2, 1},
+                            SubCycle{0.999, 1, 1}}) {
+    Rng rng(t.seed), oneDrawOn(t.seed);
+    EXPECT_EQ(campaign::activeCycles(t.duration, rng), t.expected)
+        << t.duration << " seed " << t.seed;
+    oneDrawOn();
+    EXPECT_EQ(rng(), oneDrawOn()) << t.duration << " seed " << t.seed;
+  }
+  // From one cycle on: the duration rounded half up, and no draw.
+  const std::pair<double, std::uint64_t> whole[] = {
+      {1.0, 1}, {4.49, 4}, {4.5, 5}, {10.0, 10}};
+  for (const auto& [duration, expected] : whole) {
+    Rng rng(1), untouched(1);
+    EXPECT_EQ(campaign::activeCycles(duration, rng), expected) << duration;
+    EXPECT_EQ(rng(), untouched()) << duration;
+  }
+}
+
 TEST(Campaign, PaperDurationBands) {
   const auto bands = DurationBand::paperBands();
   ASSERT_EQ(bands.size(), 3u);

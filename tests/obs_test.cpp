@@ -57,6 +57,78 @@ TEST(Json, EscapeControlCharactersAndQuotes) {
   EXPECT_EQ(back->asString(), "a\"b\\c\nd\te");
 }
 
+/// Members of every type the typed getters distinguish, as a reader gets
+/// them off the wire.
+Json getterDocument() {
+  const auto j = Json::parse(
+      R"({"s":"text","n":42,"neg":-5,"f":0.5,"big":9007199254740993,)"
+      R"("t":true,"list":[1]})");
+  EXPECT_TRUE(j.has_value());
+  return j.value_or(Json());
+}
+
+TEST(Json, GetStringReadsOnlyStringMembers) {
+  const Json j = getterDocument();
+  std::string out = "unchanged";
+  EXPECT_TRUE(j.get("s", out));
+  EXPECT_EQ(out, "text");
+  out = "unchanged";
+  for (const char* key : {"absent", "n", "t", "list"}) {
+    EXPECT_FALSE(j.get(key, out)) << key;
+    EXPECT_EQ(out, "unchanged") << key;
+  }
+}
+
+TEST(Json, GetDoubleReadsAnyNumber) {
+  const Json j = getterDocument();
+  double out = -1;
+  EXPECT_TRUE(j.get("f", out));
+  EXPECT_EQ(out, 0.5);
+  EXPECT_TRUE(j.get("n", out));
+  EXPECT_EQ(out, 42.0);
+  out = -1;
+  for (const char* key : {"absent", "s", "t", "list"}) {
+    EXPECT_FALSE(j.get(key, out)) << key;
+    EXPECT_EQ(out, -1) << key;
+  }
+}
+
+TEST(Json, GetInt64ReadsIntegersExactly) {
+  const Json j = getterDocument();
+  std::int64_t out = 7;
+  EXPECT_TRUE(j.get("neg", out));
+  EXPECT_EQ(out, -5);
+  // 2^53 + 1 has no double representation; the integer survives.
+  EXPECT_TRUE(j.get("big", out));
+  EXPECT_EQ(out, std::int64_t{9007199254740993});
+  out = 7;
+  for (const char* key : {"absent", "s", "t", "list"}) {
+    EXPECT_FALSE(j.get(key, out)) << key;
+    EXPECT_EQ(out, 7) << key;
+  }
+}
+
+TEST(Json, GetUint64ReadsIntegersAndWrapsNegatives) {
+  const Json j = getterDocument();
+  std::uint64_t out = 7;
+  EXPECT_TRUE(j.get("n", out));
+  EXPECT_EQ(out, 42u);
+  EXPECT_TRUE(j.get("big", out));
+  EXPECT_EQ(out, std::uint64_t{9007199254740993});
+  // A negative number wraps far past any bound a reader checks against.
+  EXPECT_TRUE(j.get("neg", out));
+  EXPECT_EQ(out, std::numeric_limits<std::uint64_t>::max() - 4);
+  Json max = Json::object();
+  max.set("u", Json(std::numeric_limits<std::uint64_t>::max()));
+  EXPECT_TRUE(max.get("u", out));
+  EXPECT_EQ(out, std::numeric_limits<std::uint64_t>::max());
+  out = 7;
+  for (const char* key : {"absent", "s", "t", "list"}) {
+    EXPECT_FALSE(j.get(key, out)) << key;
+    EXPECT_EQ(out, 7u) << key;
+  }
+}
+
 // --- logger ---------------------------------------------------------------
 
 /// Swap in a capturing sink for the duration of a test.

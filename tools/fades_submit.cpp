@@ -75,14 +75,15 @@ Json rpc(const service::Socket& sock, const Json& request) {
 }
 
 std::string stringField(const Json& j, const char* key) {
-  const Json* f = j.find(key);
-  return f != nullptr && f->isString() ? f->asString() : std::string();
+  std::string out;
+  j.get(key, out);
+  return out;
 }
 
 std::uint64_t numberField(const Json& j, const char* key) {
-  const Json* f = j.find(key);
-  return f != nullptr && f->isNumber() ? static_cast<std::uint64_t>(f->asInt())
-                                       : 0;
+  std::uint64_t out = 0;
+  j.get(key, out);
+  return out;
 }
 
 /// Parse campaign_8051-style job arguments into a validated JobSpec.
