@@ -66,6 +66,7 @@
 #include "campaign/prune_plan.hpp"
 #include "campaign/types.hpp"
 #include "common/error.hpp"
+#include "obs/artifact.hpp"
 #include "service/jobspec.hpp"
 
 using namespace fades;
@@ -217,14 +218,11 @@ int main(int argc, char** argv) {
     plan = service::buildPrunePlan(*system);
     std::printf("%s\n", campaign::accountingLine(plan).c_str());
     if (!prunePlanPath.empty()) {
-      const std::string text = campaign::toJson(plan).dump(2) + "\n";
-      FILE* f = std::fopen(prunePlanPath.c_str(), "w");
-      bool ok = f != nullptr &&
-                std::fwrite(text.data(), 1, text.size(), f) == text.size();
-      if (f != nullptr) ok = (std::fclose(f) == 0) && ok;
-      if (!ok) {
-        std::fprintf(stderr, "error: cannot write prune plan to %s\n",
-                     prunePlanPath.c_str());
+      try {
+        obs::writeFile(prunePlanPath, campaign::toJson(plan).dump(2) + "\n");
+      } catch (const common::FadesError& e) {
+        std::fprintf(stderr, "error: cannot write prune plan: %s\n",
+                     e.what());
         return 1;
       }
       std::printf("Wrote prune plan: %s (%zu classes)\n",

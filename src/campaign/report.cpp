@@ -1,72 +1,9 @@
 #include "campaign/report.hpp"
 
-#include <cstdio>
-#include <memory>
-
-#include "common/error.hpp"
-#include "common/stats.hpp"
+#include "obs/artifact.hpp"
 #include "obs/csv.hpp"
 
 namespace fades::campaign {
-
-using common::ErrorKind;
-using common::fixed;
-using common::require;
-using obs::csvQuote;
-
-std::string toMarkdown(const std::string& title,
-                       const std::vector<ReportEntry>& entries) {
-  std::string out = "## " + title + "\n\n";
-  out +=
-      "| campaign | faults | failure | latent | silent | failure % | "
-      "latent % | silent % | mean s/fault |\n";
-  out += "|---|---|---|---|---|---|---|---|---|\n";
-  for (const auto& e : entries) {
-    const auto& r = e.result;
-    out += "| " + e.label + " | " + std::to_string(r.total()) + " | " +
-           std::to_string(r.failures) + " | " + std::to_string(r.latents) +
-           " | " + std::to_string(r.silents) + " | " +
-           fixed(r.failurePct(), 2) + " | " + fixed(r.latentPct(), 2) +
-           " | " + fixed(r.silentPct(), 2) + " | " +
-           fixed(r.modeledSeconds.mean(), 3) + " |\n";
-  }
-  return out;
-}
-
-std::string toCsv(const std::vector<ReportEntry>& entries) {
-  std::string out =
-      "campaign,model,targets,band,faults,failures,latents,silents,"
-      "failure_pct,latent_pct,silent_pct,mean_seconds\n";
-  for (const auto& e : entries) {
-    const auto& r = e.result;
-    out += csvQuote(e.label) + "," + toString(r.spec.model) + "," +
-           csvQuote(toString(r.spec.targets)) + "," +
-           csvQuote(r.spec.band.label) + "," + std::to_string(r.total()) +
-           "," + std::to_string(r.failures) + "," +
-           std::to_string(r.latents) + "," + std::to_string(r.silents) +
-           "," + fixed(r.failurePct(), 4) + "," + fixed(r.latentPct(), 4) +
-           "," + fixed(r.silentPct(), 4) + "," +
-           fixed(r.modeledSeconds.mean(), 6) + "\n";
-  }
-  return out;
-}
-
-std::string recordsToCsv(const CampaignResult& result) {
-  require(!result.records.empty(), ErrorKind::InvalidArgument,
-          "campaign was run without keepRecords");
-  std::string out =
-      "target,component,inject_cycle,duration_cycles,outcome,seconds,pc,"
-      "opcode,detect_cycle\n";
-  for (const auto& rec : result.records) {
-    out += csvQuote(rec.targetName) + "," + csvQuote(rec.component) + "," +
-           std::to_string(rec.injectCycle) + "," +
-           fixed(rec.durationCycles, 3) + "," + toString(rec.outcome) + "," +
-           fixed(rec.modeledSeconds, 6) + "," + std::to_string(rec.pc) + "," +
-           std::to_string(rec.opcode) + "," +
-           std::to_string(rec.detectCycle) + "\n";
-  }
-  return out;
-}
 
 std::string renderCsv(const std::vector<std::string>& header,
                       const std::vector<std::vector<std::string>>& rows) {
@@ -92,28 +29,7 @@ std::string renderMarkdownTable(
 }
 
 void writeTextFile(const std::string& path, const std::string& text) {
-  // Crash-safe tmp + rename, like obs::writeFile: a killed run never leaves
-  // a truncated report in place of a complete one.
-  const std::string tmp = path + ".tmp";
-  {
-    std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-        std::fopen(tmp.c_str(), "wb"), &std::fclose);
-    require(f != nullptr, ErrorKind::InvalidArgument,
-            "cannot open '" + tmp + "' for writing");
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f.get()) == text.size() &&
-        std::fflush(f.get()) == 0;
-    if (!ok) {
-      f.reset();
-      std::remove(tmp.c_str());
-      common::raise(ErrorKind::InvalidArgument, "short write to '" + tmp + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    common::raise(ErrorKind::InvalidArgument,
-                  "cannot rename '" + tmp + "' to '" + path + "'");
-  }
+  obs::writeFile(path, text);
 }
 
 }  // namespace fades::campaign

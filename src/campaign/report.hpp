@@ -1,32 +1,12 @@
-// Campaign report rendering - the output side of the paper's results
-// analysis module (Section 5): turn one or more CampaignResults into
-// human-readable markdown or machine-readable CSV for later analysis.
+// Table rendering for the results analysis module (paper Section 5):
+// analytics::toMarkdown / toCsv lay out pre-formatted cells through these,
+// and writeTextFile stores the rendered text.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "campaign/types.hpp"
-
 namespace fades::campaign {
-
-/// One labelled result row in a report.
-struct ReportEntry {
-  std::string label;
-  CampaignResult result;
-};
-
-/// Markdown table: label, experiments, failure/latent/silent counts and
-/// percentages, mean modeled seconds.
-std::string toMarkdown(const std::string& title,
-                       const std::vector<ReportEntry>& entries);
-
-/// CSV with a header row; one line per entry. Fields are quoted only when
-/// needed (labels with commas).
-std::string toCsv(const std::vector<ReportEntry>& entries);
-
-/// Per-experiment CSV (requires results collected with keepRecords).
-std::string recordsToCsv(const CampaignResult& result);
 
 /// CSV from pre-formatted cells - the CSV counterpart of
 /// common::renderTable. Every field is quoted through obs::csvQuote, the
@@ -39,7 +19,8 @@ std::string renderMarkdownTable(
     const std::vector<std::string>& header,
     const std::vector<std::vector<std::string>>& rows);
 
-/// Write text to a file; throws on I/O failure.
+/// Write text to a file through obs::writeFile (crash-safe tmp + rename);
+/// throws common::FadesError on I/O failure.
 void writeTextFile(const std::string& path, const std::string& text);
 
 }  // namespace fades::campaign

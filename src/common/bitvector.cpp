@@ -14,8 +14,6 @@ BitVector::BitVector(std::size_t bitCount, bool fill)
   }
 }
 
-void BitVector::clearAll() { std::fill(words_.begin(), words_.end(), 0ULL); }
-
 void BitVector::setAll() {
   std::fill(words_.begin(), words_.end(), ~0ULL);
   if ((bitCount_ & 63) != 0 && !words_.empty()) {

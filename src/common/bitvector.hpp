@@ -32,7 +32,6 @@ class BitVector {
   }
   void flip(std::size_t i) { words_[i >> 6] ^= 1ULL << (i & 63); }
 
-  void clearAll();
   void setAll();
 
   /// Number of set bits.

@@ -42,7 +42,7 @@ AutonomousTool::AutonomousTool(const Netlist& netlist, std::uint64_t runCycles,
     const auto& ram = netlist.ram(RamId{r});
     if (!ram.isRom()) restoreCycles_ += ram.depth();
   }
-  if (opt_.verifyInstrumentation) verifyInstrumentation();
+  verifyInstrumentation();
 }
 
 void AutonomousTool::verifyInstrumentation() {
@@ -70,8 +70,8 @@ void AutonomousTool::verifyInstrumentation() {
 
 double AutonomousTool::injectionOverheadSeconds(unsigned commands) const {
   return static_cast<double>(model_.chainBits + commands + restoreCycles_) /
-             opt_.fpgaClockHz +
-         opt_.hostPerInjectionSeconds;
+             kFpgaClockHz +
+         kHostPerInjectionSeconds;
 }
 
 campaign::ExperimentOutcome AutonomousTool::remeter(
@@ -83,9 +83,9 @@ campaign::ExperimentOutcome AutonomousTool::remeter(
   // byte counters stay 0 - the defining property of autonomous emulation.
   const double config =
       static_cast<double>(model_.chainBits + commands + restoreCycles_) /
-      opt_.fpgaClockHz;
-  const double workload = static_cast<double>(runCycles_) / opt_.fpgaClockHz;
-  const double host = opt_.hostPerInjectionSeconds;
+      kFpgaClockHz;
+  const double workload = static_cast<double>(runCycles_) / kFpgaClockHz;
+  const double host = kHostPerInjectionSeconds;
   out.configSeconds = config;
   out.workloadSeconds = workload;
   out.hostSeconds = host;

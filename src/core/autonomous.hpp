@@ -40,15 +40,6 @@
 namespace fades::core {
 
 struct AutonomousOptions {
-  /// Emulator clock. The instrumented design runs in hardware, so the
-  /// workload, the mask load and the restore sweep are all charged at this
-  /// rate (same 25 MHz class of device as the RTR tool's).
-  double fpgaClockHz = 25.0e6;
-  /// Host-side cost per injection: pushing the next mask pattern and
-  /// reading the outcome word back over the control link. Orders of
-  /// magnitude below the RTR tool's per-experiment host cost because no
-  /// readback/re-download of configuration frames happens.
-  double hostPerInjectionSeconds = 0.0005;
   /// Output ports whose traces define Failure (forwarded to the semantic
   /// engine and used by the instrumentation transparency check).
   std::vector<std::string> observedOutputs = {"p0", "p1"};
@@ -56,11 +47,6 @@ struct AutonomousOptions {
   bool oscillatingIndetermination = false;
   /// Keep per-experiment records in the campaign result.
   bool keepRecords = false;
-  /// Simulate the instrumented netlist with every control input at 0 for
-  /// the whole workload and require its observed outputs to match the
-  /// golden run cycle-for-cycle (ConfigError otherwise). Catches a broken
-  /// instrumentation pass before any campaign runs on top of it.
-  bool verifyInstrumentation = true;
 };
 
 /// The autonomous-emulation injector, and a campaign::CampaignEngine with
@@ -72,8 +58,23 @@ class AutonomousTool : public campaign::CampaignEngine {
   /// `netlist` is the SOURCE model; the constructor builds the autonomous
   /// instrumentation itself (see model()) and the semantic engine over the
   /// source. The netlist must outlive the tool.
+  /// Before any campaign runs, the constructor simulates the instrumented
+  /// netlist with every control input at 0 for the whole workload and
+  /// requires its observed outputs to match the golden run cycle for cycle
+  /// (ConfigError otherwise), which catches a broken instrumentation pass.
   AutonomousTool(const netlist::Netlist& netlist, std::uint64_t runCycles,
                  AutonomousOptions options = {});
+
+  // --- emulator-cycle cost model --------------------------------------------
+  /// Emulator clock. The instrumented design runs in hardware, so the
+  /// workload, the mask load and the restore sweep are all charged at this
+  /// rate (same 25 MHz class of device as the RTR tool's).
+  static constexpr double kFpgaClockHz = 25.0e6;
+  /// Host-side cost per injection: pushing the next mask pattern and
+  /// reading the outcome word back over the control link. Orders of
+  /// magnitude below the RTR tool's per-experiment host cost because no
+  /// readback/re-download of configuration frames happens.
+  static constexpr double kHostPerInjectionSeconds = 0.0005;
 
   /// Same support matrix as VFIT: delay faults would need timing
   /// annotations neither the instrumentation nor the engine carries.

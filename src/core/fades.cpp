@@ -53,7 +53,7 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
   settlesFlushed_ = dev_.settles();
   // One-time download of the configuration file (Figure 1).
   port_.writeFullBitstream(impl_.bitstream);
-  setupSeconds_ = opt_.link.seconds(port_.meter());
+  setupSeconds_ = kLink.seconds(port_.meter());
   port_.resetMeter();
 
   // Location-map derived indexes.
@@ -224,9 +224,9 @@ Outcome FadesTool::observeToEnd(std::int64_t& detectCycle) {
 }
 
 double FadesTool::finishExperiment(Outcome outcome) {
-  const double seconds = opt_.link.seconds(port_.meter()) +
-                         static_cast<double>(runCycles_) / opt_.fpgaClockHz +
-                         opt_.hostPerExperimentSeconds;
+  const double seconds = kLink.seconds(port_.meter()) +
+                         static_cast<double>(runCycles_) / kFpgaClockHz +
+                         kHostPerExperimentSeconds;
   modeledSecondsHist_.observe(seconds);
   switch (outcome) {
     case Outcome::Failure: ctrFailures_.inc(); break;
@@ -830,9 +830,9 @@ campaign::ExperimentOutcome FadesTool::runExperimentAt(
       continue;
     }
     out.index = index;
-    out.configSeconds = opt_.link.seconds(meter);
-    out.workloadSeconds = static_cast<double>(runCycles_) / opt_.fpgaClockHz;
-    out.hostSeconds = opt_.hostPerExperimentSeconds;
+    out.configSeconds = kLink.seconds(meter);
+    out.workloadSeconds = static_cast<double>(runCycles_) / kFpgaClockHz;
+    out.hostSeconds = kHostPerExperimentSeconds;
     out.bytesToDevice = meter.bytesToDevice;
     out.bytesFromDevice = meter.bytesFromDevice;
     out.sessions = meter.sessions;

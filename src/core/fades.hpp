@@ -55,10 +55,6 @@ enum class BitFlipVia : std::uint8_t { Lsr, Gsr };
 enum class DelayVia : std::uint8_t { Fanout, Reroute, ShiftRegister };
 
 struct FadesOptions {
-  bits::BoardLink link{};
-  double fpgaClockHz = 25.0e6;
-  /// Host-side work per experiment (trace comparison, bookkeeping).
-  double hostPerExperimentSeconds = 0.025;
   /// Replicates the paper's JBits/driver problem: delay faults force a full
   /// configuration-file download instead of partial frames (Section 6.2).
   bool fullDownloadForDelay = true;
@@ -110,6 +106,15 @@ class FadesTool : public campaign::CampaignEngine {
   /// download of Figure 1) and records the golden run.
   FadesTool(fpga::Device& device, const synth::Implementation& impl,
             std::uint64_t runCycles, FadesOptions options = {});
+
+  // --- emulation-time cost model ------------------------------------------
+  // One experiment costs kLink.seconds(its metered traffic) + runCycles /
+  // kFpgaClockHz + kHostPerExperimentSeconds (finishExperiment).
+  /// The host <-> board link (the paper's RC1000-PP + XHWIF).
+  static constexpr bits::BoardLink kLink{};
+  static constexpr double kFpgaClockHz = 25.0e6;
+  /// Host-side work per experiment (trace comparison, bookkeeping).
+  static constexpr double kHostPerExperimentSeconds = 0.025;
 
   bool supports(FaultModel) const { return true; }
 

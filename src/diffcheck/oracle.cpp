@@ -250,7 +250,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
     fOut.push_back(fades.runExperimentAt(c.inject, fPool, e, 0));
   }
   const double expectedWorkload =
-      static_cast<double>(c.runCycles) / fOpt.fpgaClockHz;
+      static_cast<double>(c.runCycles) / core::FadesTool::kFpgaClockHz;
   for (const auto& x : fOut) {
     const auto tag = " (experiment " + std::to_string(x.index) + ")";
     if (x.quarantined) {
@@ -281,10 +281,10 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
                                 " != runCycles/clock " +
                                 num(expectedWorkload) + tag);
     }
-    if (x.hostSeconds != fOpt.hostPerExperimentSeconds) {
+    if (x.hostSeconds != core::FadesTool::kHostPerExperimentSeconds) {
       fail("cost.workload",
            "hostSeconds " + num(x.hostSeconds) + " != fixed per-experiment " +
-               num(fOpt.hostPerExperimentSeconds) + tag);
+               num(core::FadesTool::kHostPerExperimentSeconds) + tag);
     }
     if (x.bytesFromDevice == 0 || x.sessions == 0) {
       fail("cost.decomposition",
@@ -374,7 +374,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
         aOut.push_back(autonomous->runExperimentAt(aSpec, aPool, e, 0));
       }
       const double aWorkload =
-          static_cast<double>(c.runCycles) / aOpt.fpgaClockHz;
+          static_cast<double>(c.runCycles) / core::AutonomousTool::kFpgaClockHz;
       for (const auto& x : aOut) {
         const auto tag = " (experiment " + std::to_string(x.index) + ")";
         switch (x.outcome) {
@@ -392,7 +392,7 @@ CaseReport checkCase(const CaseSpec& c, const OracleOptions& opt) {
                    tag);
         }
         if (x.configSeconds <= 0 || x.workloadSeconds != aWorkload ||
-            x.hostSeconds != aOpt.hostPerInjectionSeconds) {
+            x.hostSeconds != core::AutonomousTool::kHostPerInjectionSeconds) {
           fail("cost.autonomous-decomposition",
                "autonomous meters off the cost model: config " +
                    num(x.configSeconds) + " workload " +

@@ -52,10 +52,6 @@ unsigned ConfigLayout::bramFramesPerBlock() const {
   return (spec_.memBlockBits + frameBits() - 1) / frameBits();
 }
 
-unsigned ConfigLayout::captureFramesPerColumn() const {
-  return (spec_.rows + frameBits() - 1) / frameBits();
-}
-
 std::size_t ConfigLayout::totalConfigFrames() const {
   std::size_t n = 0;
   for (unsigned c = 0; c <= spec_.cols; ++c) n += minorsOfColumn(c);

@@ -65,7 +65,6 @@ class ConfigLayout {
   unsigned logicColumns() const { return spec_.cols + 1; }
   unsigned minorsOfColumn(unsigned col) const;
   unsigned bramFramesPerBlock() const;
-  unsigned captureFramesPerColumn() const;
   /// Total frames across all planes (A + B; capture is read-only state).
   std::size_t totalConfigFrames() const;
   std::size_t totalConfigBytes() const {

@@ -1,9 +1,12 @@
 #include "obs/artifact.hpp"
 
 #include <cstdio>
-#include <stdexcept>
+
+#include "common/error.hpp"
 
 namespace fades::obs {
+
+using common::ErrorKind;
 
 RunArtifact::RunArtifact(std::string kind, std::string name)
     : kind_(std::move(kind)), name_(std::move(name)) {}
@@ -46,25 +49,25 @@ std::string RunArtifact::toJsonl() const {
 }
 
 void writeFile(const std::string& path, const std::string& text) {
-  // Crash-safe: write the whole artifact to <path>.tmp, then rename() it
-  // into place (atomic on POSIX). A process killed mid-write leaves either
-  // the previous complete file or a stray .tmp - never a truncated file
-  // that parses as a complete artifact.
+  // Crash-safe: write the whole text to <path>.tmp, then rename() it into
+  // place (atomic on POSIX). A process killed mid-write leaves either the
+  // previous complete file or a stray .tmp - never a truncated file that
+  // parses as a complete artifact, report or plan.
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open '" + tmp + "' for writing");
-  }
+  common::require(f != nullptr, ErrorKind::InvalidArgument,
+                  "cannot open '" + tmp + "' for writing");
   const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
   const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != text.size() || !flushed) {
+  const bool closed = std::fclose(f) == 0;
+  if (written != text.size() || !flushed || !closed) {
     std::remove(tmp.c_str());
-    throw std::runtime_error("short write to '" + tmp + "'");
+    common::raise(ErrorKind::InvalidArgument, "short write to '" + tmp + "'");
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
-    throw std::runtime_error("cannot rename '" + tmp + "' to '" + path + "'");
+    common::raise(ErrorKind::InvalidArgument,
+                  "cannot rename '" + tmp + "' to '" + path + "'");
   }
 }
 

@@ -53,7 +53,9 @@ class RunArtifact {
   Json sections_ = Json::object();
 };
 
-/// Write text to a file, throwing std::runtime_error on I/O failure.
+/// Write text to a file, crash-safe (tmp + rename): the one writer behind
+/// artifacts, reports, prune plans and the service store. Throws
+/// common::FadesError (a std::runtime_error) on I/O failure.
 void writeFile(const std::string& path, const std::string& text);
 
 }  // namespace fades::obs

@@ -1,9 +1,11 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace fades::obs {
 
@@ -40,9 +42,30 @@ bool Json::get(const std::string& key, double& out) const {
   return true;
 }
 
+namespace {
+
+// 2^63 and 2^64, the exclusive upper bounds of int64 and uint64.
+constexpr double kTwo63 = 9223372036854775808.0;
+constexpr double kTwo64 = 18446744073709551616.0;
+
+bool integralIn(double d, double lo, double hi) {
+  return d == std::trunc(d) && d >= lo && d < hi;  // false for NaN
+}
+
+}  // namespace
+
+std::int64_t Json::asInt() const {
+  if (isInt_) return int_;
+  if (std::isnan(num_)) return 0;
+  if (num_ < -kTwo63) return std::numeric_limits<std::int64_t>::min();
+  if (num_ >= kTwo63) return std::numeric_limits<std::int64_t>::max();
+  return static_cast<std::int64_t>(num_);
+}
+
 bool Json::get(const std::string& key, std::int64_t& out) const {
   const Json* f = find(key);
   if (f == nullptr || !f->isNumber()) return false;
+  if (!f->isInt_ && !integralIn(f->num_, -kTwo63, kTwo63)) return false;
   out = f->asInt();
   return true;
 }
@@ -50,7 +73,13 @@ bool Json::get(const std::string& key, std::int64_t& out) const {
 bool Json::get(const std::string& key, std::uint64_t& out) const {
   const Json* f = find(key);
   if (f == nullptr || !f->isNumber()) return false;
-  out = static_cast<std::uint64_t>(f->asInt());
+  if (f->isInt_) {
+    out = static_cast<std::uint64_t>(f->int_);
+  } else if (integralIn(f->num_, 0, kTwo64)) {
+    out = static_cast<std::uint64_t>(f->num_);
+  } else {
+    return false;
+  }
   return true;
 }
 
@@ -259,12 +288,23 @@ struct Parser {
     if (pos == start) return fail("invalid number");
     const std::string token(text.substr(start, pos - start));
     if (isInt) {
+      // Integers keep every bit: int64 where they fit, uint64 above that
+      // (the writer emits uint64 values past 2^63 with %llu).
+      const char* tokenEnd = token.c_str() + token.size();
       errno = 0;
       char* end = nullptr;
       const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
+      if (errno == 0 && end == tokenEnd) {
         out = Json(static_cast<std::int64_t>(v));
         return true;
+      }
+      if (token[0] != '-') {
+        errno = 0;
+        const unsigned long long u = std::strtoull(token.c_str(), &end, 10);
+        if (errno == 0 && end == tokenEnd) {
+          out = Json(static_cast<std::uint64_t>(u));
+          return true;
+        }
       }
     }
     char* end = nullptr;

@@ -42,7 +42,6 @@ class Json {
   static Json object() { return Json(Type::Object); }
 
   Type type() const { return type_; }
-  bool isNull() const { return type_ == Type::Null; }
   bool isObject() const { return type_ == Type::Object; }
   bool isArray() const { return type_ == Type::Array; }
   bool isNumber() const { return type_ == Type::Number; }
@@ -50,7 +49,10 @@ class Json {
 
   bool asBool() const { return bool_; }
   double asNumber() const { return num_; }
-  std::int64_t asInt() const { return isInt_ ? int_ : static_cast<std::int64_t>(num_); }
+  /// The number as an int64, defined for every value: an integer exactly
+  /// (a uint64 above 2^63 wraps modulo 2^64), any other number truncated
+  /// toward zero and clamped to the int64 range, NaN as 0.
+  std::int64_t asInt() const;
   const std::string& asString() const { return str_; }
 
   // --- array -------------------------------------------------------------
@@ -68,8 +70,10 @@ class Json {
   /// Typed member read: when member `key` is present with the requested
   /// type (a string, or a number for the numeric overloads), store it in
   /// `out` and return true; otherwise leave `out` alone and return false.
-  /// The integer overloads read asInt(), so a negative number read as
-  /// uint64_t wraps to a huge value that a caller's bounds check rejects.
+  /// The integer overloads take every integer, wrapping modulo 2^64 (so a
+  /// negative number read as uint64_t becomes a huge value that a caller's
+  /// bounds check rejects), and a non-integer number only when it is
+  /// integral and inside the range of `out`'s type.
   bool get(const std::string& key, std::string& out) const;
   bool get(const std::string& key, double& out) const;
   bool get(const std::string& key, std::int64_t& out) const;

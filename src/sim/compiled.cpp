@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "sim/simulator.hpp"
+#include "netlist/levelize.hpp"
 
 namespace fades::sim {
 
@@ -11,10 +11,9 @@ using common::ErrorKind;
 using common::require;
 using netlist::GateOp;
 
-CompiledSimulator::CompiledSimulator(const Netlist& netlist)
-    : nl_(netlist), levels_(netlist::levelize(netlist)) {
+CompiledSimulator::CompiledSimulator(const Netlist& netlist) : nl_(netlist) {
   steps_.reserve(nl_.gateCount());
-  for (const netlist::GateId g : levels_.schedule) {
+  for (const netlist::GateId g : netlist::levelize(nl_).schedule) {
     const auto& gate = nl_.gates()[g.value];
     steps_.push_back(Step{gate.op,
                           gate.in[0].valid() ? gate.in[0].value : kNoNet,
@@ -120,11 +119,6 @@ void CompiledSimulator::setInput(const std::string& portName,
   dirty_ = true;
 }
 
-std::uint64_t CompiledSimulator::portValue(
-    const std::string& outputPortName) const {
-  return portValueLane(outputPortName, 0);
-}
-
 std::uint64_t CompiledSimulator::portValueLane(
     const std::string& outputPortName, unsigned lane) const {
   const auto* port = nl_.findOutput(outputPortName);
@@ -133,15 +127,6 @@ std::uint64_t CompiledSimulator::portValueLane(
   std::uint64_t v = 0;
   for (std::size_t i = 0; i < port->nets.size(); ++i) {
     v |= ((values_[port->nets[i].value] >> lane) & 1) << i;
-  }
-  return v;
-}
-
-std::uint64_t CompiledSimulator::busValue(
-    const std::vector<NetId>& bus) const {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < bus.size(); ++i) {
-    v |= (values_[bus[i].value] & 1) << i;
   }
   return v;
 }
@@ -187,7 +172,6 @@ void CompiledSimulator::settle() {
     }
     values_[s.out] = w;
   }
-  events_ += steps_.size();
   dirty_ = false;
 }
 
@@ -260,7 +244,6 @@ void CompiledSimulator::step() {
     flopW_[f] = nextFlop_[f];
     writeNet(nl_.flops()[f].q.value, flopW_[f]);
   }
-  events_ += nl_.flopCount();
   for (std::uint32_t r = 0; r < nl_.ramCount(); ++r) {
     const auto& ram = nl_.ram(RamId{r});
     RamScratch& sc = ramScratch_[r];
@@ -283,7 +266,6 @@ void CompiledSimulator::step() {
           }
         }
       }
-      ++events_;
     }
     ramLatch_[r] = sc.read;
     applyRamOutput(r);
@@ -293,47 +275,17 @@ void CompiledSimulator::step() {
   settle();
 }
 
-void CompiledSimulator::run(std::uint64_t cycles) {
-  for (std::uint64_t i = 0; i < cycles; ++i) step();
-}
-
-void CompiledSimulator::force(NetId id, bool value) {
-  forceLanes(id, ~Word{0}, broadcast(value));
-  settle();
-}
-
-void CompiledSimulator::release(NetId id) {
-  releaseLanes(id, ~Word{0});
-  settle();
-}
-
-void CompiledSimulator::depositFlop(FlopId id, bool value) {
-  depositFlopLanes(id, ~Word{0}, broadcast(value));
-  settle();
-}
-
-void CompiledSimulator::depositRam(RamId id, std::size_t row,
-                                   std::uint64_t value) {
-  const auto& ram = nl_.ram(id);
-  for (unsigned b = 0; b < ram.dataBits; ++b) {
-    ramBits_[id.value][row * ram.dataBits + b] = broadcast((value >> b) & 1);
-  }
-  ++events_;
-}
-
 void CompiledSimulator::depositFlopLanes(FlopId id, Word laneMask,
                                          Word laneValues) {
   flopW_[id.value] =
       (flopW_[id.value] & ~laneMask) | (laneValues & laneMask);
   writeNet(nl_.flops()[id.value].q.value, flopW_[id.value]);
-  ++events_;
   dirty_ = true;
 }
 
 void CompiledSimulator::xorFlopLanes(FlopId id, Word laneMask) {
   flopW_[id.value] ^= laneMask;
   writeNet(nl_.flops()[id.value].q.value, flopW_[id.value]);
-  ++events_;
   dirty_ = true;
 }
 
@@ -341,7 +293,6 @@ void CompiledSimulator::xorRamBitLanes(RamId id, std::size_t row,
                                        unsigned bit, Word laneMask) {
   const auto& ram = nl_.ram(id);
   ramBits_[id.value][row * ram.dataBits + bit] ^= laneMask;
-  ++events_;
 }
 
 void CompiledSimulator::xorNetLanes(NetId id, Word laneMask) {

@@ -10,21 +10,18 @@
 // masks on gate outputs (pulse inversion / indetermination force), flop
 // state and RAM cells.
 //
-// The scalar Engine interface drives all lanes in lockstep and reads
-// lane 0, which makes CompiledSimulator a drop-in replacement for the
-// event-driven Simulator - the CompiledEquivalence suite proves identity
-// per cycle and per net. The lane API below is how every VFIT and
-// autonomous campaign runs: 63 experiments packed into one pass, checked
-// against the scalar simulator-command reference by the equivalence suites.
+// The lane API below is the whole interface: every VFIT and autonomous
+// campaign runs through it, 63 experiments packed into one pass. The
+// event-driven sim::Simulator is the scalar reference; the
+// CompiledEquivalence suite drives both through the same fault commands
+// (all lanes at once here) and proves them identical per cycle and per net.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "netlist/levelize.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/engine.hpp"
 
 namespace fades::sim {
 
@@ -33,7 +30,7 @@ using netlist::NetId;
 using netlist::Netlist;
 using netlist::RamId;
 
-class CompiledSimulator final : public Engine {
+class CompiledSimulator {
  public:
   /// Lanes per pass: one golden + 63 fault machines.
   static constexpr unsigned kLanes = 64;
@@ -44,35 +41,23 @@ class CompiledSimulator final : public Engine {
   /// offending nets otherwise).
   explicit CompiledSimulator(const Netlist& netlist);
 
-  // --- Engine interface (scalar view: all lanes in lockstep, reads are
-  // lane 0) ---------------------------------------------------------------
-  void reset() override;
-  void setInput(const std::string& portName, std::uint64_t value) override;
-  std::uint64_t portValue(const std::string& outputPortName) const override;
-  bool netValue(NetId id) const override { return values_[id.value] & 1; }
-  std::uint64_t busValue(const std::vector<NetId>& bus) const override;
-  bool flopState(FlopId id) const override { return flopW_[id.value] & 1; }
-  std::uint64_t ramWord(RamId id, std::size_t row) const override {
-    return ramWordLane(id, row, 0);
-  }
-  void settle() override;
-  void step() override;
-  void run(std::uint64_t cycles) override;
-  std::uint64_t cycle() const override { return cycle_; }
-  void force(NetId id, bool value) override;
-  void release(NetId id) override;
-  bool isForced(NetId id) const override {
-    return (forceMask_[id.value] & 1) != 0;
-  }
-  void depositFlop(FlopId id, bool value) override;
-  void depositRam(RamId id, std::size_t row, std::uint64_t value) override;
-  /// Kernel gate slots evaluated + state updates. Not comparable with the
-  /// event-driven count (a compiled pass always touches every gate).
-  std::uint64_t eventsProcessed() const override { return events_; }
+  // --- execution (all lanes in lockstep) ----------------------------------
+  /// Reset every lane to the declared initial state, clear all masks, zero
+  /// the inputs, settle combinational logic.
+  void reset();
+  /// Drive an input port with the same value in every lane.
+  void setInput(const std::string& portName, std::uint64_t value);
+  /// One pass over the levelized kernel.
+  void settle();
+  /// One positive clock edge in every lane, followed by settle().
+  void step();
+  std::uint64_t cycle() const { return cycle_; }
 
   // --- lane API (per-bit injection masks) --------------------------------
   // `laneMask` selects the lanes an operation touches; bit 0 is the golden
   // lane and is never set by campaign code (asserted in the wave runner).
+  // Reads do not settle: call settle() before reading nets downstream of
+  // an operation (step() settles first on its own).
 
   /// Deposit per-lane flop state: lane L of `id` becomes bit L of
   /// `laneValues` wherever `laneMask` selects it; the new state propagates
@@ -81,7 +66,7 @@ class CompiledSimulator final : public Engine {
   /// Flip flop state in the selected lanes (bit-flip deposit of !state).
   void xorFlopLanes(FlopId id, Word laneMask);
   /// Flip one stored RAM bit in the selected lanes. Does not touch the
-  /// registered read port, matching depositRam.
+  /// registered read port, matching the event-driven depositRam.
   void xorRamBitLanes(RamId id, std::size_t row, unsigned bit, Word laneMask);
   /// Persistent inversion mask on a net: selected lanes see the complement
   /// of the driven value until cleared. Equivalent to VFIT's per-cycle
@@ -97,17 +82,12 @@ class CompiledSimulator final : public Engine {
   // --- lane observation ---------------------------------------------------
   Word netWord(NetId id) const { return values_[id.value]; }
   Word flopWord(FlopId id) const { return flopW_[id.value]; }
-  bool netValueLane(NetId id, unsigned lane) const {
-    return (values_[id.value] >> lane) & 1;
-  }
   bool flopStateLane(FlopId id, unsigned lane) const {
     return (flopW_[id.value] >> lane) & 1;
   }
   std::uint64_t ramWordLane(RamId id, std::size_t row, unsigned lane) const;
   std::uint64_t portValueLane(const std::string& outputPortName,
                               unsigned lane) const;
-
-  const netlist::Levelization& levels() const { return levels_; }
 
  private:
   // Straight-line kernel step: one gate with pre-resolved operand slots.
@@ -134,7 +114,6 @@ class CompiledSimulator final : public Engine {
   Word broadcast(bool value) const { return value ? ~Word{0} : Word{0}; }
 
   const Netlist& nl_;
-  netlist::Levelization levels_;
   std::vector<Step> steps_;
 
   std::vector<Word> values_;     // per net, one bit per lane
@@ -165,7 +144,6 @@ class CompiledSimulator final : public Engine {
 
   bool dirty_ = true;   // combinational state needs a settle pass
   std::uint64_t cycle_ = 0;
-  std::uint64_t events_ = 0;
 };
 
 }  // namespace fades::sim

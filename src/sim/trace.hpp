@@ -5,18 +5,19 @@
 // bits it derives which flops are overwritten before their next read, which
 // RAM rows are never addressed inside an injection window and which nets can
 // never reach an observable point - the equivalences that collapse a
-// campaign's fault list. The trace is recorded through the generic
-// sim::Engine observation interface, so any engine (event-driven or
-// compiled) can supply it; one recording costs one extra golden run.
+// campaign's fault list. The trace is recorded on the event-driven
+// sim::Simulator, the scalar reference; one recording costs one extra
+// golden run.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/engine.hpp"
 
 namespace fades::sim {
+
+class Simulator;
 
 /// Bit-packed per-cycle snapshot of every net of a golden run.
 ///
@@ -26,10 +27,10 @@ namespace fades::sim {
 /// after the last clock edge.
 class GoldenTrace {
  public:
-  /// Run `engine` from reset for `cycles` clock edges, recording every net
-  /// before each edge plus the final post-run state. Leaves the engine at
-  /// cycle `cycles` (end of workload), like any golden run.
-  static GoldenTrace record(Engine& engine, const netlist::Netlist& netlist,
+  /// Run `sim` from reset for `cycles` clock edges, recording every net
+  /// before each edge plus the final post-run state. Leaves the simulator
+  /// at cycle `cycles` (end of workload), like any golden run.
+  static GoldenTrace record(Simulator& sim, const netlist::Netlist& netlist,
                             std::uint64_t cycles);
 
   /// Workload length in clock edges; valid sample indices are 0..cycles().
@@ -42,7 +43,7 @@ class GoldenTrace {
            1u;
   }
 
-  /// LSB-first bus value at `cycle` (the Engine::busValue convention).
+  /// LSB-first bus value at `cycle` (the Simulator::busValue convention).
   std::uint64_t busAt(std::uint64_t cycle,
                       const std::vector<netlist::NetId>& bus) const {
     std::uint64_t value = 0;

@@ -451,8 +451,7 @@ Implementation implement(const Netlist& nl, const DeviceSpec& spec,
   }
 
   const PlacerResult placed =
-      place(spec, static_cast<std::uint32_t>(cells.size()), placerNets, rng,
-            options.placementSwapMultiplier);
+      place(spec, static_cast<std::uint32_t>(cells.size()), placerNets, rng);
 
   for (std::uint32_t ci = 0; ci < cells.size(); ++ci) {
     if (cells[ci].lut >= 0) impl.luts[cells[ci].lut].cb = placed.cellSite[ci];
@@ -499,8 +498,7 @@ Implementation implement(const Netlist& nl, const DeviceSpec& spec,
     requests.push_back(std::move(r));
   }
   RouteStats rstats;
-  const auto routed =
-      routeAll(layout, nodes, requests, options.maxRouteIterations, &rstats);
+  const auto routed = routeAll(layout, nodes, requests, &rstats);
 
   // --------------------------------------------------------------- bitgen
   fpga::Bitstream bs{common::BitVector(layout.logicPlaneBits()),

@@ -24,8 +24,6 @@ using netlist::RamId;
 
 struct SynthOptions {
   std::uint64_t seed = 1;
-  unsigned placementSwapMultiplier = 24;
-  unsigned maxRouteIterations = 120;
 };
 
 /// A LUT site: one visible combinational signal and the CB that computes it.

@@ -45,8 +45,7 @@ double netHpwl(const PlacerNet& net,
 }  // namespace
 
 PlacerResult place(const fpga::DeviceSpec& spec, std::uint32_t cellCount,
-                   const std::vector<PlacerNet>& nets, common::Rng& rng,
-                   unsigned swapPassMultiplier) {
+                   const std::vector<PlacerNet>& nets, common::Rng& rng) {
   require(cellCount <= spec.cbCount(), ErrorKind::CapacityError,
           "design needs " + std::to_string(cellCount) + " CBs, device has " +
               std::to_string(spec.cbCount()));
@@ -127,8 +126,9 @@ PlacerResult place(const fpga::DeviceSpec& spec, std::uint32_t cellCount,
     for (auto ni : cellNets[cell]) s += netHpwl(nets[ni], cellSite);
     return s;
   };
+  constexpr unsigned kSwapPassMultiplier = 24;  // attempts per placed cell
   const std::uint64_t attempts =
-      cellCount == 0 ? 0 : std::uint64_t{swapPassMultiplier} * cellCount;
+      cellCount == 0 ? 0 : std::uint64_t{kSwapPassMultiplier} * cellCount;
   for (std::uint64_t it = 0; it < attempts; ++it) {
     const auto a = static_cast<std::uint32_t>(rng.below(cellCount));
     // Pick a target site near a's current location (local moves converge

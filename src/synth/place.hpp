@@ -28,7 +28,6 @@ struct PlacerResult {
 /// Place `cellCount` cells on the device grid. Throws CapacityError when the
 /// design does not fit.
 PlacerResult place(const fpga::DeviceSpec& spec, std::uint32_t cellCount,
-                   const std::vector<PlacerNet>& nets, common::Rng& rng,
-                   unsigned swapPassMultiplier = 24);
+                   const std::vector<PlacerNet>& nets, common::Rng& rng);
 
 }  // namespace fades::synth

@@ -45,7 +45,7 @@ bool isPin(NodeKind k) {
 std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
                                 const fpga::RoutingNodes& nodes,
                                 const std::vector<RouteRequest>& requests,
-                                unsigned maxIterations, RouteStats* stats) {
+                                RouteStats* stats) {
   const std::uint32_t N = nodes.count();
   std::vector<RoutedNet> result(requests.size());
   std::vector<std::uint16_t> occupancy(N, 0);
@@ -146,8 +146,10 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
   };
 
   // Iteration 1: route everything; afterwards rip up and reroute only nets
-  // crossing overused nodes, with increasing congestion pressure.
-  for (unsigned iter = 1; iter <= maxIterations; ++iter) {
+  // crossing overused nodes, with increasing congestion pressure, for at
+  // most kMaxIterations rounds.
+  constexpr unsigned kMaxIterations = 120;
+  for (unsigned iter = 1; iter <= kMaxIterations; ++iter) {
     const float presentFactor = iter == 1 ? 0.5f : 1.5f * iter;
     if (iter == 1) {
       for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -183,7 +185,7 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
     }
     if (stats) stats->iterations = iter;
     if (!anyOver) break;
-    if (iter >= maxIterations) {
+    if (iter >= kMaxIterations) {
       // Build a diagnostic of where congestion persists.
       std::size_t overCount = 0;
       std::string samples;

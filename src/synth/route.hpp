@@ -32,11 +32,10 @@ struct RouteStats {
 };
 
 /// Route all requests; throws RoutingError if congestion cannot be resolved
-/// within maxIterations.
+/// within 120 rip-up-and-reroute iterations.
 std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
                                 const fpga::RoutingNodes& nodes,
                                 const std::vector<RouteRequest>& requests,
-                                unsigned maxIterations = 120,
                                 RouteStats* stats = nullptr);
 
 }  // namespace fades::synth

@@ -52,7 +52,7 @@ VfitTool::VfitTool(const Netlist& netlist, std::uint64_t runCycles,
   }
   captureFinalState(golden_);
   goldenEvents_ = sim_.eventsProcessed() - eventsBefore;
-  goldenSeconds_ = static_cast<double>(goldenEvents_) * opt_.secondsPerEvent;
+  goldenSeconds_ = static_cast<double>(goldenEvents_) * kSecondsPerEvent;
 }
 
 std::uint64_t VfitTool::outputWord() const {
@@ -217,8 +217,8 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
   registry.counter(opt_.metricsPrefix + ".experiments").inc();
 
   if (modeledSeconds != nullptr) {
-    *modeledSeconds = opt_.secondsFixedPerExperiment + goldenSeconds_ +
-                      commands * opt_.secondsPerCommand;
+    *modeledSeconds = kSecondsFixedPerExperiment + goldenSeconds_ +
+                      commands * kSecondsPerCommand;
   }
   if (commandsOut != nullptr) *commandsOut = commands;
   return campaign::classify(golden_, faulty);
@@ -340,11 +340,11 @@ campaign::ExperimentOutcome VfitTool::makeOutcome(const CampaignSpec& spec,
   out.outcome = outcome;
   // Same expression (and operand order) as runExperiment's modeledSeconds,
   // so the wave and the scalar reference agree bit for bit.
-  out.modeledSeconds = opt_.secondsFixedPerExperiment + goldenSeconds_ +
-                       plan.commands * opt_.secondsPerCommand;
-  out.configSeconds = plan.commands * opt_.secondsPerCommand;
+  out.modeledSeconds = kSecondsFixedPerExperiment + goldenSeconds_ +
+                       plan.commands * kSecondsPerCommand;
+  out.configSeconds = plan.commands * kSecondsPerCommand;
   out.workloadSeconds = goldenSeconds_;
-  out.hostSeconds = opt_.secondsFixedPerExperiment;
+  out.hostSeconds = kSecondsFixedPerExperiment;
   if (opt_.keepRecords) {
     out.hasRecord = true;
     out.record = campaign::makeRecord(

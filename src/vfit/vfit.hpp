@@ -45,14 +45,6 @@ using netlist::RamId;
 using netlist::Unit;
 
 struct VfitOptions {
-  /// Host CPU cost per simulation event (gate evaluation / state update).
-  /// Calibrated so one full workload simulation lands near the paper's
-  /// 7.2 s-per-experiment VFIT average on a 2006-class workstation.
-  double secondsPerEvent = 9.6e-7;
-  /// Simulator-command (force/release/deposit) scripting overhead.
-  double secondsPerCommand = 0.0005;
-  /// Fixed per-experiment cost: restart, trace set-up, result dump.
-  double secondsFixedPerExperiment = 0.35;
   /// Output ports whose traces define Failure.
   std::vector<std::string> observedOutputs = {"p0", "p1"};
   /// Re-randomize indetermination values every cycle of the fault.
@@ -75,6 +67,18 @@ class VfitTool : public campaign::CampaignEngine {
   /// The netlist is the HDL model; runCycles is the workload length.
   VfitTool(const Netlist& netlist, std::uint64_t runCycles,
            VfitOptions options = {});
+
+  // --- modeled host-CPU cost ------------------------------------------------
+  // One experiment costs kSecondsFixedPerExperiment + the golden run's
+  // event count * kSecondsPerEvent + its commands * kSecondsPerCommand.
+  /// Host CPU cost per simulation event (gate evaluation / state update).
+  /// Calibrated so one full workload simulation lands near the paper's
+  /// 7.2 s-per-experiment VFIT average on a 2006-class workstation.
+  static constexpr double kSecondsPerEvent = 9.6e-7;
+  /// Simulator-command (force/release/deposit) scripting overhead.
+  static constexpr double kSecondsPerCommand = 0.0005;
+  /// Fixed per-experiment cost: restart, trace set-up, result dump.
+  static constexpr double kSecondsFixedPerExperiment = 0.35;
 
   bool supports(FaultModel m) const { return m != FaultModel::Delay; }
 
@@ -125,7 +129,6 @@ class VfitTool : public campaign::CampaignEngine {
                         unsigned* commandsOut = nullptr);
 
   const Observation& golden() const { return golden_; }
-  double goldenModelSeconds() const { return goldenSeconds_; }
 
   /// Pre-drawn fault script of one experiment: its campaign draw, then the
   /// edge rule (campaign::activeCycles) and the indetermination values from

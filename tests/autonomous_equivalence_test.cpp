@@ -92,7 +92,7 @@ TEST(AutonomousEquivalence, RandomDesignsMatchVfitAcrossMatrix) {
       ASSERT_EQ(vPool, aPool) << "pools diverge, seed " << seed;
 
       const double expectedWorkload =
-          static_cast<double>(c.runCycles) / aOpt.fpgaClockHz;
+          static_cast<double>(c.runCycles) / core::AutonomousTool::kFpgaClockHz;
       for (unsigned e = 0; e < spec.experiments; ++e) {
         const auto v = vfit.runExperimentAt(spec, vPool, e, 0);
         const auto a = aut.runExperimentAt(spec, aPool, e, 0);
@@ -110,7 +110,8 @@ TEST(AutonomousEquivalence, RandomDesignsMatchVfitAcrossMatrix) {
         EXPECT_EQ(a.modeledSeconds,
                   a.configSeconds + a.workloadSeconds + a.hostSeconds) << tag;
         EXPECT_EQ(a.workloadSeconds, expectedWorkload) << tag;
-        EXPECT_EQ(a.hostSeconds, aOpt.hostPerInjectionSeconds) << tag;
+        EXPECT_EQ(a.hostSeconds, core::AutonomousTool::kHostPerInjectionSeconds)
+            << tag;
         EXPECT_GT(a.configSeconds, 0.0) << tag;
         EXPECT_EQ(a.bytesToDevice, 0u) << tag;
         EXPECT_EQ(a.bytesFromDevice, 0u) << tag;
@@ -234,7 +235,9 @@ TEST(AutonomousEquivalence, FourWayOracleAgreesOnConstructedMatrix) {
     EXPECT_TRUE(rep.ok()) << rep.toJson().dump(2);
     // The autonomous pool enumeration equals VFIT's, so whenever VFIT could
     // inject, the autonomous backend must have run (and agreed).
-    if (rep.vfitRan) EXPECT_TRUE(rep.autonomousRan);
+    if (rep.vfitRan) {
+      EXPECT_TRUE(rep.autonomousRan);
+    }
   }
 }
 

@@ -4,8 +4,9 @@
 // (VfitTool::runExperiment, see vfit_reference.hpp).
 //
 //   * net-for-net, cycle-for-cycle state equality on random builder designs
-//     under random scalar fault commands (force / release / deposit), driven
-//     through the abstract Engine interface;
+//     under random fault commands (force / release / deposit): the scalar
+//     commands on the event-driven simulator, the lane API on every lane of
+//     the compiled one;
 //   * campaign experiments field-for-field across the fault-model x
 //     target-class matrix (runWaveAt vs the scalar reference);
 //   * partial waves and index subsets against full waves;
@@ -19,7 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,15 +101,17 @@ Netlist randomDesign(std::uint64_t seed, unsigned gates, bool withRam) {
 
 TEST(CompiledEquivalence, RandomDesignsNetForNetUnderFaultCommands) {
   // ~200 random designs; every net compared every cycle while random
-  // scalar simulator commands (the VFIT injection vocabulary) hit both
-  // engines through the same abstract interface.
+  // simulator commands (the VFIT injection vocabulary) hit both simulators:
+  // the scalar command on the event-driven one, its lane-API counterpart on
+  // all 64 lanes of the compiled one. Lane 0 must match the event-driven
+  // simulator and every other lane must match lane 0.
+  using Word = sim::CompiledSimulator::Word;
+  constexpr Word kAll = ~Word{0};
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const bool withRam = seed % 4 != 0;
     const Netlist nl = randomDesign(seed, 30, withRam);
-    const std::unique_ptr<sim::Engine> ev =
-        std::make_unique<sim::Simulator>(nl);
-    const std::unique_ptr<sim::Engine> cp =
-        std::make_unique<sim::CompiledSimulator>(nl);
+    sim::Simulator ev(nl);
+    sim::CompiledSimulator cp(nl);
 
     Rng rng(seed * 7919 + 1);
     std::vector<netlist::NetId> forceable;
@@ -117,48 +119,69 @@ TEST(CompiledEquivalence, RandomDesignsNetForNetUnderFaultCommands) {
 
     for (int c = 0; c < 25; ++c) {
       const std::uint64_t stimulus = rng.below(256);
-      for (sim::Engine* e : {ev.get(), cp.get()}) e->setInput("in", stimulus);
+      ev.setInput("in", stimulus);
+      cp.setInput("in", stimulus);
 
-      // Random fault command, identical on both engines.
+      // Random fault command, identical on both simulators.
       const unsigned op = static_cast<unsigned>(rng.below(6));
       if (op == 0 && !forceable.empty()) {
         const auto net = forceable[rng.below(forceable.size())];
         const bool v = rng.coin();
-        for (sim::Engine* e : {ev.get(), cp.get()}) e->force(net, v);
+        ev.force(net, v);
+        cp.forceLanes(net, kAll, v ? kAll : 0);
+        cp.settle();
       } else if (op == 1 && !forceable.empty()) {
         const auto net = forceable[rng.below(forceable.size())];
-        for (sim::Engine* e : {ev.get(), cp.get()}) e->release(net);
+        ev.release(net);
+        cp.releaseLanes(net, kAll);
+        cp.settle();
       } else if (op == 2 && nl.flopCount() != 0) {
         const netlist::FlopId f{
             static_cast<std::uint32_t>(rng.below(nl.flopCount()))};
         const bool v = rng.coin();
-        for (sim::Engine* e : {ev.get(), cp.get()}) e->depositFlop(f, v);
+        ev.depositFlop(f, v);
+        cp.depositFlopLanes(f, kAll, v ? kAll : 0);
+        cp.settle();
       } else if (op == 3 && nl.ramCount() != 0) {
         const netlist::RamId r{0};
         const std::size_t row = rng.below(nl.ram(r).depth());
         const std::uint64_t v = rng.below(16);
-        for (sim::Engine* e : {ev.get(), cp.get()}) e->depositRam(r, row, v);
+        const std::uint64_t changed = cp.ramWordLane(r, row, 0) ^ v;
+        ev.depositRam(r, row, v);
+        for (unsigned bit = 0; bit < nl.ram(r).dataBits; ++bit) {
+          if ((changed >> bit) & 1) cp.xorRamBitLanes(r, row, bit, kAll);
+        }
       }
-      for (sim::Engine* e : {ev.get(), cp.get()}) e->step();
+      ev.step();
+      cp.step();
 
+      const std::string at =
+          "seed " + std::to_string(seed) + " cycle " + std::to_string(c);
       for (std::uint32_t n = 0; n < nl.netCount(); ++n) {
-        ASSERT_EQ(ev->netValue(netlist::NetId{n}),
-                  cp->netValue(netlist::NetId{n}))
-            << "seed " << seed << " cycle " << c << " net " << n << " ("
-            << nl.netName(netlist::NetId{n}) << ")";
+        const Word w = cp.netWord(netlist::NetId{n});
+        ASSERT_EQ(ev.netValue(netlist::NetId{n}), (w & 1) != 0)
+            << at << " net " << n << " (" << nl.netName(netlist::NetId{n})
+            << ")";
+        ASSERT_TRUE(w == 0 || w == kAll) << at << " net " << n;
       }
       for (std::uint32_t f = 0; f < nl.flopCount(); ++f) {
-        ASSERT_EQ(ev->flopState(netlist::FlopId{f}),
-                  cp->flopState(netlist::FlopId{f}))
-            << "seed " << seed << " cycle " << c << " flop " << f;
+        const Word w = cp.flopWord(netlist::FlopId{f});
+        ASSERT_EQ(ev.flopState(netlist::FlopId{f}), (w & 1) != 0)
+            << at << " flop " << f;
+        ASSERT_TRUE(w == 0 || w == kAll) << at << " flop " << f;
       }
       for (std::uint32_t r = 0; r < nl.ramCount(); ++r) {
         for (std::size_t row = 0; row < nl.ram(netlist::RamId{r}).depth();
              ++row) {
-          ASSERT_EQ(ev->ramWord(netlist::RamId{r}, row),
-                    cp->ramWord(netlist::RamId{r}, row))
-              << "seed " << seed << " cycle " << c << " ram " << r << " row "
-              << row;
+          const std::uint64_t lane0 =
+              cp.ramWordLane(netlist::RamId{r}, row, 0);
+          ASSERT_EQ(ev.ramWord(netlist::RamId{r}, row), lane0)
+              << at << " ram " << r << " row " << row;
+          for (unsigned lane = 1; lane < sim::CompiledSimulator::kLanes;
+               ++lane) {
+            ASSERT_EQ(cp.ramWordLane(netlist::RamId{r}, row, lane), lane0)
+                << at << " ram " << r << " row " << row << " lane " << lane;
+          }
         }
       }
     }
@@ -259,7 +282,8 @@ TEST(CompiledEquivalence, CampaignExperimentsFieldForFieldAcrossMatrix) {
         EXPECT_EQ(wave[i].index, i) << what;
         EXPECT_EQ(wave[i].outcome, ref.outcome) << what;
         EXPECT_EQ(wave[i].modeledSeconds, ref.modeledSeconds) << what;
-        EXPECT_EQ(wave[i].configSeconds, ref.commands * opt.secondsPerCommand)
+        EXPECT_EQ(wave[i].configSeconds,
+                  ref.commands * vfit::VfitTool::kSecondsPerCommand)
             << what;
         ASSERT_TRUE(wave[i].hasRecord) << what;
         expectRecordMatches(wave[i].record, ref, true, what);

@@ -1,11 +1,10 @@
 // CompiledSimulator lane-packing unit tests: per-lane injection masks land
 // in exactly one lane, the golden lane is never perturbed, divergent RAM
-// addressing keeps lanes independent, and the scalar Engine view is a
-// drop-in for the event-driven simulator.
+// addressing keeps lanes independent, and the golden lane tracks the
+// event-driven simulator under the same stimulus.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "netlist/netlist.hpp"
 #include "rtl/builder.hpp"
 #include "sim/compiled.hpp"
-#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace fades::sim {
@@ -57,9 +55,9 @@ TEST(CompiledLanes, XorFlopLandsInExactlyOneLane) {
   cs.xorFlopLanes(*f, Word{1} << 5);
   const Word after = cs.flopWord(*f);
   EXPECT_EQ(before ^ after, Word{1} << 5);
-  // Golden lane (bit 0) untouched, scalar view agrees.
+  // Golden lane (bit 0) untouched, the lane read agrees.
   EXPECT_EQ(before & 1, after & 1);
-  EXPECT_EQ(cs.flopState(*f), static_cast<bool>(after & 1));
+  EXPECT_EQ(cs.flopStateLane(*f, 0), static_cast<bool>(after & 1));
   // The Q net carries the flip to lane 5 only (after settle).
   cs.settle();
   const Word q = cs.netWord(nl.flops()[f->value].q);
@@ -185,50 +183,36 @@ TEST(CompiledLanes, DivergentRamAddressesKeepLanesIndependent) {
   }
 }
 
-TEST(CompiledLanes, ScalarEngineViewIsDropIn) {
-  // Drive both engines through the abstract Engine interface with the same
-  // scalar stimulus; every observation must agree cycle for cycle.
+TEST(CompiledLanes, GoldenLaneMatchesEventDrivenSimulator) {
+  // Drive both simulators with the same scalar stimulus; the compiled
+  // golden lane must agree with the event-driven simulator cycle for cycle.
   const Netlist nlA = ramDesign();
   const Netlist nlB = ramDesign();
-  const std::unique_ptr<Engine> ev = std::make_unique<Simulator>(nlA);
-  const std::unique_ptr<Engine> cp = std::make_unique<CompiledSimulator>(nlB);
+  Simulator ev(nlA);
+  CompiledSimulator cp(nlB);
 
   Rng rng(7);
   for (int c = 0; c < 200; ++c) {
     const std::uint64_t din = rng.below(256);
     const std::uint64_t we = rng.below(2);
-    for (Engine* e : {ev.get(), cp.get()}) {
-      e->setInput("din", din);
-      e->setInput("we", we);
-      e->step();
-    }
-    ASSERT_EQ(ev->portValue("data"), cp->portValue("data")) << "cycle " << c;
-    ASSERT_EQ(ev->portValue("mixed"), cp->portValue("mixed"));
-    ASSERT_EQ(ev->portValue("ptr"), cp->portValue("ptr"));
-    ASSERT_EQ(ev->cycle(), cp->cycle());
+    ev.setInput("din", din);
+    ev.setInput("we", we);
+    ev.step();
+    cp.setInput("din", din);
+    cp.setInput("we", we);
+    cp.step();
+    ASSERT_EQ(ev.portValue("data"), cp.portValueLane("data", 0))
+        << "cycle " << c;
+    ASSERT_EQ(ev.portValue("mixed"), cp.portValueLane("mixed", 0));
+    ASSERT_EQ(ev.portValue("ptr"), cp.portValueLane("ptr", 0));
+    ASSERT_EQ(ev.cycle(), cp.cycle());
   }
   // Final RAM contents agree word for word.
   for (std::size_t row = 0; row < 16; ++row) {
-    EXPECT_EQ(ev->ramWord(netlist::RamId{0}, row),
-              cp->ramWord(netlist::RamId{0}, row))
+    EXPECT_EQ(ev.ramWord(netlist::RamId{0}, row),
+              cp.ramWordLane(netlist::RamId{0}, row, 0))
         << "row " << row;
   }
-}
-
-TEST(CompiledLanes, ScalarCommandsDriveAllLanesInLockstep) {
-  const Netlist nl = ramDesign();
-  CompiledSimulator cs(nl);
-  const auto f = nl.findFlop("ptr[0]");
-  ASSERT_TRUE(f.has_value());
-  cs.depositFlop(*f, true);
-  EXPECT_EQ(cs.flopWord(*f), ~Word{0});
-  const auto net = nl.findNet("mixed[1]");
-  ASSERT_TRUE(net.has_value());
-  cs.force(*net, true);
-  EXPECT_EQ(cs.netWord(*net), ~Word{0});
-  EXPECT_TRUE(cs.isForced(*net));
-  cs.release(*net);
-  EXPECT_FALSE(cs.isForced(*net));
 }
 
 }  // namespace

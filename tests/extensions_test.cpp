@@ -1,18 +1,15 @@
 // Tests for the framework extensions: saboteur instrumentation (CTR
-// baseline), bitstream serialization, VCD tracing, and multiple bit-flips.
+// baseline), multiple bit-flips and per-cycle settle accounting.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "common/error.hpp"
 #include "core/fades.hpp"
 #include "core/permanent.hpp"
-#include "fpga/bitstream_io.hpp"
 #include "obs/metrics.hpp"
 #include "rtl/builder.hpp"
 #include "sim/simulator.hpp"
-#include "sim/vcd.hpp"
 #include "synth/implement.hpp"
 #include "synth/instrument.hpp"
 
@@ -273,115 +270,6 @@ TEST(Instrument, AutonomousRejectsDuplicateAndBadMaskTargets) {
   Netlist model2 = smallCounterModel();
   EXPECT_THROW(synth::instrumentAutonomous(model2, {netlist::FlopId{99}}),
                FadesError);
-}
-
-// --------------------------------------------------------- bitstream io -----
-
-TEST(BitstreamIo, RoundTripPreservesEverything) {
-  Builder b;
-  rtl::Register r = b.makeRegister("r", 4, 5);
-  b.connect(r, b.increment(r.q));
-  b.output("r", r.q);
-  const auto impl = synth::implement(b.finish(), fpga::DeviceSpec::small());
-
-  const auto bytes =
-      fpga::serializeBitstream(fpga::DeviceSpec::small(), impl.bitstream);
-  const auto back =
-      fpga::deserializeBitstream(fpga::DeviceSpec::small(), bytes);
-  EXPECT_EQ(back.logic, impl.bitstream.logic);
-  EXPECT_EQ(back.bram, impl.bitstream.bram);
-}
-
-TEST(BitstreamIo, DetectsCorruption) {
-  Builder b;
-  b.output("y", b.lnot(b.inputBit("a")));
-  const auto impl = synth::implement(b.finish(), fpga::DeviceSpec::small());
-  auto bytes =
-      fpga::serializeBitstream(fpga::DeviceSpec::small(), impl.bitstream);
-  bytes[bytes.size() / 2] ^= 0x10;  // flip a payload bit
-  EXPECT_THROW(fpga::deserializeBitstream(fpga::DeviceSpec::small(), bytes),
-               FadesError);
-}
-
-TEST(BitstreamIo, RejectsWrongGeometryAndBadMagic) {
-  Builder b;
-  b.output("y", b.lnot(b.inputBit("a")));
-  const auto impl = synth::implement(b.finish(), fpga::DeviceSpec::small());
-  auto bytes =
-      fpga::serializeBitstream(fpga::DeviceSpec::small(), impl.bitstream);
-  EXPECT_THROW(fpga::deserializeBitstream(fpga::DeviceSpec::medium(), bytes),
-               FadesError);
-  bytes[0] ^= 0xFF;
-  EXPECT_THROW(fpga::deserializeBitstream(fpga::DeviceSpec::small(), bytes),
-               FadesError);
-}
-
-TEST(BitstreamIo, FileRoundTrip) {
-  Builder b;
-  b.output("y", b.lnot(b.inputBit("a")));
-  const auto impl = synth::implement(b.finish(), fpga::DeviceSpec::small());
-  const std::string path = ::testing::TempDir() + "/fades_test.bit";
-  fpga::saveBitstream(path, fpga::DeviceSpec::small(), impl.bitstream);
-  const auto back = fpga::loadBitstream(path, fpga::DeviceSpec::small());
-  EXPECT_EQ(back.logic, impl.bitstream.logic);
-  std::remove(path.c_str());
-
-  // A loaded configuration file actually configures a device.
-  fpga::Device dev(fpga::DeviceSpec::small());
-  dev.writeFullBitstream(back);
-  EXPECT_EQ(dev.usedLutCount(), impl.stats.luts);
-}
-
-TEST(BitstreamIo, Crc32KnownVector) {
-  // CRC-32("123456789") = 0xCBF43926 (IEEE 802.3 check value).
-  const char* s = "123456789";
-  EXPECT_EQ(fpga::crc32(reinterpret_cast<const std::uint8_t*>(s), 9),
-            0xCBF43926u);
-}
-
-// ----------------------------------------------------------------- VCD -----
-
-TEST(Vcd, EmitsHeaderAndOnlyChanges) {
-  Builder b;
-  rtl::Register c = b.makeRegister("c", 2, 0);
-  b.connect(c, b.increment(c.q));
-  b.output("c", c.q);
-  b.output("msb", c.q[1]);
-  Netlist nl = b.finish();
-  Simulator s(nl);
-  sim::VcdWriter vcd(s, nl);
-  vcd.addAllOutputs();
-  for (std::uint64_t cy = 0; cy < 6; ++cy) {
-    vcd.sample(cy);
-    s.step();
-  }
-  const std::string text = vcd.str();
-  EXPECT_NE(text.find("$timescale 40 ns $end"), std::string::npos);
-  EXPECT_NE(text.find("$var wire 2"), std::string::npos);
-  EXPECT_NE(text.find("$var wire 1"), std::string::npos);
-  EXPECT_NE(text.find("#0"), std::string::npos);
-  // msb (bit 1) changes at cycle 2: timestamps present for changes only.
-  EXPECT_NE(text.find("#2"), std::string::npos);
-  EXPECT_EQ(text.find("#1\n1"), std::string::npos);  // msb did not change at 1
-  // Counter bus emitted MSB-first.
-  EXPECT_NE(text.find("b01 "), std::string::npos);
-  EXPECT_NE(text.find("b10 "), std::string::npos);
-}
-
-TEST(Vcd, SaveWritesFile) {
-  Builder b;
-  b.output("y", b.lnot(b.inputBit("a")));
-  Netlist nl = b.finish();
-  Simulator s(nl);
-  sim::VcdWriter vcd(s, nl);
-  vcd.addAllOutputs();
-  vcd.sample(0);
-  const std::string path = ::testing::TempDir() + "/fades_test.vcd";
-  vcd.save(path);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fclose(f);
-  std::remove(path.c_str());
 }
 
 // ------------------------------------------------- multiple bit-flips -----

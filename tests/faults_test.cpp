@@ -245,7 +245,7 @@ TEST(Vfit, FlopBitFlipCausesImmediateFailure) {
                          flops[0].value, 10, 1.0, rng, &seconds);
   // The LFSR feeds the output combinationally: divergence is immediate.
   EXPECT_EQ(o, Outcome::Failure);
-  EXPECT_GT(seconds, miniVfitOptions().secondsFixedPerExperiment);
+  EXPECT_GT(seconds, vfit::VfitTool::kSecondsFixedPerExperiment);
 }
 
 TEST(Vfit, RamBitFlipIsLatentOrSilentNeverFailure) {
@@ -397,7 +397,6 @@ TEST(Fades, FlopBitFlipViaLsrMatchesVfitOutcomes) {
 }
 
 TEST(Fades, GsrAndLsrBitFlipAgreeButGsrMovesMoreData) {
-  const auto& d = MiniDesign::instance();
   FadesOptions lsrOpt = miniFadesOptions();
   FadesOptions gsrOpt = miniFadesOptions();
   gsrOpt.bitFlipVia = core::BitFlipVia::Gsr;

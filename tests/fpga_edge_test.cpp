@@ -2,19 +2,16 @@
 // invalid addresses, boundary pass transistors, spec validation.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
-#include "fpga/bitstream_io.hpp"
 #include "fpga/device.hpp"
 #include "fpga/layout.hpp"
 
 namespace fades::fpga {
 namespace {
 
-using common::ErrorKind;
 using common::FadesError;
 
 TEST(LayoutEdge, LastMinorOfColumnMayBePartial) {
@@ -28,7 +25,9 @@ TEST(LayoutEdge, LastMinorOfColumnMayBePartial) {
           l.logicFrameBitCount(FrameAddr{Plane::Logic, col, m});
       ASSERT_GT(bits, 0u);
       ASSERT_LE(bits, l.frameBits());
-      if (m + 1 < minors) EXPECT_EQ(bits, l.frameBits());
+      if (m + 1 < minors) {
+        EXPECT_EQ(bits, l.frameBits());
+      }
       total += bits;
     }
     // Frames tile the column exactly.
@@ -129,120 +128,6 @@ TEST(DeviceEdge, UnconnectedFabricReadsZero) {
   dev.setLogicBit(dev.layout().padConnBit(3, false, 2), true);
   dev.settle();
   EXPECT_FALSE(dev.padValue(3));
-}
-
-// --------------------------------------- bitstream container hardening -----
-
-Bitstream patternBitstream() {
-  // Deliberately non-byte-aligned sizes so the rounding paths are exercised.
-  Bitstream bs{common::BitVector(301), common::BitVector(97)};
-  for (std::size_t i = 0; i < bs.logic.size(); i += 3) bs.logic.set(i, true);
-  for (std::size_t i = 0; i < bs.bram.size(); i += 5) bs.bram.set(i, true);
-  return bs;
-}
-
-/// Deserializing `bytes` must raise ConfigError whose message carries the
-/// `fragment` - corrupt files are diagnosed from the message alone.
-void expectConfigError(const std::vector<std::uint8_t>& bytes,
-                       const std::string& fragment) {
-  try {
-    deserializeBitstream(DeviceSpec::small(), bytes);
-    FAIL() << "corrupt container accepted (wanted '" << fragment << "')";
-  } catch (const FadesError& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::ConfigError);
-    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(BitstreamIo, SerializeDeserializeRoundTrips) {
-  const Bitstream original = patternBitstream();
-  const auto bytes = serializeBitstream(DeviceSpec::small(), original);
-  const Bitstream copy = deserializeBitstream(DeviceSpec::small(), bytes);
-  ASSERT_EQ(copy.logic.size(), original.logic.size());
-  ASSERT_EQ(copy.bram.size(), original.bram.size());
-  for (std::size_t i = 0; i < original.logic.size(); ++i) {
-    ASSERT_EQ(copy.logic.get(i), original.logic.get(i)) << "logic bit " << i;
-  }
-  for (std::size_t i = 0; i < original.bram.size(); ++i) {
-    ASSERT_EQ(copy.bram.get(i), original.bram.get(i)) << "bram bit " << i;
-  }
-}
-
-TEST(BitstreamIo, EveryTruncationIsATypedErrorWithAByteOffset) {
-  const auto bytes = serializeBitstream(DeviceSpec::small(), patternBitstream());
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + len);
-    try {
-      deserializeBitstream(DeviceSpec::small(), cut);
-      FAIL() << "container truncated to " << len << " byte(s) accepted";
-    } catch (const FadesError& e) {
-      EXPECT_EQ(e.kind(), ErrorKind::ConfigError) << "length " << len;
-      EXPECT_NE(std::string(e.what()).find("byte offset"), std::string::npos)
-          << "length " << len << ": " << e.what();
-    }
-  }
-}
-
-TEST(BitstreamIo, BadMagicAndVersionAreRejected) {
-  auto bytes = serializeBitstream(DeviceSpec::small(), patternBitstream());
-  auto bad = bytes;
-  bad[0] ^= 0xFF;
-  expectConfigError(bad, "magic");
-  bad = bytes;
-  bad[4] += 1;  // version field starts at byte 4
-  expectConfigError(bad, "version");
-}
-
-TEST(BitstreamIo, GeometryMismatchIsRejected) {
-  const auto bytes = serializeBitstream(DeviceSpec::small(), patternBitstream());
-  EXPECT_THROW(deserializeBitstream(DeviceSpec::medium(), bytes), FadesError);
-}
-
-TEST(BitstreamIo, HugeDeclaredBitCountsAreRejectedBeforeAllocation) {
-  // The declared counts are attacker-controlled 64-bit values; a container
-  // declaring ~2^64 bits must fail the bounds check, not wrap it and
-  // allocate. Logic count lives at bytes 28-35, bram count at 36-43.
-  const auto bytes = serializeBitstream(DeviceSpec::small(), patternBitstream());
-  auto bad = bytes;
-  for (std::size_t i = 28; i < 36; ++i) bad[i] = 0xFF;
-  expectConfigError(bad, "logic bit count");
-  bad = bytes;
-  for (std::size_t i = 36; i < 44; ++i) bad[i] = 0xFF;
-  expectConfigError(bad, "bram bit count");
-}
-
-TEST(BitstreamIo, PayloadCorruptionFailsTheCrc) {
-  auto bytes = serializeBitstream(DeviceSpec::small(), patternBitstream());
-  bytes[44] ^= 0x10;  // first payload byte, right after the two bit counts
-  expectConfigError(bytes, "CRC mismatch");
-}
-
-TEST(BitstreamIo, CrcWordCorruptionIsDetected) {
-  auto bytes = serializeBitstream(DeviceSpec::small(), patternBitstream());
-  bytes[bytes.size() - 1] ^= 0x01;
-  expectConfigError(bytes, "CRC mismatch");
-}
-
-TEST(BitstreamIo, TrailingGarbageIsRejected) {
-  auto bytes = serializeBitstream(DeviceSpec::small(), patternBitstream());
-  bytes.push_back(0x00);
-  expectConfigError(bytes, "trailing");
-}
-
-TEST(BitstreamIo, SaveLoadRoundTripsAndLeavesNoTmp) {
-  const std::string path = "fpga_edge_bitstream.bin";
-  const Bitstream original = patternBitstream();
-  saveBitstream(path, DeviceSpec::small(), original);
-  std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
-  EXPECT_EQ(tmp, nullptr);
-  if (tmp != nullptr) std::fclose(tmp);
-  const Bitstream loaded = loadBitstream(path, DeviceSpec::small());
-  EXPECT_EQ(loaded.logic.size(), original.logic.size());
-  EXPECT_EQ(loaded.bram.size(), original.bram.size());
-  EXPECT_EQ(loaded.logic.popcount(), original.logic.popcount());
-  EXPECT_EQ(loaded.bram.popcount(), original.bram.popcount());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -127,6 +129,62 @@ TEST(Json, GetUint64ReadsIntegersAndWrapsNegatives) {
     EXPECT_FALSE(j.get(key, out)) << key;
     EXPECT_EQ(out, 7u) << key;
   }
+}
+
+TEST(Json, ParseKeepsIntegersAbove2To63Exact) {
+  // The writer emits a uint64 past 2^63 with %llu; the parser must read it
+  // back as that integer, not as the nearest double.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Json doc = Json::object();
+  doc.set("u", Json(kMax));
+  doc.set("above", Json(std::uint64_t{9223372036854775809u}));
+  const std::string text = doc.dump();
+  EXPECT_EQ(text, R"({"u":18446744073709551615,"above":9223372036854775809})");
+  const auto back = Json::parse(text);
+  ASSERT_TRUE(back.has_value());
+  std::uint64_t out = 0;
+  EXPECT_TRUE(back->get("u", out));
+  EXPECT_EQ(out, kMax);
+  EXPECT_TRUE(back->get("above", out));
+  EXPECT_EQ(out, std::uint64_t{9223372036854775809u});
+  EXPECT_EQ(back->dump(), text);
+  // One past uint64 is no integer any more: it reads as absent.
+  const auto past = Json::parse(R"({"u":18446744073709551616})");
+  ASSERT_TRUE(past.has_value());
+  out = 7;
+  EXPECT_FALSE(past->get("u", out));
+  EXPECT_EQ(out, 7u);
+}
+
+TEST(Json, IntegerGettersReadOnlyIntegralInRangeNumbers) {
+  for (const char* text : {R"({"first":1e30})", R"({"first":-1e30})",
+                           R"({"first":0.5})"}) {
+    const auto j = Json::parse(text);
+    ASSERT_TRUE(j.has_value()) << text;
+    std::int64_t i = 7;
+    std::uint64_t u = 7;
+    EXPECT_FALSE(j->get("first", i)) << text;
+    EXPECT_FALSE(j->get("first", u)) << text;
+    EXPECT_EQ(i, 7) << text;
+    EXPECT_EQ(u, 7u) << text;
+  }
+  // An integral double inside the type's range still reads.
+  const auto j = Json::parse(R"({"first":4e3,"neg":-2.0})");
+  ASSERT_TRUE(j.has_value());
+  std::int64_t i = 0;
+  std::uint64_t u = 0;
+  EXPECT_TRUE(j->get("first", i));
+  EXPECT_EQ(i, 4000);
+  EXPECT_TRUE(j->get("first", u));
+  EXPECT_EQ(u, 4000u);
+  EXPECT_TRUE(j->get("neg", i));
+  EXPECT_EQ(i, -2);
+  EXPECT_FALSE(j->get("neg", u));
+  // asInt() is defined for every number: clamped, truncated, NaN as 0.
+  EXPECT_EQ(Json(1e30).asInt(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(Json(-1e30).asInt(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json(-2.75).asInt(), -2);
+  EXPECT_EQ(Json(std::nan("")).asInt(), 0);
 }
 
 // --- logger ---------------------------------------------------------------

@@ -237,8 +237,11 @@ class SyntheticEngine final : public campaign::CampaignEngine {
     out.bytesFromDevice = pool.size();
     out.sessions = 1;
     out.hasRecord = true;
-    out.record = {"t" + std::to_string(index), index, 1.5, out.outcome,
-                  out.modeledSeconds};
+    out.record.targetName = "t" + std::to_string(index);
+    out.record.injectCycle = index;
+    out.record.durationCycles = 1.5;
+    out.record.outcome = out.outcome;
+    out.record.modeledSeconds = out.modeledSeconds;
     return out;
   }
 

@@ -209,7 +209,11 @@ ExperimentOutcome sampleOutcome() {
   o.sessions = 3;
   o.attempts = 2;
   o.hasRecord = true;
-  o.record = {"lut_3_4", 17, 6.25, Outcome::Latent, 1.0 / 3.0};
+  o.record.targetName = "lut_3_4";
+  o.record.injectCycle = 17;
+  o.record.durationCycles = 6.25;
+  o.record.outcome = Outcome::Latent;
+  o.record.modeledSeconds = 1.0 / 3.0;
   return o;
 }
 

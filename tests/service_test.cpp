@@ -15,10 +15,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -224,6 +226,25 @@ TEST(ServiceJobSpec, JsonRoundTripPreservesIdentity) {
   EXPECT_EQ(service::fingerprint(job), service::fingerprint(back));
 }
 
+TEST(ServiceJobSpec, LargestSeedSurvivesTheWireWithItsFingerprint) {
+  // campaign_8051's default fades job at the largest seed, through the
+  // text the wire carries: the seed comes back exactly, so the job keeps
+  // the fingerprint that names its journal and keys the worker caches.
+  service::JobSpec job;
+  job.spec.experiments = 200;
+  job.spec.seed = std::numeric_limits<std::uint64_t>::max();
+  job.name = service::defaultName(job);
+  const std::string fp = service::fingerprint(job);
+  EXPECT_EQ(fp, "31d89e6108d7bb69");
+  const auto wire = Json::parse(service::toJson(job).dump());
+  ASSERT_TRUE(wire.has_value());
+  service::JobSpec back;
+  std::string error;
+  ASSERT_TRUE(service::jobSpecFromJson(*wire, back, &error)) << error;
+  EXPECT_EQ(back.spec.seed, job.spec.seed);
+  EXPECT_EQ(service::fingerprint(back), fp);
+}
+
 TEST(ServiceJobSpec, ValidateRejectsNonsense) {
   service::JobSpec job = demoJob(8);
   job.tool = "hope";
@@ -400,6 +421,30 @@ TEST(ServiceJournal, ResumeToleratesCrlfLineEndings) {
   journal.open(spec, /*resume=*/true);
   ASSERT_EQ(journal.completed().size(), 3u);
   EXPECT_EQ(journal.completed().at(1).modeledSeconds, 1.5);
+  fs::remove_all(dir);
+}
+
+TEST(ServiceJournal, ResumesASpecWithTheLargestSeed) {
+  // The header binds the journal to its spec by comparing the parsed spec
+  // with the live one; a seed past 2^63 must parse back exactly.
+  const fs::path dir = makeTempDir("maxseed");
+  const fs::path path = dir / "journal.jsonl";
+  campaign::CampaignSpec spec;
+  spec.experiments = 4;
+  spec.seed = std::numeric_limits<std::uint64_t>::max();
+  {
+    campaign::CampaignJournal journal(path.string());
+    journal.open(spec, /*resume=*/false);
+    campaign::ExperimentOutcome outcome;
+    outcome.index = 2;
+    outcome.outcome = campaign::Outcome::Latent;
+    outcome.modeledSeconds = 0.75;
+    journal.append(outcome);
+  }
+  campaign::CampaignJournal journal(path.string());
+  ASSERT_NO_THROW(journal.open(spec, /*resume=*/true));
+  ASSERT_EQ(journal.completed().size(), 1u);
+  EXPECT_EQ(journal.completed().at(2).modeledSeconds, 0.75);
   fs::remove_all(dir);
 }
 
