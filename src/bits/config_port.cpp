@@ -23,7 +23,11 @@ void ConfigPort::linkTransfer(LinkOp op, std::uint64_t bytes) {
   const double rate =
       linkFaults_.timeoutRate +
       (isRead ? linkFaults_.readCrcRate : linkFaults_.writeFailRate);
-  double backoff = retry_.backoffBaseSeconds;
+  // Retry backoff: 2 ms, growing 2x per retry, at most 250 ms per delay.
+  constexpr double kBackoffBaseSeconds = 0.002;
+  constexpr double kBackoffGrowth = 2.0;
+  constexpr double kBackoffCapSeconds = 0.250;
+  double backoff = kBackoffBaseSeconds;
   for (unsigned attempt = 0;; ++attempt) {
     if (linkRng_.uniform01() >= rate) return;  // attempt went through
     ++meter_.linkFaults;
@@ -41,8 +45,7 @@ void ConfigPort::linkTransfer(LinkOp op, std::uint64_t bytes) {
     ++meter_.retryOps;
     meter_.retryBytes += bytes;
     meter_.retryBackoffSeconds += backoff;
-    backoff = std::min(backoff * retry_.backoffFactor,
-                       retry_.backoffCapSeconds);
+    backoff = std::min(backoff * kBackoffGrowth, kBackoffCapSeconds);
     cRetries_.inc();
   }
 }

@@ -79,10 +79,7 @@ struct LinkFaultOptions {
 /// Write-verify-retry policy for faulted link transfers. The backoff is
 /// modeled (charged to TransferMeter::retryBackoffSeconds), not slept.
 struct RetryPolicy {
-  unsigned maxRetries = 8;           // re-issues per operation before LinkError
-  double backoffBaseSeconds = 0.002; // first retry delay
-  double backoffFactor = 2.0;        // exponential growth per retry
-  double backoffCapSeconds = 0.250;  // bound on a single delay
+  unsigned maxRetries = 8;  // re-issues per operation before LinkError
 };
 
 /// Transfer-cost model for the host <-> prototyping-board link (the paper's

@@ -49,8 +49,6 @@ Coordinator::Coordinator(CoordinatorOptions options)
       gWorkersActive_(obs::Registry::global().gauge("service.workers_active")),
       gWorkersQuarantined_(
           obs::Registry::global().gauge("service.workers_quarantined")) {
-  require(opt_.blockSize > 0, ErrorKind::InvalidArgument,
-          "coordinator block size must be positive");
   fs::create_directories(opt_.storeDir + "/campaigns");
   fs::create_directories(opt_.storeDir + "/journals");
   fs::create_directories(opt_.storeDir + "/objects");
@@ -149,13 +147,15 @@ std::string Coordinator::submit(const JobSpec& job) {
     c->progress->record(outcome);
   }
 
+  // One block per wave of the job's tool, so a lease is one engine call.
   const unsigned total = job.spec.experiments;
-  const unsigned blocks = (total + opt_.blockSize - 1) / opt_.blockSize;
+  const unsigned width = waveWidth(job);
+  const unsigned blocks = (total + width - 1) / width;
   c->blocks.reserve(blocks);
   for (unsigned b = 0; b < blocks; ++b) {
     Block block;
-    block.first = b * opt_.blockSize;
-    block.count = std::min(opt_.blockSize, total - block.first);
+    block.first = b * width;
+    block.count = std::min(width, total - block.first);
     block.needsAgreement = opt_.auditEvery != 0 && b % opt_.auditEvery == 0;
     bool covered = true;
     for (unsigned i = block.first; i < block.first + block.count; ++i) {
@@ -259,10 +259,11 @@ void Coordinator::acceptLoop() {
 }
 
 void Coordinator::handleConnection(Socket sock) {
+  constexpr int kRecvTimeoutMs = 5000;  // per-frame read stall bound
   std::string helloWorker;
   bool counted = false;
   try {
-    const auto hello = recvMessage(sock, opt_.recvTimeoutMs, &cBytesStreamed_);
+    const auto hello = recvMessage(sock, kRecvTimeoutMs, &cBytesStreamed_);
     if (!hello) return;
     std::string type;
     std::string schema;
@@ -284,7 +285,7 @@ void Coordinator::handleConnection(Socket sock) {
 
     while (!stop_.load()) {
       if (!waitReadable(sock, 100)) continue;
-      const auto msg = recvMessage(sock, opt_.recvTimeoutMs, &cBytesStreamed_);
+      const auto msg = recvMessage(sock, kRecvTimeoutMs, &cBytesStreamed_);
       if (!msg) break;
       Json reply;
       try {
@@ -317,7 +318,6 @@ Json Coordinator::dispatch(const Json& msg, std::string& helloWorker) {
     if (worker.empty()) return errorReply("lease_request needs a worker name");
     return handleLease(worker);
   }
-  if (type == "heartbeat") return handleHeartbeat(msg);
   if (type == "complete") return handleComplete(msg);
   if (type == "release") return handleRelease(msg);
   if (type == "submit") return handleSubmit(msg);
@@ -337,17 +337,21 @@ Coordinator::WorkerState& Coordinator::workerLocked(const std::string& name) {
 }
 
 void Coordinator::strikeLocked(WorkerState& w, const std::string& why) {
+  // A strike (missed deadline, released lease) backs the worker off for
+  // 250 ms, doubling per strike up to 2^6 times that; the 8th strike bans.
+  constexpr int kStrikeBackoffBaseMs = 250;
+  constexpr unsigned kStrikesBeforeBan = 8;
   ++w.strikes;
   const unsigned shift = std::min(w.strikes - 1, 6u);
   const auto backoff =
-      std::chrono::milliseconds(opt_.strikeBackoffBaseMs << shift);
+      std::chrono::milliseconds(kStrikeBackoffBaseMs << shift);
   w.backoffUntil = std::chrono::steady_clock::now() + backoff;
   FADES_LOG(Warn) << "worker strike" << obs::kv("worker", w.name)
                   << obs::kv("strikes", static_cast<std::uint64_t>(w.strikes))
                   << obs::kv("backoff_ms",
                              static_cast<std::uint64_t>(backoff.count()))
                   << obs::kv("why", why);
-  if (!w.banned && w.strikes >= opt_.strikeBanThreshold) {
+  if (!w.banned && w.strikes >= kStrikesBeforeBan) {
     banLocked(w, "exceeded strike threshold (" + why + ")");
   }
 }
@@ -594,7 +598,6 @@ Json Coordinator::handleLease(const std::string& worker) {
       j.set("lease_id", Json(block.leaseId));
       j.set("first", Json(static_cast<std::uint64_t>(block.first)));
       j.set("count", Json(static_cast<std::uint64_t>(block.count)));
-      j.set("lease_ms", Json(static_cast<std::uint64_t>(opt_.leaseMs)));
       j.set("job", toJson(c.job));
       return j;
     }
@@ -610,34 +613,6 @@ Json Coordinator::handleLease(const std::string& worker) {
   }
   Json j = typed("idle");
   j.set("retry_ms", Json(static_cast<std::uint64_t>(200)));
-  return j;
-}
-
-Json Coordinator::handleHeartbeat(const Json& msg) {
-  std::string worker;
-  std::string fp;
-  std::uint64_t leaseId = 0;
-  std::uint64_t first = 0;
-  if (!msg.get("worker", worker) ||
-      !msg.get("fingerprint", fp) ||
-      !msg.get("lease_id", leaseId) || !msg.get("first", first)) {
-    return errorReply("heartbeat misses worker/fingerprint/lease_id/first");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  Campaign* c = findCampaignLocked(fp);
-  Block* block =
-      c != nullptr ? findBlockLocked(*c, static_cast<unsigned>(first))
-                   : nullptr;
-  if (block == nullptr || block->state != BlockState::Leased ||
-      block->leaseId != leaseId || block->lessee != worker) {
-    Json j = typed("revoked");
-    j.set("lease_id", Json(leaseId));
-    return j;
-  }
-  block->deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(opt_.leaseMs);
-  Json j = typed("heartbeat_ack");
-  j.set("lease_id", Json(leaseId));
   return j;
 }
 
@@ -916,8 +891,7 @@ Coordinator::Campaign* Coordinator::findCampaignLocked(const std::string& fp) {
 }
 
 Coordinator::Block* Coordinator::findBlockLocked(Campaign& c, unsigned first) {
-  if (opt_.blockSize == 0) return nullptr;
-  const std::size_t idx = first / opt_.blockSize;
+  const std::size_t idx = first / waveWidth(c.job);
   if (idx >= c.blocks.size() || c.blocks[idx].first != first) return nullptr;
   return &c.blocks[idx];
 }

@@ -1,15 +1,18 @@
 // Campaign coordinator - the server half of the distributed service.
 //
 // The coordinator owns the campaign: it partitions each submitted job's
-// experiment range into contiguous blocks, leases blocks to workers with a
-// deadline, and folds the streamed-back outcomes in index order into the
-// same merge every other execution plane uses. Workers are assumed
-// unreliable in every way the paper's board links are, plus one more: they
-// can lie. The defenses, in order of escalation:
+// experiment range into contiguous blocks one wave of the job's tool wide
+// (waveWidth(job): 1 for fades, 63 for vfit and autonomous), leases blocks
+// to workers with a deadline, and folds the streamed-back outcomes in index
+// order into the same merge every other execution plane uses. A lease is
+// one engine call on the worker. Workers are assumed unreliable in every
+// way the paper's board links are, plus one more: they can lie. The
+// defenses, in order of escalation:
 //
-//  - A lease that misses its deadline (no heartbeat, no completion) is
-//    requeued for another worker; the late worker earns a strike and an
-//    exponentially growing backoff, and enough strikes ban it outright.
+//  - A lease that misses its deadline (no completion) is requeued for
+//    another worker; the late worker earns a strike and an exponentially
+//    growing backoff, and enough strikes ban it outright. Its late
+//    completion is still accepted and digest-checked.
 //  - Duplicate completions of one block are resolved deterministically:
 //    the first committed result wins, the second is verified equal by
 //    digest. A mismatch is a byzantine signal - the block is re-run until
@@ -57,12 +60,8 @@ struct CoordinatorOptions {
   /// outcome journals), objects/ (content-addressed artifacts), service/
   /// (worker ban events).
   std::string storeDir = "fades-store";
-  /// Experiments per lease block.
-  unsigned blockSize = 16;
-  /// Lease lifetime; a worker must complete or heartbeat within this.
+  /// Lease lifetime; a worker must complete its lease within this.
   int leaseMs = 10000;
-  /// Per-frame read stall bound on coordinator sockets.
-  int recvTimeoutMs = 5000;
   /// Lease-expiry scan period.
   int reaperTickMs = 100;
   /// Service progress log period; 0 disables the periodic line.
@@ -71,10 +70,6 @@ struct CoordinatorOptions {
   /// distinct workers before committing; 0 trusts single results unless a
   /// duplicate completion disagrees.
   unsigned auditEvery = 0;
-  /// First-strike backoff; doubles per strike (capped at 2^6 times this).
-  int strikeBackoffBaseMs = 250;
-  /// Strikes (missed deadlines / released leases) before a permanent ban.
-  unsigned strikeBanThreshold = 8;
   /// ProgressTracker heartbeat interval in experiments; 0 disables.
   std::uint64_t progressInterval = 0;
   /// fsync policy for the campaign journals.
@@ -173,7 +168,6 @@ class Coordinator {
   obs::Json dispatch(const obs::Json& msg, std::string& helloWorker);
 
   obs::Json handleLease(const std::string& worker);
-  obs::Json handleHeartbeat(const obs::Json& msg);
   obs::Json handleComplete(const obs::Json& msg);
   obs::Json handleRelease(const obs::Json& msg);
   obs::Json handleSubmit(const obs::Json& msg);

@@ -1,7 +1,6 @@
 #include "service/jobspec.hpp"
 
 #include <cerrno>
-#include <climits>
 #include <cstdlib>
 #include <utility>
 
@@ -197,14 +196,15 @@ void applyCampaignWords(const std::string& model, const std::string& targets,
   spec.band = lookupWord(kBands, band, "duration band")();
 }
 
-bool parseCount(const std::string& text, unsigned& out) {
+bool parseCount(const std::string& text, unsigned& out, unsigned lo,
+                unsigned hi) {
   if (text.empty() ||
       text.find_first_not_of("0123456789") != std::string::npos) {
     return false;
   }
   errno = 0;
   const unsigned long value = std::strtoul(text.c_str(), nullptr, 10);
-  if (errno != 0 || value == 0 || value > UINT_MAX) return false;
+  if (errno != 0 || value < lo || value > hi) return false;
   out = static_cast<unsigned>(value);
   return true;
 }
@@ -223,6 +223,12 @@ bool parseRate(const std::string& text, double& out) {
 
 std::string fingerprint(const JobSpec& job) {
   return fnv1a64Hex(toJson(job).dump());
+}
+
+unsigned waveWidth(const JobSpec& job) {
+  if (job.tool == "vfit") return vfit::VfitTool::kWaveExperiments;
+  if (job.tool == "autonomous") return core::AutonomousTool::kWaveExperiments;
+  return 1;
 }
 
 namespace {

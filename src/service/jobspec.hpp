@@ -18,6 +18,7 @@
 // engines through the same buildSystem() below.
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -87,15 +88,23 @@ void applyCampaignWords(const std::string& model, const std::string& targets,
                         const std::string& unit, const std::string& band,
                         campaign::CampaignSpec& spec);
 
-/// Whole-text number parses for the job arguments of the CLIs: a positive
-/// integer that fits `unsigned`, and a probability in [0, 1). False (and
-/// `out` untouched) for anything else - trailing characters, overflow, an
-/// empty string.
-bool parseCount(const std::string& text, unsigned& out);
+/// Whole-text number parses for the CLIs: a decimal integer in [lo, hi]
+/// (by default a positive one that fits `unsigned`), and a probability in
+/// [0, 1). False (and `out` untouched) for anything else - a sign, trailing
+/// characters, overflow, an empty string.
+bool parseCount(const std::string& text, unsigned& out, unsigned lo = 1,
+                unsigned hi = UINT_MAX);
 bool parseRate(const std::string& text, double& out);
 
 /// Canonical job identity: fnv1a64Hex of toJson(job).dump().
 std::string fingerprint(const JobSpec& job);
+
+/// Experiments one engine call of the job's tool runs: 1 for fades, one
+/// bit-parallel wave (kWaveExperiments) for vfit and autonomous. The
+/// coordinator leases each campaign in blocks of this width, so a lease is
+/// one wave. Equals buildSystem(job)->factory()->waveWidth() without
+/// building anything.
+unsigned waveWidth(const JobSpec& job);
 
 /// A fully built campaign system. Owns the netlist (and, for the fades
 /// tool, the implementation) that the engine factory captures by reference,

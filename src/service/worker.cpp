@@ -53,7 +53,10 @@ void WorkerDaemon::sleepInterruptible(int ms) {
 }
 
 int WorkerDaemon::run() {
-  int backoffMs = opt_.reconnectBaseMs;
+  // Reconnect backoff: 200 ms, doubling per failed attempt up to 5 s.
+  constexpr int kReconnectBaseMs = 200;
+  constexpr int kReconnectCapMs = 5000;
+  int backoffMs = kReconnectBaseMs;
   unsigned failures = 0;
   while (!stop_.load()) {
     Socket sock;
@@ -84,11 +87,11 @@ int WorkerDaemon::run() {
                                  static_cast<std::uint64_t>(backoffMs))
                       << obs::kv("error", e.what());
       sleepInterruptible(backoffMs);
-      backoffMs = std::min(backoffMs * 2, opt_.reconnectCapMs);
+      backoffMs = std::min(backoffMs * 2, kReconnectCapMs);
       continue;
     }
     failures = 0;
-    backoffMs = opt_.reconnectBaseMs;
+    backoffMs = kReconnectBaseMs;
     Served served = Served::LinkLost;
     try {
       served = serveConnection(sock);
@@ -185,7 +188,8 @@ void WorkerDaemon::runLease(const Socket& sock, const Json& lease) {
               lease.get("first", first) &&
               lease.get("count", count) && jobJson != nullptr &&
               jobSpecFromJson(*jobJson, job, &error) &&
-              first + count <= job.spec.experiments,
+              count <= job.spec.experiments &&
+              first <= job.spec.experiments - count,
           ErrorKind::LinkError, "malformed lease: " + error);
 
   auto release = [&](const std::string& why) {
@@ -246,9 +250,10 @@ void WorkerDaemon::runLease(const Socket& sock, const Json& lease) {
   std::ranges::sort(execute);
   execute.erase(std::unique(execute.begin(), execute.end()), execute.end());
 
+  // The coordinator leases one wave of the job's tool. A pruned lease
+  // executes its non-members plus the distinct uncached representatives of
+  // its members, at most `count` experiments, so it is still one wave.
   std::vector<ExperimentOutcome> outcomes(count);
-  std::uint64_t done = 0;
-  auto lastBeat = std::chrono::steady_clock::now();
   const campaign::OutcomeSink deliver = [&](ExperimentOutcome outcome) {
     // Cache representatives untampered (classes are sorted by
     // representative), so members leased later clone instead of re-running.
@@ -260,35 +265,8 @@ void WorkerDaemon::runLease(const Socket& sock, const Json& lease) {
     if (inBlock(outcome.index)) {
       if (opt_.tamper) opt_.tamper(outcome);
       outcomes[outcome.index - first] = std::move(outcome);
-      ++done;
     }
-    if (stop_.load()) return false;  // abandon; the lease expires on its own
-
-    const auto now = std::chrono::steady_clock::now();
-    if (now - lastBeat < std::chrono::milliseconds(opt_.heartbeatMs)) {
-      return true;
-    }
-    lastBeat = now;
-    Json beat = Json::object();
-    beat.set("type", Json(std::string("heartbeat")));
-    beat.set("worker", Json(opt_.name));
-    beat.set("fingerprint", Json(fp));
-    beat.set("lease_id", Json(leaseId));
-    beat.set("first", Json(first));
-    beat.set("done", Json(done));
-    sendMessage(sock, beat);
-    const auto ack = recvMessage(sock, opt_.recvTimeoutMs);
-    if (!ack) {
-      common::raise(ErrorKind::LinkError,
-                    "coordinator closed during heartbeat");
-    }
-    if (messageType(*ack) == "heartbeat_ack") return true;
-    // Revoked: the deadline passed and the block belongs to someone else
-    // now. Abandon the rest; a late duplicate completion would only burn
-    // the digest checker's time.
-    FADES_LOG(Warn) << "lease revoked mid-block" << obs::kv("worker", opt_.name)
-                    << obs::kv("fingerprint", fp) << obs::kv("first", first);
-    return false;
+    return true;
   };
 
   // campaign_8051's attempt budget: it decides what is quarantined.
@@ -296,22 +274,16 @@ void WorkerDaemon::runLease(const Socket& sock, const Json& lease) {
   obs::Counter& quarantined =
       obs::Registry::global().counter("campaign.quarantined");
   try {
-    if (!campaign::runLease(*sys->engine, job.spec, sys->pool, execute,
-                            attempts, quarantined, deliver)) {
-      return;
-    }
+    campaign::runLease(*sys->engine, job.spec, sys->pool, execute, attempts,
+                       quarantined, deliver);
     for (const unsigned m : members) {
-      if (!deliver(campaign::materializeMember(
-              *sys->engine, job.spec, sys->pool, m,
-              sys->repOutcomes.at(representativeOf(m)), attempts,
-              quarantined))) {
-        return;
-      }
+      deliver(campaign::materializeMember(
+          *sys->engine, job.spec, sys->pool, m,
+          sys->repOutcomes.at(representativeOf(m)), attempts, quarantined));
     }
   } catch (const FadesError& e) {
-    // runLease absorbs transient engine errors: a LinkError here is the
-    // coordinator link failing in a heartbeat, and drops the connection.
-    if (e.kind() == ErrorKind::LinkError) throw;
+    // runLease absorbs transient engine errors; what reaches here is fatal
+    // for this campaign on this worker.
     poisoned_[fp] = e.what();
     release(e.what());
     return;

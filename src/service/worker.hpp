@@ -4,11 +4,10 @@
 // each block through campaign::runLease - the in-process runner's lease
 // executor, so compiled leases run as waves, transient errors retry against
 // a recovered replica and persistent ones quarantine the experiment - and
-// streams the block's outcomes back in one completion message. As outcomes
-// arrive it heartbeats to keep the lease alive; a "revoked" answer means the
-// coordinator gave up on it (deadline passed, block re-leased) and the
-// remaining work of the block is abandoned - finishing it would only produce
-// a duplicate for the digest check.
+// streams the block's outcomes back in one completion message. A block is
+// one wave of the job's tool, so the worker says nothing between lease and
+// completion; a completion that arrives after the deadline is a late
+// duplicate the coordinator still digest-checks.
 //
 // Link robustness mirrors the worker's own experiment discipline: any wire
 // error drops the connection, and the daemon reconnects with capped
@@ -39,13 +38,8 @@ struct WorkerOptions {
   /// Stable worker identity; strikes, backoff and bans attach to this name
   /// across reconnects. Empty derives "worker-<pid>".
   std::string name;
-  /// Lease keep-alive period; must be well under the coordinator's leaseMs.
-  int heartbeatMs = 1000;
   /// Per-frame read stall bound on the coordinator connection.
   int recvTimeoutMs = 5000;
-  /// Reconnect backoff: base doubles per failed attempt up to the cap.
-  int reconnectBaseMs = 200;
-  int reconnectCapMs = 5000;
   /// Consecutive failed connect attempts before run() gives up (0 = retry
   /// until stopped).
   unsigned maxReconnects = 0;

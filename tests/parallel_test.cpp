@@ -530,9 +530,10 @@ TEST(RunLease, DoneReturningFalseEndsTheLease) {
 }
 
 TEST(RunLease, ExceptionFromDonePropagatesWithoutRecoveryOrRerun) {
-  // A worker's heartbeat inside `done` can lose the coordinator link. That
-  // LinkError is the wire's, not the engine's: it must not be mistaken for
-  // a transient wave failure.
+  // `done` can throw: runCampaign's sink appends to the journal, which
+  // raises on a failed write. What the sink throws is not the engine's, so
+  // even a transient kind such as LinkError must not be mistaken for a
+  // transient wave failure.
   WaveEngine engine;
   const CampaignSpec spec;
   const auto pool = engine.enumeratePool(spec);

@@ -353,6 +353,11 @@ TEST(ServiceJobSpec, CliWordsAndNumbersAreStrict) {
   }
   EXPECT_EQ(count, 4294967295u);  // failed parses leave `out` alone
   EXPECT_EQ(rate, 0.25);
+  // The daemons' ranges: a port of 0-65535, where 0 means ephemeral.
+  EXPECT_TRUE(service::parseCount("0", count, 0, 65535));
+  EXPECT_EQ(count, 0u);
+  EXPECT_FALSE(service::parseCount("70000", count, 0, 65535));
+  EXPECT_EQ(count, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -497,9 +502,8 @@ struct CoordinatorFixture {
   std::unique_ptr<service::Coordinator> coordinator;
 };
 
-TEST(ServiceCoordinator, LeaseExpiryMidStreamRequeuesAndRevokes) {
+TEST(ServiceCoordinator, ExpiredLeaseIsRequeuedAndItsLateCompletionChecked) {
   service::CoordinatorOptions options;
-  options.blockSize = 4;
   options.leaseMs = 250;
   options.reaperTickMs = 25;
   options.progressLogMs = 0;
@@ -511,12 +515,10 @@ TEST(ServiceCoordinator, LeaseExpiryMidStreamRequeuesAndRevokes) {
   RawClient slacker(fx.coordinator->port(), "slacker");
   Json lease = slacker.lease();
   ASSERT_EQ(typeOf(lease), "lease");
-  const std::uint64_t leaseId = u64Of(lease, "lease_id");
-  const std::uint64_t first = u64Of(lease, "first");
   EXPECT_EQ(stringOf(lease, "fingerprint"), fp);
 
-  // Mid-stream silence: no heartbeat, no completion. The reaper must take
-  // the lease back and requeue the block for somebody else.
+  // Silence: no completion. The reaper must take the lease back and
+  // requeue the block for somebody else.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(10);
   while (counterValue("service.leases_expired") == expiredBefore &&
@@ -525,32 +527,38 @@ TEST(ServiceCoordinator, LeaseExpiryMidStreamRequeuesAndRevokes) {
   }
   EXPECT_GT(counterValue("service.leases_expired"), expiredBefore);
 
-  // The zombie's late heartbeat is answered with a revocation...
-  Json hb = Json::object();
-  hb.set("type", Json(std::string("heartbeat")));
-  hb.set("fingerprint", Json(fp));
-  hb.set("lease_id", Json(leaseId));
-  hb.set("first", Json(first));
-  EXPECT_EQ(typeOf(slacker.rpc(std::move(hb))), "revoked");
-
-  // ...and an honest worker finishes the campaign, late echoes and all.
+  // An honest worker finishes the campaign, the requeued block included.
   service::WorkerOptions wopt;
   wopt.port = fx.coordinator->port();
   wopt.name = "honest";
-  wopt.heartbeatMs = 50;
   service::WorkerDaemon worker(wopt);
   std::thread workerThread([&] { worker.run(); });
   EXPECT_TRUE(fx.coordinator->waitForAllComplete(60000));
   worker.stop();
   workerThread.join();
   EXPECT_TRUE(fx.coordinator->campaignComplete(fp));
+
+  // The slacker's late completion is a duplicate: digest-checked against
+  // the committed block and acknowledged without a second commit.
+  const auto system = service::buildSystem(job);
+  const auto engine = system->factory();
+  const auto pool = engine->enumeratePool(job.spec);
+  Json late = Json::object();
+  late.set("type", Json(std::string("complete")));
+  late.set("fingerprint", Json(fp));
+  late.set("first", Json(u64Of(lease, "first")));
+  late.set("outcomes", honestOutcomes(*engine, job.spec, pool,
+                                      u64Of(lease, "first"),
+                                      u64Of(lease, "count")));
+  const Json ack = slacker.rpc(std::move(late));
+  EXPECT_EQ(typeOf(ack), "complete_ack");
+  EXPECT_FALSE(ack.find("committed")->asBool());
   EXPECT_EQ(readFile(fx.coordinator->artifactPath(fp)),
             referenceArtifact(job));
 }
 
 TEST(ServiceCoordinator, DoubleReleaseIsIdempotent) {
   service::CoordinatorOptions options;
-  options.blockSize = 4;
   options.progressLogMs = 0;
   CoordinatorFixture fx(options, "double-release");
   const service::JobSpec job = demoJob(8, 22);
@@ -577,9 +585,38 @@ TEST(ServiceCoordinator, DoubleReleaseIsIdempotent) {
   EXPECT_EQ(counterValue("service.leases_requeued"), requeuedBefore + 1);
 }
 
+TEST(ServiceCoordinator, LeasesAreOneWaveOfTheJobsTool) {
+  // FADES runs one experiment per engine call, VFIT and autonomous a
+  // 63-lane wave: each lease is exactly one of them, the last one short.
+  for (const auto& [tool, counts] :
+       {std::pair{"fades", std::vector<std::uint64_t>{1}},
+        std::pair{"vfit", std::vector<std::uint64_t>{63, 37}},
+        std::pair{"autonomous", std::vector<std::uint64_t>{63}}}) {
+    service::CoordinatorOptions options;
+    options.progressLogMs = 0;
+    CoordinatorFixture fx(options, std::string("wave-") + tool);
+    service::JobSpec job = demoJob(100, 29);
+    job.tool = tool;
+    // The coordinator cuts leases by waveWidth(job) without building the
+    // system; it must be the width the workers' engines run.
+    EXPECT_EQ(service::waveWidth(job),
+              service::buildSystem(job)->factory()->waveWidth())
+        << tool;
+    fx.coordinator->submit(job);
+    RawClient client(fx.coordinator->port(), "counter");
+    std::uint64_t first = 0;
+    for (const std::uint64_t count : counts) {
+      const Json lease = client.lease();
+      ASSERT_EQ(typeOf(lease), "lease") << tool;
+      EXPECT_EQ(u64Of(lease, "first"), first) << tool;
+      EXPECT_EQ(u64Of(lease, "count"), count) << tool;
+      first += count;
+    }
+  }
+}
+
 TEST(ServiceCoordinator, VanishedWorkerAfterPartialBlockDoesNotCorrupt) {
   service::CoordinatorOptions options;
-  options.blockSize = 4;
   options.leaseMs = 250;
   options.reaperTickMs = 25;
   options.progressLogMs = 0;
@@ -613,7 +650,6 @@ TEST(ServiceCoordinator, VanishedWorkerAfterPartialBlockDoesNotCorrupt) {
   service::WorkerOptions wopt;
   wopt.port = fx.coordinator->port();
   wopt.name = "survivor";
-  wopt.heartbeatMs = 50;
   service::WorkerDaemon worker(wopt);
   std::thread workerThread([&] { worker.run(); });
   EXPECT_TRUE(fx.coordinator->waitForAllComplete(60000));
@@ -628,7 +664,6 @@ TEST(ServiceCoordinator, VanishedWorkerAfterPartialBlockDoesNotCorrupt) {
 
 TEST(ServiceByzantine, TamperingWorkerIsBannedAndMergeStaysExact) {
   service::CoordinatorOptions options;
-  options.blockSize = 4;
   options.progressLogMs = 0;
   options.auditEvery = 1;  // every block needs two agreeing workers
   options.shutdownWhenDone = true;
@@ -640,7 +675,6 @@ TEST(ServiceByzantine, TamperingWorkerIsBannedAndMergeStaysExact) {
     service::WorkerOptions wopt;
     wopt.port = fx.coordinator->port();
     wopt.name = name;
-    wopt.heartbeatMs = 100;
     if (tamper) {
       wopt.tamper = [](campaign::ExperimentOutcome& outcome) {
         if (outcome.quarantined) return;
@@ -706,7 +740,6 @@ TEST_P(ServiceResume, KilledCoordinatorResumesToIdenticalArtifact) {
   {
     service::CoordinatorOptions options;
     options.storeDir = store;
-    options.blockSize = 4;
     options.progressLogMs = 0;
     service::Coordinator first(options);
     first.start();
@@ -734,7 +767,6 @@ TEST_P(ServiceResume, KilledCoordinatorResumesToIdenticalArtifact) {
   // Life 2: --resume re-reads the store, workers finish the remainder.
   service::CoordinatorOptions options;
   options.storeDir = store;
-  options.blockSize = 4;
   options.progressLogMs = 0;
   options.shutdownWhenDone = true;
   service::Coordinator second(options);
@@ -748,7 +780,6 @@ TEST_P(ServiceResume, KilledCoordinatorResumesToIdenticalArtifact) {
     service::WorkerOptions wopt;
     wopt.port = second.port();
     wopt.name = "w" + std::to_string(i);
-    wopt.heartbeatMs = 100;
     workers.push_back(std::make_unique<service::WorkerDaemon>(wopt));
   }
   std::vector<std::thread> threads;
@@ -771,10 +802,11 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, ServiceResume,
 // Worker input validation (raw coordinator side, no Coordinator)
 
 /// The coordinator side of one exchange: welcome the worker, then answer
-/// its lease request with experiments 8..15 of a 12-experiment campaign.
-/// The worker must refuse the lease as malformed and hang up, not run and
-/// return indices the campaign does not have.
-void leaseBeyondTheCampaign(service::Listener& listener) {
+/// its lease request with `count` experiments from `first` of a
+/// 12-experiment campaign. The worker must refuse the lease as malformed
+/// and hang up, not run and return indices the campaign does not have.
+void leaseBeyondTheCampaign(service::Listener& listener, std::uint64_t first,
+                            std::uint64_t count) {
   service::Socket sock = listener.accept(5000);
   ASSERT_TRUE(sock.valid());
   ASSERT_TRUE(service::recvMessage(sock, 5000).has_value());  // hello
@@ -788,8 +820,8 @@ void leaseBeyondTheCampaign(service::Listener& listener) {
   lease.set("type", Json(std::string("lease")));
   lease.set("fingerprint", Json(service::fingerprint(job)));
   lease.set("lease_id", Json(std::uint64_t{1}));
-  lease.set("first", Json(std::uint64_t{8}));
-  lease.set("count", Json(std::uint64_t{8}));
+  lease.set("first", Json(first));
+  lease.set("count", Json(count));
   lease.set("job", service::toJson(job));
   service::sendMessage(sock, lease);
   EXPECT_FALSE(service::recvMessage(sock, 5000).has_value());
@@ -803,7 +835,10 @@ TEST(ServiceWorker, LeaseBeyondTheCampaignDropsTheConnection) {
   wopt.recvTimeoutMs = 500;
   service::WorkerDaemon worker(wopt);
   std::thread workerThread([&] { worker.run(); });
-  leaseBeyondTheCampaign(listener);
+  leaseBeyondTheCampaign(listener, 8, 8);
+  // first + count wraps to 0 here, so a bound taken on the sum would pass.
+  leaseBeyondTheCampaign(listener, 1,
+                         std::numeric_limits<std::uint64_t>::max());
   worker.stop();
   workerThread.join();
 }
@@ -828,10 +863,9 @@ std::string runnerArtifact(const service::JobSpec& job) {
 
 /// Run `job` to completion on a fresh coordinator with `workerCount`
 /// daemons and return the merged artifact text.
-std::string serviceArtifact(const service::JobSpec& job, unsigned blockSize,
-                            int workerCount, const std::string& tag) {
+std::string serviceArtifact(const service::JobSpec& job, int workerCount,
+                            const std::string& tag) {
   service::CoordinatorOptions options;
-  options.blockSize = blockSize;
   options.progressLogMs = 0;
   CoordinatorFixture fx(options, tag);
   const std::string fp = fx.coordinator->submit(job);
@@ -841,7 +875,6 @@ std::string serviceArtifact(const service::JobSpec& job, unsigned blockSize,
     service::WorkerOptions wopt;
     wopt.port = fx.coordinator->port();
     wopt.name = tag + "-w" + std::to_string(i);
-    wopt.heartbeatMs = 50;
     workers.push_back(std::make_unique<service::WorkerDaemon>(wopt));
   }
   for (auto& w : workers) threads.emplace_back([&w] { w->run(); });
@@ -855,9 +888,9 @@ TEST(ServiceWaves, CompiledVfitLeasesRunAsWaves) {
   service::JobSpec job = demoJob(200, 26);
   job.tool = "vfit";
   const std::uint64_t before = counterValue("vfit.waves");
-  const std::string merged = serviceArtifact(job, 16, 1, "waves");
-  // 200 experiments in blocks of 16 are 13 leases of one wave each.
-  EXPECT_EQ(counterValue("vfit.waves") - before, 13u);
+  const std::string merged = serviceArtifact(job, 1, "waves");
+  // 200 experiments are 4 leases, 63 + 63 + 63 + 11, of one wave each.
+  EXPECT_EQ(counterValue("vfit.waves") - before, 4u);
   EXPECT_EQ(merged, runnerArtifact(job));
 }
 
@@ -880,16 +913,15 @@ TEST_P(ServicePrune, TwoWorkersMatchThePrunedRunner) {
   // The case is only worth running if some member's representative sits
   // in another block, so a worker has to run it out of its own lease.
   const auto plan = service::buildPrunePlan(*service::buildSystem(job));
-  const unsigned blockSize = 8;
+  const unsigned width = service::waveWidth(job);
   bool crossBlock = false;
   for (const auto& cls : plan.classes) {
     for (const std::uint64_t m : cls.members) {
-      crossBlock = crossBlock || m / blockSize != cls.representative / blockSize;
+      crossBlock = crossBlock || m / width != cls.representative / width;
     }
   }
   ASSERT_TRUE(crossBlock) << "plan collapses " << plan.collapsedCount();
-  EXPECT_EQ(serviceArtifact(job, blockSize, 2,
-                            std::string("prune-") + GetParam().name),
+  EXPECT_EQ(serviceArtifact(job, 2, std::string("prune-") + GetParam().name),
             runnerArtifact(job));
 }
 

@@ -1,20 +1,21 @@
 // Campaign coordinator daemon.
 //
 // Listens on loopback for fades.wire/1 workers and clients, leases blocks
-// of experiments, folds streamed outcomes into per-campaign journals and
+// of experiments one wave of the job's tool wide (1 for fades, 63 for vfit
+// and autonomous), folds streamed outcomes into per-campaign journals and
 // writes the merged fades.run/1 artifact into a content-addressed store.
 //
 // Usage:
-//   fades_coordinator [--port P] [--store DIR] [--block-size N]
-//                     [--lease-ms N] [--audit-every N] [--resume] [--once]
-//                     [--fsync] [--progress-interval N] [--port-file FILE]
-//     --port P     listen port (default 0 = ephemeral; see --port-file)
+//   fades_coordinator [--port P] [--store DIR] [--lease-ms N]
+//                     [--audit-every N] [--resume] [--once] [--fsync]
+//                     [--progress-interval N] [--port-file FILE]
+//     --port P     listen port 0-65535 (default 0 = ephemeral; see
+//                  --port-file)
 //     --port-file  write the resolved port to FILE (for scripts using
 //                  --port 0)
 //     --store DIR  artifact store directory (default fades-store)
-//     --block-size experiments per lease (default 16)
-//     --lease-ms   lease deadline; a worker must complete or heartbeat
-//                  within this (default 10000)
+//     --lease-ms   lease deadline, 1-2147483647; a worker must complete
+//                  its lease within this (default 10000)
 //     --audit-every N  every Nth block needs two agreeing workers even
 //                  without a dispute (default 0 = only on dispute)
 //     --resume     re-register every campaign found in the store and resume
@@ -25,15 +26,17 @@
 //     --progress-interval N  campaign progress heartbeat every N
 //                  experiments (default 25)
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 #include <thread>
 
 #include "common/error.hpp"
 #include "obs/artifact.hpp"
 #include "service/coordinator.hpp"
+#include "service/jobspec.hpp"
 
 using namespace fades;
 
@@ -47,22 +50,25 @@ void onSignal(int) { gStop = 1; }
   std::fprintf(stderr,
                "error: %s\n"
                "usage: fades_coordinator [--port P] [--store DIR]\n"
-               "                         [--block-size N] [--lease-ms N]\n"
-               "                         [--audit-every N] [--resume]\n"
-               "                         [--once] [--fsync]\n"
+               "                         [--lease-ms N] [--audit-every N]\n"
+               "                         [--resume] [--once] [--fsync]\n"
                "                         [--progress-interval N]\n"
                "                         [--port-file FILE]\n",
                message);
   std::exit(2);
 }
 
-unsigned parseUnsigned(const char* text, const char* what) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') {
-    usageError((std::string(what) + " expects a number").c_str());
+/// A whole decimal in [lo, hi] by service::parseCount's rules; anything
+/// else is a usage error.
+unsigned parseNumber(const char* text, const char* what, unsigned lo,
+                     unsigned hi) {
+  unsigned value = 0;
+  if (!service::parseCount(text, value, lo, hi)) {
+    usageError((std::string(what) + " expects " + std::to_string(lo) + "-" +
+                std::to_string(hi) + ", got '" + text + "'")
+                   .c_str());
   }
-  return static_cast<unsigned>(value);
+  return value;
 }
 
 }  // namespace
@@ -80,19 +86,20 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--port") {
-      opt.port = static_cast<std::uint16_t>(parseUnsigned(value(), "--port"));
+      opt.port =
+          static_cast<std::uint16_t>(parseNumber(value(), "--port", 0, 65535));
     } else if (a == "--port-file") {
       portFile = value();
     } else if (a == "--store") {
       opt.storeDir = value();
-    } else if (a == "--block-size") {
-      opt.blockSize = parseUnsigned(value(), "--block-size");
     } else if (a == "--lease-ms") {
-      opt.leaseMs = static_cast<int>(parseUnsigned(value(), "--lease-ms"));
+      opt.leaseMs =
+          static_cast<int>(parseNumber(value(), "--lease-ms", 1, INT_MAX));
     } else if (a == "--audit-every") {
-      opt.auditEvery = parseUnsigned(value(), "--audit-every");
+      opt.auditEvery = parseNumber(value(), "--audit-every", 0, UINT_MAX);
     } else if (a == "--progress-interval") {
-      opt.progressInterval = parseUnsigned(value(), "--progress-interval");
+      opt.progressInterval =
+          parseNumber(value(), "--progress-interval", 0, UINT_MAX);
     } else if (a == "--resume") {
       resume = true;
     } else if (a == "--once") {

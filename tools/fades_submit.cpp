@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
     if (a == "--port") {
       const std::string text = value();
       unsigned parsed = 0;
-      if (!service::parseCount(text, parsed) || parsed > 65535) {
+      if (!service::parseCount(text, parsed, 1, 65535)) {
         usageError("--port expects 1-65535, got '" + text + "'");
       }
       port = static_cast<std::uint16_t>(parsed);

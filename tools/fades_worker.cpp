@@ -6,8 +6,9 @@
 // shutdown, 1 when the reconnect budget runs out.
 //
 // Usage:
-//   fades_worker --port P [--host H] [--name NAME]
-//                [--heartbeat-ms N] [--max-reconnects N] [--tamper]
+//   fades_worker --port P [--host H] [--name NAME] [--max-reconnects N]
+//                [--tamper]
+//     --port     coordinator port, 1-65535
 //     --name     stable worker identity (default worker-<pid>); strikes,
 //                backoff and bans attach to it across reconnects
 //     --max-reconnects give up after N consecutive failed connects
@@ -15,12 +16,14 @@
 //     --tamper   lie about every outcome (byzantine-worker test mode: the
 //                experiments run honestly, the streamed results are
 //                falsified)
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "campaign/types.hpp"
 #include "common/error.hpp"
+#include "service/jobspec.hpp"
 #include "service/worker.hpp"
 
 using namespace fades;
@@ -31,19 +34,21 @@ namespace {
   std::fprintf(stderr,
                "error: %s\n"
                "usage: fades_worker --port P [--host H] [--name NAME]\n"
-               "                    [--heartbeat-ms N] [--max-reconnects N]\n"
-               "                    [--tamper]\n",
+               "                    [--max-reconnects N] [--tamper]\n",
                message.c_str());
   std::exit(2);
 }
 
-unsigned parseUnsigned(const char* text, const char* what) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') {
-    usageError(std::string(what) + " expects a number");
+/// A whole decimal in [lo, hi] by service::parseCount's rules; anything
+/// else is a usage error.
+unsigned parseNumber(const char* text, const char* what, unsigned lo,
+                     unsigned hi) {
+  unsigned value = 0;
+  if (!service::parseCount(text, value, lo, hi)) {
+    usageError(std::string(what) + " expects " + std::to_string(lo) + "-" +
+               std::to_string(hi) + ", got '" + text + "'");
   }
-  return static_cast<unsigned>(value);
+  return value;
 }
 
 }  // namespace
@@ -58,16 +63,14 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--port") {
-      opt.port = static_cast<std::uint16_t>(parseUnsigned(value(), "--port"));
+      opt.port =
+          static_cast<std::uint16_t>(parseNumber(value(), "--port", 1, 65535));
     } else if (a == "--host") {
       opt.host = value();
     } else if (a == "--name") {
       opt.name = value();
-    } else if (a == "--heartbeat-ms") {
-      opt.heartbeatMs =
-          static_cast<int>(parseUnsigned(value(), "--heartbeat-ms"));
     } else if (a == "--max-reconnects") {
-      opt.maxReconnects = parseUnsigned(value(), "--max-reconnects");
+      opt.maxReconnects = parseNumber(value(), "--max-reconnects", 0, UINT_MAX);
     } else if (a == "--tamper") {
       tamper = true;
     } else {
