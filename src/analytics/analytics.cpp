@@ -15,6 +15,7 @@
 
 namespace fades::analytics {
 
+using campaign::CampaignJournal;
 using common::ErrorKind;
 using common::raise;
 using common::require;
@@ -23,7 +24,6 @@ using obs::Json;
 namespace {
 
 constexpr const char* kRunSchema = "fades.run/1";
-constexpr const char* kJournalSchema = "fades.journal/1";
 constexpr const char* kReportSchema = "fades.report/1";
 
 std::string readFileText(const std::string& path) {
@@ -158,42 +158,18 @@ CampaignInput loadRunArtifact(const std::string& path) {
 }
 
 CampaignInput loadJournal(const std::string& path) {
-  const std::string content = readFileText(path);
   CampaignInput input;
   input.path = path;
-  input.schema = kJournalSchema;
+  input.schema = CampaignJournal::kSchema;
   input.name = path;
-
-  std::size_t pos = 0;
-  bool haveHeader = false;
-  while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn tail from a killed writer
-    const std::string line = content.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (!haveHeader) {
-      const auto header = Json::parse(line);
-      require(header.has_value() && schemaOf(*header) == kJournalSchema,
-              ErrorKind::ConfigError,
-              "'" + path + "' has no valid " + kJournalSchema + " header");
-      haveHeader = true;
-      continue;
-    }
-    campaign::ExperimentOutcome outcome;
-    if (!campaign::CampaignJournal::parseOutcomeLine(line, outcome)) {
-      break;  // stop at corruption, like campaign resume does
-    }
+  for (auto& [index, outcome] : CampaignJournal::read(path)) {
+    (void)index;
     if (outcome.quarantined) {
       ++input.quarantined;
     } else if (outcome.hasRecord) {
       input.records.push_back(std::move(outcome.record));
     }
   }
-  // An empty file (or one whose only line is torn) never saw the header
-  // check above; it is not a journal, and silently folding it as zero
-  // experiments would hide the broken input.
-  require(haveHeader, ErrorKind::ConfigError,
-          "'" + path + "' has no valid " + kJournalSchema + " header");
   return input;
 }
 
@@ -225,12 +201,12 @@ std::vector<CampaignInput> loadInputs(const std::vector<std::string>& paths) {
     }
     if (schema == kRunSchema) {
       inputs.push_back(loadRunArtifact(file));
-    } else if (schema == kJournalSchema) {
+    } else if (schema == CampaignJournal::kSchema) {
       inputs.push_back(loadJournal(file));
     } else {
       raise(ErrorKind::ConfigError,
             "'" + file + "' is neither a " + std::string(kRunSchema) +
-                " artifact nor a " + kJournalSchema + " journal");
+                " artifact nor a " + CampaignJournal::kSchema + " journal");
     }
   }
   return inputs;

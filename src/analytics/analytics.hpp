@@ -38,9 +38,10 @@ struct CampaignInput {
 CampaignInput loadRunArtifact(const std::string& path);
 
 /// Load a fades.journal/1 checkpoint journal, recovering the embedded
-/// records of committed outcome lines. Tolerates a torn trailing line the
-/// same way campaign resume does. Quarantined outcomes carry no record and
-/// are counted but not folded.
+/// records of the outcomes campaign resume recovers
+/// (CampaignJournal::read): one per experiment index, up to a torn or
+/// corrupt line. Quarantined outcomes carry no record and are counted but
+/// not folded.
 CampaignInput loadJournal(const std::string& path);
 
 /// Load a mix of files and directories. Directories are scanned one level

@@ -1,14 +1,12 @@
 #include "bits/config_port.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
 
 namespace fades::bits {
 
 using common::ErrorKind;
-using fpga::Plane;
 
 // ---------------------------------------------------------------------------
 // Unreliable-link model
@@ -125,27 +123,7 @@ std::uint16_t ConfigPort::getLutTable(CbCoord cb) {
 }
 
 void ConfigPort::setLutTable(CbCoord cb, std::uint16_t table) {
-  const auto& layout = dev_.layout();
-  std::size_t bit = layout.cbLutBit(cb, 0);
-  unsigned k = 0;
-  while (k < 16) {
-    const FrameAddr f = layout.frameOfLogicBit(bit);
-    auto bytes = readLogicFrame(f);
-    const std::size_t first = layout.logicFrameFirstBit(f);
-    const unsigned inFrame = layout.logicFrameBitCount(f);
-    while (k < 16 && bit - first < inFrame) {
-      const std::size_t rel = bit - first;
-      const std::uint8_t mask = static_cast<std::uint8_t>(1u << (rel & 7));
-      if ((table >> k) & 1u) {
-        bytes[rel >> 3] |= mask;
-      } else {
-        bytes[rel >> 3] &= static_cast<std::uint8_t>(~mask);
-      }
-      ++k;
-      ++bit;
-    }
-    writeLogicFrame(f, bytes);
-  }
+  updateLogicFrames(lutTableUpdates(cb, table), /*blind=*/false);
 }
 
 bool ConfigPort::getLogicBit(std::size_t addr) {
@@ -156,82 +134,29 @@ bool ConfigPort::getLogicBit(std::size_t addr) {
   return (bytes[rel >> 3] >> (rel & 7)) & 1u;
 }
 
-void ConfigPort::rmwLogicBit(std::size_t addr, bool value) {
+void ConfigPort::updateLogicFrames(
+    std::span<const std::pair<std::size_t, bool>> updates, bool blind) {
   const auto& layout = dev_.layout();
-  const FrameAddr f = layout.frameOfLogicBit(addr);
-  auto bytes = readLogicFrame(f);
-  const std::size_t rel = addr - layout.logicFrameFirstBit(f);
-  const std::uint8_t mask = static_cast<std::uint8_t>(1u << (rel & 7));
-  if (value) {
-    bytes[rel >> 3] |= mask;
-  } else {
-    bytes[rel >> 3] &= static_cast<std::uint8_t>(~mask);
-  }
-  writeLogicFrame(f, bytes);
-}
-
-void ConfigPort::setLogicBit(std::size_t addr, bool value) {
-  rmwLogicBit(addr, value);
-}
-
-unsigned ConfigPort::setLogicBits(
-    std::span<const std::pair<std::size_t, bool>> updates) {
-  const auto& layout = dev_.layout();
-  // Group updates by frame so each frame is transferred exactly once.
-  std::map<std::pair<std::uint32_t, std::uint32_t>,
-           std::vector<std::pair<std::size_t, bool>>>
-      byFrame;
-  for (const auto& u : updates) {
-    const FrameAddr f = layout.frameOfLogicBit(u.first);
-    byFrame[{f.major, f.minor}].push_back(u);
-  }
-  for (const auto& [key, list] : byFrame) {
-    const FrameAddr f{Plane::Logic, key.first, key.second};
-    auto bytes = readLogicFrame(f);
+  // Frame addresses ascend with bit address, so sorting by address groups
+  // the updates by frame, frames ascending; the stable sort keeps the last
+  // of several updates to one bit last.
+  std::vector<std::pair<std::size_t, bool>> sorted(updates.begin(),
+                                                   updates.end());
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  for (std::size_t i = 0; i < sorted.size();) {
+    const FrameAddr f = layout.frameOfLogicBit(sorted[i].first);
     const std::size_t first = layout.logicFrameFirstBit(f);
-    for (const auto& [addr, value] : list) {
-      const std::size_t rel = addr - first;
+    const std::size_t end = first + layout.logicFrameBitCount(f);
+    // Blind writes take the frame from the host-side mirror (== device
+    // config) instead of a metered read-back.
+    auto bytes = blind ? dev_.readLogicFrame(f) : readLogicFrame(f);
+    for (; i < sorted.size() && sorted[i].first < end; ++i) {
+      const std::size_t rel = sorted[i].first - first;
       const std::uint8_t mask = static_cast<std::uint8_t>(1u << (rel & 7));
-      if (value) {
-        bytes[rel >> 3] |= mask;
-      } else {
-        bytes[rel >> 3] &= static_cast<std::uint8_t>(~mask);
-      }
-    }
-    writeLogicFrame(f, bytes);
-  }
-  return static_cast<unsigned>(byFrame.size());
-}
-
-void ConfigPort::updateCbFields(
-    CbCoord cb, std::span<const std::pair<CbField, bool>> fields) {
-  std::vector<std::pair<std::size_t, bool>> updates;
-  updates.reserve(fields.size());
-  for (const auto& [field, value] : fields) {
-    updates.emplace_back(dev_.layout().cbFieldBit(cb, field), value);
-  }
-  setLogicBits(updates);
-}
-
-void ConfigPort::setLogicBitsBlind(
-    std::span<const std::pair<std::size_t, bool>> updates) {
-  const auto& layout = dev_.layout();
-  std::map<std::pair<std::uint32_t, std::uint32_t>,
-           std::vector<std::pair<std::size_t, bool>>>
-      byFrame;
-  for (const auto& u : updates) {
-    const FrameAddr f = layout.frameOfLogicBit(u.first);
-    byFrame[{f.major, f.minor}].push_back(u);
-  }
-  for (const auto& [key, list] : byFrame) {
-    const FrameAddr f{Plane::Logic, key.first, key.second};
-    // Frame contents come from the host-side mirror (== device config).
-    auto bytes = dev_.readLogicFrame(f);
-    const std::size_t first = layout.logicFrameFirstBit(f);
-    for (const auto& [addr, value] : list) {
-      const std::size_t rel = addr - first;
-      const std::uint8_t mask = static_cast<std::uint8_t>(1u << (rel & 7));
-      if (value) {
+      if (sorted[i].second) {
         bytes[rel >> 3] |= mask;
       } else {
         bytes[rel >> 3] &= static_cast<std::uint8_t>(~mask);
@@ -241,23 +166,53 @@ void ConfigPort::setLogicBitsBlind(
   }
 }
 
-void ConfigPort::setLutTableBlind(CbCoord cb, std::uint16_t table) {
+std::vector<std::pair<std::size_t, bool>> ConfigPort::lutTableUpdates(
+    CbCoord cb, std::uint16_t table) const {
   std::vector<std::pair<std::size_t, bool>> updates;
   updates.reserve(16);
   for (unsigned i = 0; i < 16; ++i) {
     updates.emplace_back(dev_.layout().cbLutBit(cb, i), (table >> i) & 1u);
   }
-  setLogicBitsBlind(updates);
+  return updates;
 }
 
-void ConfigPort::updateCbFieldsBlind(
-    CbCoord cb, std::span<const std::pair<CbField, bool>> fields) {
+std::vector<std::pair<std::size_t, bool>> ConfigPort::cbFieldUpdates(
+    CbCoord cb, std::span<const std::pair<CbField, bool>> fields) const {
   std::vector<std::pair<std::size_t, bool>> updates;
   updates.reserve(fields.size());
   for (const auto& [field, value] : fields) {
     updates.emplace_back(dev_.layout().cbFieldBit(cb, field), value);
   }
-  setLogicBitsBlind(updates);
+  return updates;
+}
+
+void ConfigPort::setLogicBit(std::size_t addr, bool value) {
+  const std::pair<std::size_t, bool> update{addr, value};
+  updateLogicFrames({&update, 1}, /*blind=*/false);
+}
+
+void ConfigPort::setLogicBits(
+    std::span<const std::pair<std::size_t, bool>> updates) {
+  updateLogicFrames(updates, /*blind=*/false);
+}
+
+void ConfigPort::updateCbFields(
+    CbCoord cb, std::span<const std::pair<CbField, bool>> fields) {
+  updateLogicFrames(cbFieldUpdates(cb, fields), /*blind=*/false);
+}
+
+void ConfigPort::setLogicBitsBlind(
+    std::span<const std::pair<std::size_t, bool>> updates) {
+  updateLogicFrames(updates, /*blind=*/true);
+}
+
+void ConfigPort::setLutTableBlind(CbCoord cb, std::uint16_t table) {
+  updateLogicFrames(lutTableUpdates(cb, table), /*blind=*/true);
+}
+
+void ConfigPort::updateCbFieldsBlind(
+    CbCoord cb, std::span<const std::pair<CbField, bool>> fields) {
+  updateLogicFrames(cbFieldUpdates(cb, fields), /*blind=*/true);
 }
 
 bool ConfigPort::getCbFieldBit(CbCoord cb, CbField field) {
@@ -265,7 +220,7 @@ bool ConfigPort::getCbFieldBit(CbCoord cb, CbField field) {
 }
 
 void ConfigPort::setCbFieldBit(CbCoord cb, CbField field, bool value) {
-  rmwLogicBit(dev_.layout().cbFieldBit(cb, field), value);
+  setLogicBit(dev_.layout().cbFieldBit(cb, field), value);
 }
 
 bool ConfigPort::readFfState(CbCoord cb) {

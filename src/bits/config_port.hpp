@@ -185,9 +185,8 @@ class ConfigPort {
   void setLogicBit(std::size_t addr, bool value);
   bool getLogicBit(std::size_t addr);
   /// Batched plane-A bit update: one read-modify-write PER TOUCHED FRAME,
-  /// the way a real tool coalesces JBits updates. Returns frames written.
-  unsigned setLogicBits(
-      std::span<const std::pair<std::size_t, bool>> updates);
+  /// the way a real tool coalesces JBits updates.
+  void setLogicBits(std::span<const std::pair<std::size_t, bool>> updates);
   /// Update several CB fields of one block with a single read-modify-write.
   void updateCbFields(
       CbCoord cb,
@@ -215,8 +214,15 @@ class ConfigPort {
   void chargeFullImage() { chargeWrite(dev_.layout().totalConfigBytes()); }
 
  private:
-  /// Read-modify-write one plane-A bit through its containing frame.
-  void rmwLogicBit(std::size_t addr, bool value);
+  /// The one plane-A write loop behind every helper: one read-modify-write
+  /// per touched frame, frames in ascending address order. The frame comes
+  /// from a metered read or, when `blind`, from the host mirror.
+  void updateLogicFrames(
+      std::span<const std::pair<std::size_t, bool>> updates, bool blind);
+  std::vector<std::pair<std::size_t, bool>> lutTableUpdates(
+      CbCoord cb, std::uint16_t table) const;
+  std::vector<std::pair<std::size_t, bool>> cbFieldUpdates(
+      CbCoord cb, std::span<const std::pair<CbField, bool>> fields) const;
 
   // Unreliable-link attempt loop: draws from the dedicated link fault
   // stream, charges retries to the retry-only meter fields, raises

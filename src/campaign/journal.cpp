@@ -19,11 +19,9 @@ using obs::Json;
 
 namespace {
 
-constexpr const char* kSchema = "fades.journal/1";
-
 Json headerJson(const CampaignSpec& spec) {
   Json j = Json::object();
-  j.set("schema", Json(std::string(kSchema)));
+  j.set("schema", Json(std::string(CampaignJournal::kSchema)));
   j.set("spec", toJson(spec));
   return j;
 }
@@ -104,97 +102,120 @@ bool CampaignJournal::parseOutcomeLine(const std::string& line,
   return outcomeFromJson(*parsed, out);
 }
 
+namespace {
+
+/// What scanJournal recovered from a journal file.
+struct Scan {
+  bool haveHeader = false;
+  /// Byte offset of the end of the last committed (parsed and
+  /// newline-terminated) line; everything past it is a torn tail from a
+  /// killed writer.
+  std::size_t committedEnd = 0;
+  std::map<std::uint64_t, ExperimentOutcome> outcomes;
+};
+
+/// Stream the journal at `path` line by line with a bounded buffer instead
+/// of slurping it whole: a corrupt or adversarial journal whose "line"
+/// never ends fails fast with a ConfigError naming the byte offset of the
+/// offending line, instead of growing the buffer without bound. The header
+/// must carry the journal schema and, when `spec` is set, bind the file to
+/// it. Outcome lines are folded by index up to the first corrupt one. A
+/// missing or empty file scans as headerless.
+Scan scanJournal(const std::string& path, const CampaignSpec* spec) {
+  struct FileCloser {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  Scan scan;
+  std::unique_ptr<std::FILE, FileCloser> in(std::fopen(path.c_str(), "rb"));
+  if (in == nullptr) return scan;
+  const std::string specText = spec != nullptr ? toJson(*spec).dump() : "";
+  std::string buffer;
+  char chunk[1 << 16];
+  std::size_t consumed = 0;  // bytes already dropped from buffer's front
+  bool stop = false;
+  while (!stop) {
+    const std::size_t n = std::fread(chunk, 1, sizeof chunk, in.get());
+    if (n == 0) break;
+    buffer.append(chunk, n);
+    std::size_t pos = 0;
+    while (!stop) {
+      const std::size_t nl = buffer.find('\n', pos);
+      if (nl == std::string::npos) break;
+      std::string line = buffer.substr(pos, nl - pos);
+      // CRLF-tolerant: a journal that crossed a Windows filesystem or a
+      // text-mode transfer still resumes ('\r' is not part of the record;
+      // committedEnd keeps counting the bytes as written).
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      require(line.size() <= CampaignJournal::kMaxLineBytes,
+              ErrorKind::ConfigError,
+              "journal " + path + ": line exceeding " +
+                  std::to_string(CampaignJournal::kMaxLineBytes) +
+                  " bytes at byte offset " + std::to_string(consumed + pos));
+      if (!scan.haveHeader) {
+        const auto header = Json::parse(line);
+        std::string schema;
+        require(header && header->isObject() &&
+                    header->get("schema", schema) &&
+                    schema == CampaignJournal::kSchema,
+                ErrorKind::ConfigError,
+                "journal " + path + " has no valid fades.journal/1 header");
+        const Json* fileSpec = header->find("spec");
+        require(spec == nullptr ||
+                    (fileSpec != nullptr && fileSpec->dump() == specText),
+                ErrorKind::ConfigError,
+                "journal " + path +
+                    " was written for a different campaign spec");
+        scan.haveHeader = true;
+      } else {
+        ExperimentOutcome outcome;
+        if (!CampaignJournal::parseOutcomeLine(line, outcome)) {
+          stop = true;  // stop at corruption
+          break;
+        }
+        scan.outcomes[outcome.index] = std::move(outcome);
+      }
+      scan.committedEnd = consumed + nl + 1;
+      pos = nl + 1;
+    }
+    buffer.erase(0, pos);
+    consumed += pos;
+    // An unterminated line past the bound is rejected before reading
+    // further - same offset diagnostics as the terminated case.
+    require(stop || buffer.size() <= CampaignJournal::kMaxLineBytes,
+            ErrorKind::ConfigError,
+            "journal " + path + ": line exceeding " +
+                std::to_string(CampaignJournal::kMaxLineBytes) +
+                " bytes at byte offset " + std::to_string(consumed));
+  }
+  // Anything left in `buffer` is a torn tail from a killed writer.
+  return scan;
+}
+
+}  // namespace
+
+std::map<std::uint64_t, ExperimentOutcome> CampaignJournal::read(
+    const std::string& path) {
+  Scan scan = scanJournal(path, nullptr);
+  require(scan.haveHeader, ErrorKind::ConfigError,
+          "journal " + path +
+              " is missing or has no valid fades.journal/1 header");
+  return std::move(scan.outcomes);
+}
+
 void CampaignJournal::open(const CampaignSpec& spec, bool resume) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ != nullptr) {
     std::fclose(file_);
     file_ = nullptr;
   }
-  completed_.clear();
 
-  // Byte offset of the end of the last committed (parsed and
-  // newline-terminated) line; everything past it is a torn tail from a
-  // killed writer and gets truncated before we append.
-  std::size_t committedEnd = 0;
-  bool haveHeader = false;
-  if (resume) {
-    // Stream the file line by line with a bounded buffer instead of
-    // slurping it whole: a corrupt or adversarial journal whose "line"
-    // never ends fails fast with a ConfigError naming the byte offset of
-    // the offending line, instead of growing the buffer without bound.
-    struct FileCloser {
-      void operator()(std::FILE* f) const { std::fclose(f); }
-    };
-    std::unique_ptr<std::FILE, FileCloser> in(
-        std::fopen(path_.c_str(), "rb"));
-    if (in != nullptr) {
-      std::string buffer;
-      char chunk[1 << 16];
-      std::size_t consumed = 0;  // bytes already dropped from buffer's front
-      bool stop = false;
-      while (!stop) {
-        const std::size_t n = std::fread(chunk, 1, sizeof chunk, in.get());
-        if (n == 0) break;
-        buffer.append(chunk, n);
-        std::size_t pos = 0;
-        while (!stop) {
-          const std::size_t nl = buffer.find('\n', pos);
-          if (nl == std::string::npos) break;
-          std::string line = buffer.substr(pos, nl - pos);
-          // CRLF-tolerant: a journal that crossed a Windows filesystem or a
-          // text-mode transfer still resumes ('\r' is not part of the
-          // record; committedEnd keeps counting the bytes as written).
-          if (!line.empty() && line.back() == '\r') line.pop_back();
-          require(line.size() <= kMaxLineBytes, ErrorKind::ConfigError,
-                  "journal " + path_ + ": line exceeding " +
-                      std::to_string(kMaxLineBytes) +
-                      " bytes at byte offset " +
-                      std::to_string(consumed + pos));
-          if (!haveHeader) {
-            const auto header = Json::parse(line);
-            std::string schema;
-            require(header && header->isObject() &&
-                        header->get("schema", schema) &&
-                        schema == kSchema,
-                    ErrorKind::ConfigError,
-                    "journal " + path_ +
-                        " has no valid fades.journal/1 header");
-            const Json* fileSpec = header->find("spec");
-            require(fileSpec != nullptr &&
-                        fileSpec->dump() == toJson(spec).dump(),
-                    ErrorKind::ConfigError,
-                    "journal " + path_ +
-                        " was written for a different campaign spec");
-            haveHeader = true;
-          } else {
-            ExperimentOutcome outcome;
-            if (!parseOutcomeLine(line, outcome)) {
-              stop = true;  // stop at corruption
-              break;
-            }
-            completed_[outcome.index] = std::move(outcome);
-          }
-          committedEnd = consumed + nl + 1;
-          pos = nl + 1;
-        }
-        buffer.erase(0, pos);
-        consumed += pos;
-        // An unterminated line past the bound is rejected before reading
-        // further - same offset diagnostics as the terminated case.
-        require(stop || buffer.size() <= kMaxLineBytes,
-                ErrorKind::ConfigError,
-                "journal " + path_ + ": line exceeding " +
-                    std::to_string(kMaxLineBytes) + " bytes at byte offset " +
-                    std::to_string(consumed));
-      }
-      // Anything left in `buffer` is a torn tail from a killed writer;
-      // truncation below drops it.
-    }
-  }
+  Scan scan;
+  if (resume) scan = scanJournal(path_, &spec);
+  completed_ = std::move(scan.outcomes);
 
-  if (haveHeader) {
+  if (scan.haveHeader) {
     // Drop the torn tail (if any), then extend the surviving journal.
-    if (truncate(path_.c_str(), static_cast<off_t>(committedEnd)) != 0) {
+    if (truncate(path_.c_str(), static_cast<off_t>(scan.committedEnd)) != 0) {
       common::raise(ErrorKind::ConfigError,
                     "cannot truncate journal " + path_);
     }

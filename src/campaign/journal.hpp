@@ -6,10 +6,10 @@
 // completed experiment outcome keyed by index. Appends are a single
 // fwrite() of a full line (atomic with respect to readers on POSIX when the
 // line fits the stdio buffer we flush immediately), so a killed process
-// leaves at worst one torn trailing line - which load() ignores. Resuming a
-// campaign replays the journaled outcomes through the same index-ordered
-// fold as live execution, so a resumed run's artifacts are byte-identical
-// to an uninterrupted run.
+// leaves at worst one torn trailing line - which open() and read() ignore.
+// Resuming a campaign replays the journaled outcomes through the same
+// index-ordered fold as live execution, so a resumed run's artifacts are
+// byte-identical to an uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +49,13 @@ class CampaignJournal {
   /// least to the OS) before this returns.
   void append(const ExperimentOutcome& outcome);
 
+  /// Read the journal at `path` without binding it to a spec: the outcomes
+  /// open(resume=true) would recover, keyed by experiment index (a line
+  /// repeated for one index counts once). Raises ConfigError when the file
+  /// is missing, has no valid header or has a line over kMaxLineBytes.
+  static std::map<std::uint64_t, ExperimentOutcome> read(
+      const std::string& path);
+
   /// Outcomes recovered by open(resume=true), keyed by experiment index.
   const std::map<std::uint64_t, ExperimentOutcome>& completed() const {
     return completed_;
@@ -79,9 +86,11 @@ class CampaignJournal {
   static bool parseOutcomeLine(const std::string& line,
                                ExperimentOutcome& out);
 
-  /// Longest line open() accepts before rejecting the file as corrupt or
-  /// adversarial (a record line is a few hundred bytes; anything near this
-  /// bound is not a journal).
+  static constexpr const char* kSchema = "fades.journal/1";
+
+  /// Longest line open() and read() accept before rejecting the file as
+  /// corrupt or adversarial (a record line is a few hundred bytes; anything
+  /// near this bound is not a journal).
   static constexpr std::size_t kMaxLineBytes = 1u << 20;
 
  private:

@@ -21,18 +21,6 @@ const char* toString(PruneReason reason) {
   return "?";
 }
 
-bool pruneReasonFromString(std::string_view text, PruneReason& out) {
-  for (PruneReason r :
-       {PruneReason::DeadTarget, PruneReason::OverwriteBeforeRead,
-        PruneReason::QuiescentUntilRead, PruneReason::OutOfWindow}) {
-    if (text == toString(r)) {
-      out = r;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::uint64_t PrunePlan::collapsedCount() const {
   std::uint64_t n = 0;
   for (const auto& c : classes) n += c.members.size();
@@ -130,64 +118,6 @@ Json toJson(const PrunePlan& plan) {
   summary.set("by_reason", std::move(byReason));
   j.set("summary", std::move(summary));
   return j;
-}
-
-namespace {
-
-bool fail(std::string* error, const std::string& why) {
-  if (error != nullptr) *error = why;
-  return false;
-}
-
-}  // namespace
-
-bool prunePlanFromJson(const Json& j, PrunePlan& out, std::string* error) {
-  out = PrunePlan{};
-  if (!j.isObject()) return fail(error, "prune plan is not an object");
-  std::string schema;
-  if (!j.get("schema", schema) || schema != PrunePlan::kSchema) {
-    return fail(error,
-                std::string("prune plan is not ") + PrunePlan::kSchema);
-  }
-  const Json* spec = j.find("spec");
-  if (spec == nullptr || !specFromJson(*spec, out.spec, error)) return false;
-  if (!j.get("run_cycles", out.runCycles) ||
-      !j.get("pool_size", out.poolSize)) {
-    return fail(error, "prune plan misses run_cycles/pool_size");
-  }
-  const Json* classes = j.find("classes");
-  if (classes == nullptr || !classes->isArray()) {
-    return fail(error, "prune plan misses classes");
-  }
-  for (const Json& cj : classes->items()) {
-    if (!cj.isObject()) return fail(error, "prune class is not an object");
-    PruneClass c;
-    std::string reason;
-    const Json* members = cj.find("members");
-    if (!cj.get("representative", c.representative) ||
-        !cj.get("reason", reason) || !pruneReasonFromString(reason, c.reason) ||
-        !cj.get("target", c.target) || members == nullptr ||
-        !members->isArray()) {
-      return fail(error, "prune class misses representative/reason/target/"
-                         "members");
-    }
-    if (const Json* window = cj.find("window");
-        window != nullptr && window->isArray() && window->size() == 2) {
-      c.windowBegin = window->items()[0].asInt();
-      c.windowEnd = window->items()[1].asInt();
-    }
-    for (const Json& m : members->items()) {
-      if (!m.isNumber()) return fail(error, "prune member is not an index");
-      c.members.push_back(static_cast<std::uint64_t>(m.asInt()));
-    }
-    out.classes.push_back(std::move(c));
-  }
-  try {
-    out.validate();
-  } catch (const common::FadesError& e) {
-    return fail(error, e.what());
-  }
-  return true;
 }
 
 std::string accountingLine(const PrunePlan& plan) {

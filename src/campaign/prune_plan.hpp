@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "campaign/types.hpp"
@@ -44,8 +43,6 @@ enum class PruneReason : std::uint8_t {
 };
 
 const char* toString(PruneReason reason);
-/// Inverse of toString(PruneReason); false when `text` names no reason.
-bool pruneReasonFromString(std::string_view text, PruneReason& out);
 
 /// One equivalence class. `members` holds the collapsed experiment indices
 /// only - the representative is not repeated there - so a class is worth
@@ -96,8 +93,6 @@ struct PrunePlan {
 std::string specKey(const CampaignSpec& spec);
 
 obs::Json toJson(const PrunePlan& plan);
-bool prunePlanFromJson(const obs::Json& j, PrunePlan& out,
-                       std::string* error = nullptr);
 
 /// The one-line collapse accounting summary (printed by campaign_8051 and
 /// grepped by CI): experiment/executed/collapsed counts, the collapse

@@ -22,7 +22,6 @@ namespace {
 vfit::VfitOptions semanticOptions(const AutonomousOptions& o) {
   vfit::VfitOptions v;
   v.observedOutputs = o.observedOutputs;
-  v.oscillatingIndetermination = o.oscillatingIndetermination;
   v.keepRecords = o.keepRecords;
   v.metricsPrefix = "autonomous";
   return v;

@@ -39,12 +39,12 @@
 
 namespace fades::core {
 
+/// As in VFIT, an indetermination fault holds one randomized value for its
+/// whole duration.
 struct AutonomousOptions {
   /// Output ports whose traces define Failure (forwarded to the semantic
   /// engine and used by the instrumentation transparency check).
   std::vector<std::string> observedOutputs = {"p0", "p1"};
-  /// Re-randomize indetermination values every cycle of the fault.
-  bool oscillatingIndetermination = false;
   /// Keep per-experiment records in the campaign result.
   bool keepRecords = false;
 };

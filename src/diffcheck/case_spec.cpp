@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "campaign/artifact.hpp"
 #include "common/error.hpp"
 
 namespace fades::diffcheck {
@@ -23,26 +24,6 @@ DesignKind designKindFromString(const std::string& text) {
   if (text == "rtl") return DesignKind::Rtl;
   if (text == "mc8051") return DesignKind::Mc8051;
   raise(ErrorKind::InvalidArgument, "unknown design kind '" + text + "'");
-}
-
-campaign::FaultModel faultModelFromString(const std::string& text) {
-  using campaign::FaultModel;
-  for (const auto m : {FaultModel::BitFlip, FaultModel::Pulse,
-                       FaultModel::Delay, FaultModel::Indetermination}) {
-    if (text == campaign::toString(m)) return m;
-  }
-  raise(ErrorKind::InvalidArgument, "unknown fault model '" + text + "'");
-}
-
-campaign::TargetClass targetClassFromString(const std::string& text) {
-  using campaign::TargetClass;
-  for (const auto t :
-       {TargetClass::SequentialFF, TargetClass::MemoryBlockBit,
-        TargetClass::CombinationalLut, TargetClass::CbInputLine,
-        TargetClass::SequentialLine, TargetClass::CombinationalLine}) {
-    if (text == campaign::toString(t)) return t;
-  }
-  raise(ErrorKind::InvalidArgument, "unknown target class '" + text + "'");
 }
 
 unsigned CaseSpec::instructionCount() const {
@@ -109,18 +90,7 @@ Json CaseSpec::toJson() const {
   }
   j.set("design", design);
   j.set("run_cycles", Json(runCycles));
-  Json inj = Json::object();
-  inj.set("model", Json(std::string(campaign::toString(inject.model))));
-  inj.set("targets", Json(std::string(campaign::toString(inject.targets))));
-  inj.set("unit", Json(static_cast<std::int64_t>(inject.unit)));
-  Json band = Json::object();
-  band.set("label", Json(inject.band.label));
-  band.set("min_cycles", Json(inject.band.minCycles));
-  band.set("max_cycles", Json(inject.band.maxCycles));
-  inj.set("band", band);
-  inj.set("experiments", Json(static_cast<std::uint64_t>(inject.experiments)));
-  inj.set("seed", Json(inject.seed));
-  j.set("inject", inj);
+  j.set("inject", campaign::toJson(inject));
   return j;
 }
 
@@ -156,21 +126,14 @@ CaseSpec CaseSpec::fromJson(const Json& j) {
   c.runCycles = memberU64(j, "run_cycles");
   require(c.runCycles >= 2, ErrorKind::InvalidArgument,
           "run_cycles must be >= 2");
-  const Json& inj = member(j, "inject");
-  c.inject.model = faultModelFromString(memberStr(inj, "model"));
-  c.inject.targets = targetClassFromString(memberStr(inj, "targets"));
-  c.inject.unit = static_cast<int>(memberU64(inj, "unit"));
-  const Json& band = member(inj, "band");
-  c.inject.band.label = memberStr(band, "label");
-  c.inject.band.minCycles = member(band, "min_cycles").asNumber();
-  c.inject.band.maxCycles = member(band, "max_cycles").asNumber();
+  std::string error;
+  require(campaign::specFromJson(member(j, "inject"), c.inject, &error),
+          ErrorKind::InvalidArgument, "case spec inject: " + error);
   require(c.inject.band.minCycles >= 0 &&
               c.inject.band.maxCycles >= c.inject.band.minCycles,
           ErrorKind::InvalidArgument, "malformed duration band");
-  c.inject.experiments = static_cast<unsigned>(memberU64(inj, "experiments"));
   require(c.inject.experiments >= 1, ErrorKind::InvalidArgument,
           "inject.experiments must be >= 1");
-  c.inject.seed = memberU64(inj, "seed");
   return c;
 }
 

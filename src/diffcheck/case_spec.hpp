@@ -61,10 +61,8 @@ struct CaseSpec {
   std::string describe() const;
 };
 
-/// Inverse of campaign::toString; throws FadesError(InvalidArgument) on an
-/// unknown name (shared with the JSON parser and the fuzz tool's CLI).
-campaign::FaultModel faultModelFromString(const std::string& text);
-campaign::TargetClass targetClassFromString(const std::string& text);
+/// Inverse of toString(DesignKind); throws FadesError(InvalidArgument) on
+/// an unknown name.
 DesignKind designKindFromString(const std::string& text);
 
 }  // namespace fades::diffcheck

@@ -268,16 +268,14 @@ std::vector<GateId> Netlist::topoOrder() const {
   // Kahn's algorithm over gates only: flop Q outputs, RAM outputs and input
   // ports are sources, so a gate's in-degree counts only gate-driven inputs.
   std::vector<std::uint32_t> indegree(gates_.size(), 0);
-  std::vector<std::vector<std::uint32_t>> fanout(gates_.size());
   for (std::uint32_t g = 0; g < gates_.size(); ++g) {
     for (unsigned k = 0; k < arity(gates_[g].op); ++k) {
-      const Driver d = drivers_[gates_[g].in[k].value];
-      if (d.kind == DriverKind::Gate) {
+      if (drivers_[gates_[g].in[k].value].kind == DriverKind::Gate) {
         ++indegree[g];
-        fanout[d.index].push_back(g);
       }
     }
   }
+  const Fanout fanout = buildFanout(*this);
   std::vector<GateId> order;
   order.reserve(gates_.size());
   std::vector<std::uint32_t> ready;
@@ -288,13 +286,63 @@ std::vector<GateId> Netlist::topoOrder() const {
     const std::uint32_t g = ready.back();
     ready.pop_back();
     order.push_back(GateId{g});
-    for (std::uint32_t s : fanout[g]) {
+    for (const std::uint32_t s : fanout.readers(gates_[g].out)) {
       if (--indegree[s] == 0) ready.push_back(s);
     }
   }
-  require(order.size() == gates_.size(), ErrorKind::NetlistError,
-          "combinational cycle detected");
+  if (order.size() != gates_.size()) raiseCycle(indegree);
   return order;
+}
+
+void Netlist::raiseCycle(const std::vector<std::uint32_t>& indegree) const {
+  // Kahn left every gate with a nonzero in-degree on a cycle or downstream
+  // of one, and each such gate has an input driven by another. Following
+  // those drivers must revisit a gate; the revisited stretch is the cycle.
+  std::uint32_t cur = 0;
+  while (indegree[cur] == 0) ++cur;
+  std::vector<std::uint32_t> path;
+  std::vector<std::uint8_t> onPath(gates_.size(), 0);
+  while (!onPath[cur]) {
+    onPath[cur] = 1;
+    path.push_back(cur);
+    const Gate& gate = gates_[cur];
+    for (unsigned k = 0; k < arity(gate.op); ++k) {
+      const Driver d = drivers_[gate.in[k].value];
+      if (d.kind == DriverKind::Gate && indegree[d.index] != 0) {
+        cur = d.index;
+        break;
+      }
+    }
+  }
+  std::string nets;
+  for (auto it = std::find(path.begin(), path.end(), cur); it != path.end();
+       ++it) {
+    const NetId out = gates_[*it].out;
+    if (!nets.empty()) nets += " -> ";
+    nets += netNames_[out.value].empty() ? "net#" + std::to_string(out.value)
+                                         : netNames_[out.value];
+  }
+  raise(ErrorKind::NetlistError, "combinational cycle through nets: " + nets);
+}
+
+Fanout buildFanout(const Netlist& nl) {
+  Fanout f;
+  f.offsets.assign(nl.netCount() + 1, 0);
+  for (const Gate& g : nl.gates()) {
+    for (unsigned k = 0; k < arity(g.op); ++k) ++f.offsets[g.in[k].value + 1];
+  }
+  for (std::size_t n = 0; n < nl.netCount(); ++n) {
+    f.offsets[n + 1] += f.offsets[n];
+  }
+  f.gates.resize(f.offsets.back());
+  std::vector<std::uint32_t> cursor(f.offsets.begin(), f.offsets.end() - 1);
+  for (std::uint32_t gi = 0; gi < nl.gateCount(); ++gi) {
+    const Gate& g = nl.gates()[gi];
+    for (unsigned k = 0; k < arity(g.op); ++k) {
+      f.gates[cursor[g.in[k].value]++] = gi;
+    }
+  }
+  return f;
 }
 
 NetlistStats Netlist::stats() const {

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -200,14 +201,21 @@ class Netlist {
   /// combinational logic is acyclic. Throws FadesError on violation.
   void validate() const;
 
-  /// Topological order of gate ids (inputs/flops/rams are level 0 sources).
-  /// Requires a validated (acyclic) netlist.
+  /// Topological order of gate ids (inputs/flops/rams are sources): every
+  /// gate comes after the gates driving its inputs. Techmap emits LUTs in
+  /// this order and the compiled simulator evaluates it as its kernel.
+  /// Requires every gate input to reference an existing net; throws a
+  /// NetlistError naming the nets on one cycle if the combinational logic
+  /// is cyclic.
   std::vector<GateId> topoOrder() const;
 
   NetlistStats stats() const;
 
  private:
   void setDriver(NetId net, DriverKind kind, std::uint32_t index);
+  /// Raise topoOrder()'s cycle error from the in-degrees Kahn left over.
+  [[noreturn]] void raiseCycle(
+      const std::vector<std::uint32_t>& indegree) const;
 
   std::vector<std::string> netNames_;
   std::vector<Driver> drivers_;
@@ -217,6 +225,23 @@ class Netlist {
   std::vector<Port> inputs_;
   std::vector<Port> outputs_;
 };
+
+/// The gates reading each net, in compressed-sparse-row form: the readers
+/// of net n are `gates[offsets[n] .. offsets[n + 1])`, one entry per input
+/// pin, in (gate index, pin) order.
+struct Fanout {
+  std::vector<std::uint32_t> offsets;  // netCount() + 1 entries
+  std::vector<std::uint32_t> gates;
+
+  std::span<const std::uint32_t> readers(NetId net) const {
+    return {gates.data() + offsets[net.value],
+            gates.data() + offsets[net.value + 1]};
+  }
+};
+
+/// Build `nl`'s fanout index. Every gate input must reference an existing
+/// net (validate() checks this).
+Fanout buildFanout(const Netlist& nl);
 
 }  // namespace fades::netlist
 

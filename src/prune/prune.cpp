@@ -134,7 +134,10 @@ class Analyzer {
   Analyzer(const Netlist& nl, const sim::GoldenTrace& trace,
            std::uint64_t runCycles,
            const std::vector<std::string>& observedOutputs)
-      : nl_(nl), trace_(trace), runCycles_(runCycles) {
+      : nl_(nl),
+        trace_(trace),
+        runCycles_(runCycles),
+        fanout_(netlist::buildFanout(nl)) {
     const std::size_t nets = nl.netCount();
     observed_.assign(nets, 0);
     ramInput_.assign(nets, 0);
@@ -166,31 +169,9 @@ class Analyzer {
       }
     }
 
-    // CSR of consumer gates per net.
-    const auto& gates = nl.gates();
-    consumerOffsets_.assign(nets + 1, 0);
-    for (const auto& g : gates) {
-      for (unsigned pin = 0; pin < netlist::arity(g.op); ++pin) {
-        ++consumerOffsets_[g.in[pin].value + 1];
-      }
-    }
-    for (std::size_t n = 0; n < nets; ++n) {
-      consumerOffsets_[n + 1] += consumerOffsets_[n];
-    }
-    std::size_t edges = consumerOffsets_[nets];
-    consumers_.resize(edges);
-    {
-      std::vector<std::uint32_t> cursor(consumerOffsets_.begin(),
-                                        consumerOffsets_.end() - 1);
-      for (std::uint32_t gi = 0; gi < gates.size(); ++gi) {
-        for (unsigned pin = 0; pin < netlist::arity(gates[gi].op); ++pin) {
-          consumers_[cursor[gates[gi].in[pin].value]++] = gi;
-        }
-      }
-    }
-
     // Topological position of every gate (sparse propagation pops gates in
     // this order so each gate is evaluated once per injection).
+    const auto& gates = nl.gates();
     topoPos_.assign(gates.size(), 0);
     const auto order = nl.topoOrder();
     gateAtPos_.resize(order.size());
@@ -312,9 +293,7 @@ class Analyzer {
           escape = true;
         }
       }
-      for (std::uint32_t k = consumerOffsets_[n.value];
-           k < consumerOffsets_[n.value + 1]; ++k) {
-        const std::uint32_t gi = consumers_[k];
+      for (const std::uint32_t gi : fanout_.readers(n)) {
         if (pushedStamp_[gi] == epoch_) continue;
         pushedStamp_[gi] = epoch_;
         heap.push(topoPos_[gi]);
@@ -359,14 +338,13 @@ class Analyzer {
   const Netlist& nl_;
   const sim::GoldenTrace& trace_;
   std::uint64_t runCycles_;
+  const netlist::Fanout fanout_;
 
   std::vector<std::uint8_t> observed_;   // per net
   std::vector<std::uint8_t> ramInput_;   // per net
   std::vector<std::uint8_t> live_;       // per net
   std::vector<std::uint32_t> flopDOffsets_;  // per net, CSR into flopDs_
   std::vector<std::uint32_t> flopDs_;
-  std::vector<std::uint32_t> consumerOffsets_;  // per net, CSR
-  std::vector<std::uint32_t> consumers_;
   std::vector<std::uint32_t> topoPos_;    // per gate
   std::vector<std::uint32_t> gateAtPos_;  // inverse of topoPos_
 

@@ -143,7 +143,6 @@ std::string Coordinator::submit(const JobSpec& job) {
   for (const auto& [index, outcome] : c->journal->completed()) {
     if (index >= job.spec.experiments) continue;
     c->committed[index] = outcome;
-    c->journaled.insert(index);
     c->progress->record(outcome);
   }
 
@@ -159,7 +158,7 @@ std::string Coordinator::submit(const JobSpec& job) {
     block.needsAgreement = opt_.auditEvery != 0 && b % opt_.auditEvery == 0;
     bool covered = true;
     for (unsigned i = block.first; i < block.first + block.count; ++i) {
-      if (c->journaled.find(i) == c->journaled.end()) {
+      if (!c->committed.contains(i)) {
         covered = false;
         break;
       }
@@ -428,7 +427,6 @@ void Coordinator::requeueLocked(Campaign& c, std::size_t blockIdx,
 void Coordinator::uncommitLocked(Campaign& c, Block& block) {
   for (unsigned i = block.first; i < block.first + block.count; ++i) {
     c.committed.erase(i);
-    c.journaled.erase(i);
   }
   if (block.state == BlockState::Done) --c.doneBlocks;
   block.state = BlockState::Pending;
@@ -440,11 +438,10 @@ void Coordinator::commitLocked(Campaign& c, std::size_t blockIdx,
                                const BlockResult& result) {
   Block& block = c.blocks[blockIdx];
   for (const auto& outcome : result.outcomes) {
-    if (c.journaled.insert(outcome.index).second) {
+    if (c.committed.insert_or_assign(outcome.index, outcome).second) {
       c.journal->append(outcome);
       c.progress->record(outcome);
     }
-    c.committed[outcome.index] = outcome;
   }
   block.state = BlockState::Done;
   block.leaseId = 0;
@@ -909,15 +906,6 @@ bool Coordinator::campaignComplete(const std::string& fingerprint) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = campaigns_.find(fingerprint);
   return it != campaigns_.end() && it->second->complete;
-}
-
-bool Coordinator::allComplete() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (campaigns_.empty()) return false;
-  for (const auto& [fp, c] : campaigns_) {
-    if (!c->complete) return false;
-  }
-  return true;
 }
 
 bool Coordinator::waitForAllComplete(int timeoutMs) {

@@ -39,7 +39,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,7 +103,6 @@ class Coordinator {
   std::vector<std::string> resumeFromStore();
 
   bool campaignComplete(const std::string& fingerprint) const;
-  bool allComplete() const;
   /// Block until every submitted campaign is complete (false on timeout;
   /// timeoutMs < 0 waits forever).
   bool waitForAllComplete(int timeoutMs);
@@ -145,8 +143,8 @@ class Coordinator {
     std::string fp;
     std::vector<Block> blocks;
     std::deque<std::size_t> queue;
+    /// Outcomes by index; every one is in the journal.
     std::map<std::uint64_t, campaign::ExperimentOutcome> committed;
-    std::set<std::uint64_t> journaled;
     std::unique_ptr<campaign::CampaignJournal> journal;
     std::unique_ptr<campaign::ProgressTracker> progress;
     std::size_t doneBlocks = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "netlist/levelize.hpp"
 
 namespace fades::sim {
 
@@ -13,7 +12,7 @@ using netlist::GateOp;
 
 CompiledSimulator::CompiledSimulator(const Netlist& netlist) : nl_(netlist) {
   steps_.reserve(nl_.gateCount());
-  for (const netlist::GateId g : netlist::levelize(nl_).schedule) {
+  for (const netlist::GateId g : nl_.topoOrder()) {
     const auto& gate = nl_.gates()[g.value];
     steps_.push_back(Step{gate.op,
                           gate.in[0].valid() ? gate.in[0].value : kNoNet,
@@ -142,7 +141,7 @@ std::uint64_t CompiledSimulator::ramWordLane(RamId id, std::size_t row,
 }
 
 void CompiledSimulator::settle() {
-  // The straight-line kernel: every gate once, in level order. Operand
+  // The straight-line kernel: every gate once, in topological order. Operand
   // slot kNoNet reads the hardwired zero (values_ never has that index;
   // the ternary below folds it to 0 like the event-driven engine does).
   for (const Step& s : steps_) {

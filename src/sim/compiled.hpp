@@ -1,7 +1,7 @@
-// Levelized bit-parallel compiled simulator.
+// Bit-parallel compiled simulator.
 //
 // Every net carries a 64-bit word: bit L is the net's value in machine
-// (lane) L. One straight-line pass over the levelized gate schedule
+// (lane) L. One straight-line pass over the gates in Netlist::topoOrder()
 // evaluates 64 independent simulations at once - the classic fast
 // fault-grading layout (Lopez-Ongil et al.'s autonomous emulation reaches
 // its speedups the same way: amortize the model evaluation across many
@@ -37,8 +37,8 @@ class CompiledSimulator {
   using Word = std::uint64_t;
 
   /// The netlist must outlive the simulator and must be validated
-  /// (levelization re-checks acyclicity and raises ConfigError with the
-  /// offending nets otherwise).
+  /// (topoOrder() re-checks acyclicity and raises NetlistError naming the
+  /// nets on a cycle otherwise).
   explicit CompiledSimulator(const Netlist& netlist);
 
   // --- execution (all lanes in lockstep) ----------------------------------
@@ -47,7 +47,7 @@ class CompiledSimulator {
   void reset();
   /// Drive an input port with the same value in every lane.
   void setInput(const std::string& portName, std::uint64_t value);
-  /// One pass over the levelized kernel.
+  /// One pass over the straight-line kernel.
   void settle();
   /// One positive clock edge in every lane, followed by settle().
   void step();

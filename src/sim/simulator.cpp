@@ -10,10 +10,10 @@ namespace fades::sim {
 using common::ErrorKind;
 using common::require;
 using netlist::GateOp;
-using netlist::arity;
 
 Simulator::Simulator(const Netlist& netlist)
     : nl_(netlist),
+      fanout_(netlist::buildFanout(netlist)),
       eventsCounter_(obs::Registry::global().counter("sim.events")),
       stepsCounter_(obs::Registry::global().counter("sim.steps")) {
   values_.assign(nl_.netCount(), 0);
@@ -26,25 +26,6 @@ Simulator::Simulator(const Netlist& netlist)
   for (std::size_t r = 0; r < nl_.ramCount(); ++r) {
     ram_[r].mem.assign(nl_.ram(RamId{static_cast<std::uint32_t>(r)}).depth(),
                        0);
-  }
-
-  // Build CSR fanout lists (net -> dependent gates).
-  std::vector<std::uint32_t> counts(nl_.netCount(), 0);
-  for (const auto& g : nl_.gates()) {
-    for (unsigned k = 0; k < arity(g.op); ++k) ++counts[g.in[k].value];
-  }
-  fanoutOffsets_.assign(nl_.netCount() + 1, 0);
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    fanoutOffsets_[i + 1] = fanoutOffsets_[i] + counts[i];
-  }
-  fanoutGates_.assign(fanoutOffsets_.back(), 0);
-  std::vector<std::uint32_t> cursor(fanoutOffsets_.begin(),
-                                    fanoutOffsets_.end() - 1);
-  for (std::uint32_t gi = 0; gi < nl_.gateCount(); ++gi) {
-    const auto& g = nl_.gates()[gi];
-    for (unsigned k = 0; k < arity(g.op); ++k) {
-      fanoutGates_[cursor[g.in[k].value]++] = gi;
-    }
   }
 
   reset();
@@ -112,9 +93,7 @@ void Simulator::setNetValue(NetId id, bool value) {
 }
 
 void Simulator::scheduleFanout(std::uint32_t netIndex) {
-  for (std::uint32_t k = fanoutOffsets_[netIndex];
-       k < fanoutOffsets_[netIndex + 1]; ++k) {
-    const std::uint32_t gi = fanoutGates_[k];
+  for (const std::uint32_t gi : fanout_.readers(NetId{netIndex})) {
     if (!inWorkList_[gi]) {
       inWorkList_[gi] = 1;
       workList_.push_back(gi);

@@ -88,9 +88,7 @@ class Simulator {
   std::vector<std::uint8_t> forced_;       // per net
   std::vector<std::uint8_t> forcedValue_;  // per net
 
-  // CSR fanout: net -> gates whose inputs include it.
-  std::vector<std::uint32_t> fanoutOffsets_;
-  std::vector<std::uint32_t> fanoutGates_;
+  const netlist::Fanout fanout_;
 
   std::vector<std::uint32_t> workList_;
   std::vector<std::uint8_t> inWorkList_;  // per gate

@@ -180,12 +180,11 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
       break;
     }
     case FaultModel::Indetermination: {
-      bool value = rng.coin();
+      const bool value = rng.coin();
       if (targets == TargetClass::SequentialFF) {
         const FlopId f{targetIndex};
         for (std::uint64_t k = 0;
              k < effectiveCycles && sim_.cycle() < runCycles_; ++k) {
-          if (opt_.oscillatingIndetermination && k > 0) value = rng.coin();
           sim_.depositFlop(f, value);
           ++commands;
           stepObserved();
@@ -194,7 +193,6 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
         const NetId net{targetIndex};
         for (std::uint64_t k = 0;
              k < effectiveCycles && sim_.cycle() < runCycles_; ++k) {
-          if (opt_.oscillatingIndetermination && k > 0) value = rng.coin();
           sim_.force(net, value);
           ++commands;
           stepObserved();
@@ -296,13 +294,13 @@ VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
   // The scalar reference's draw order exactly: the campaign draw (FADES
   // draws the same one, so identical specs over identical pools fault the
   // same sites in both tools), then the edge rule and the indetermination
-  // values from the same stream.
+  // value from the same stream.
   campaign::ExperimentDraw draw =
       campaign::drawExperiment(spec, pool, runCycles_, index);
   LanePlan p{draw,
              std::min(campaign::activeCycles(draw.duration, draw.rng),
                       runCycles_ - draw.injectCycle),
-             /*commands=*/0, /*values=*/{}};
+             /*commands=*/0, /*value=*/false};
 
   switch (spec.model) {
     case FaultModel::BitFlip:
@@ -313,12 +311,7 @@ VfitTool::LanePlan VfitTool::planExperiment(const CampaignSpec& spec,
       p.commands = static_cast<unsigned>(2 * p.window + 1);
       break;
     case FaultModel::Indetermination: {
-      bool value = draw.rng.coin();
-      p.values.reserve(p.window);
-      for (std::uint64_t k = 0; k < p.window; ++k) {
-        if (opt_.oscillatingIndetermination && k > 0) value = draw.rng.coin();
-        p.values.push_back(value ? 1 : 0);
-      }
+      p.value = draw.rng.coin();
       // Signals pay a trailing release; deposits do not.
       p.commands = static_cast<unsigned>(
           spec.targets == TargetClass::SequentialFF ? p.window
@@ -439,9 +432,7 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
         case FaultModel::Indetermination: {
           const bool ff = spec.targets == TargetClass::SequentialFF;
           if (c >= p.injectCycle && c < p.injectCycle + p.window) {
-            const std::uint64_t k = c - p.injectCycle;
-            const Word v = p.values[static_cast<std::size_t>(k)] ? laneBit
-                                                                 : Word{0};
+            const Word v = p.value ? laneBit : Word{0};
             if (ff) {
               csim_.depositFlopLanes(FlopId{p.target}, laneBit, v);
             } else {

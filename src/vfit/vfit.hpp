@@ -44,11 +44,12 @@ using netlist::Netlist;
 using netlist::RamId;
 using netlist::Unit;
 
+/// An indetermination fault holds one randomized value for its whole
+/// duration. Re-randomizing it every cycle is a FADES-only option
+/// (core::FadesOptions), where it measures reconfiguration cost.
 struct VfitOptions {
   /// Output ports whose traces define Failure.
   std::vector<std::string> observedOutputs = {"p0", "p1"};
-  /// Re-randomize indetermination values every cycle of the fault.
-  bool oscillatingIndetermination = false;
   /// Keep per-experiment records in the campaign result.
   bool keepRecords = false;
   /// Prefix for the obs counters this tool bumps ("<prefix>.commands",
@@ -131,7 +132,7 @@ class VfitTool : public campaign::CampaignEngine {
   const Observation& golden() const { return golden_; }
 
   /// Pre-drawn fault script of one experiment: its campaign draw, then the
-  /// edge rule (campaign::activeCycles) and the indetermination values from
+  /// edge rule (campaign::activeCycles) and the indetermination value from
   /// the draw's stream, in the order runExperiment makes them. The stream
   /// itself stays out: the wave loop walks every plan each cycle, and a
   /// 32-byte stream per plan slows VFIT campaigns by about a quarter.
@@ -140,7 +141,7 @@ class VfitTool : public campaign::CampaignEngine {
   struct LanePlan : campaign::FaultDraw {
     std::uint64_t window = 0;  // active cycles, clipped to the workload end
     unsigned commands = 0;
-    std::vector<std::uint8_t> values;  // indetermination value per cycle
+    bool value = false;  // the indetermination value, held every cycle
   };
   LanePlan planExperiment(const CampaignSpec& spec,
                           std::span<const std::uint32_t> pool,

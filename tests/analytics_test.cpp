@@ -262,12 +262,24 @@ TEST(Analytics, LoadsArtifactJsonJsonlAndJournal) {
   EXPECT_EQ(fromJournal.schema, "fades.journal/1");
   EXPECT_EQ(fromJournal.records.size(), result.records.size());
 
-  // Directory scan classifies all three by schema.
+  // An outcome line written twice (a resumed writer re-appending an index)
+  // folds once, as campaign resume folds it.
+  const std::string text = readWholeFile(journalPath.str);
+  const std::size_t header = text.find('\n') + 1;
+  const std::size_t first = text.find('\n', header) + 1;
+  TempPath duplicated("analytics_duplicated.journal");
+  writeWholeFile(duplicated.str,
+                 text + text.substr(header, first - header));
+  EXPECT_EQ(analytics::loadJournal(duplicated.str).records.size(),
+            result.records.size());
+
+  // Directory scan classifies all four by schema.
   const auto inputs = analytics::loadInputs({json.str, jsonl.str,
-                                             journalPath.str});
-  ASSERT_EQ(inputs.size(), 3u);
+                                             journalPath.str,
+                                             duplicated.str});
+  ASSERT_EQ(inputs.size(), 4u);
   EXPECT_EQ(analytics::buildReport(inputs).totals.experiments,
-            3 * result.records.size());
+            4 * result.records.size());
 }
 
 TEST(Analytics, RejectsForeignFiles) {

@@ -174,6 +174,30 @@ TEST(ConfigPort, MeterPinnedForMixedSession) {
   EXPECT_EQ(m.retryBackoffSeconds, 0.0);
   EXPECT_EQ(port.getLutTable(CbCoord{2, 3}), 0x1234);
   EXPECT_TRUE(port.getBramBit(0, 17));
+
+  // A LUT whose table straddles two frames (16 tracks make a 248-bit CB
+  // record, so row 33's table starts 8 bits before a frame boundary): each
+  // helper moves both frames, and a blind write reads neither.
+  DeviceSpec tall = DeviceSpec::small();
+  tall.rows = 40;
+  tall.tracks = 16;
+  Device tallDev(tall);
+  ConfigPort tallPort(tallDev);
+  const CbCoord straddling{2, 33};
+  const auto& layout = tallDev.layout();
+  ASSERT_FALSE(layout.frameOfLogicBit(layout.cbLutBit(straddling, 0)) ==
+               layout.frameOfLogicBit(layout.cbLutBit(straddling, 15)));
+  tallPort.setLutTable(straddling, 0xbeef);
+  EXPECT_EQ(tallPort.meter().readOps, 2u);
+  EXPECT_EQ(tallPort.meter().writeOps, 2u);
+  EXPECT_EQ(tallPort.getLutTable(straddling), 0xbeef);
+  EXPECT_EQ(tallPort.meter().readOps, 4u);
+  tallPort.setLutTableBlind(straddling, 0x1234);
+  EXPECT_EQ(tallPort.meter().readOps, 4u);
+  EXPECT_EQ(tallPort.meter().writeOps, 4u);
+  EXPECT_EQ(tallPort.meter().bytesToDevice, 4u * 64);
+  EXPECT_EQ(tallPort.meter().bytesFromDevice, 4u * 64);
+  EXPECT_EQ(tallPort.getLutTable(straddling), 0x1234);
 }
 
 TEST(ConfigPort, BlindWriteAfterMeteredWriteLandsBoth) {

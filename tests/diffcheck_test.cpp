@@ -73,8 +73,20 @@ TEST(CaseSpecJson, RejectsWrongSchema) {
 }
 
 TEST(CaseSpecJson, RejectsUnknownEnumNames) {
-  EXPECT_THROW(faultModelFromString("gamma-ray"), FadesError);
-  EXPECT_THROW(targetClassFromString("everything"), FadesError);
+  for (const auto& [field, bad] :
+       {std::pair<const char*, const char*>{"model", "gamma-ray"},
+        {"targets", "everything"}}) {
+    obs::Json j = sampleRtlCase().toJson();
+    obs::Json inject = *j.find("inject");
+    inject.set(field, obs::Json(std::string(bad)));
+    j.set("inject", inject);
+    try {
+      CaseSpec::fromJson(j);
+      FAIL() << "accepted " << field << " '" << bad << "'";
+    } catch (const FadesError& e) {
+      EXPECT_EQ(e.kind(), common::ErrorKind::InvalidArgument) << e.what();
+    }
+  }
   EXPECT_THROW(designKindFromString("analog"), FadesError);
 }
 

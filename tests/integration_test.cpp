@@ -5,7 +5,12 @@
 // execute the *same* system.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "fpga/device.hpp"
 #include "mc8051/core.hpp"
@@ -123,6 +128,98 @@ TEST(Integration, SynthesisStatisticsOnV1000) {
                           "pc[0]", "state[0]", "ir[5]"}) {
     EXPECT_NE(impl.findFlop(reg), nullptr) << reg;
   }
+}
+
+/// FNV-1a over little-endian integers, rendered as 16 hex digits.
+class Fnv1a {
+ public:
+  void add(std::uint64_t v, unsigned bytes) {
+    for (unsigned i = 0; i < bytes; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  std::string hex() const {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::string planeLine(const char* name, const common::BitVector& plane) {
+  Fnv1a h;
+  for (const std::uint8_t byte : plane.exportBytes(0, plane.size())) {
+    h.add(byte, 1);
+  }
+  return std::string("bitstream ") + name +
+         " bits=" + std::to_string(plane.size()) + " fnv1a=" + h.hex() + "\n";
+}
+
+TEST(Integration, Mc8051ImplementationIsPinned) {
+  // Pins the MC8051 core as FADES and VFIT see it: the netlist's element
+  // counts, the gate order techmap emits LUTs in (Netlist::topoOrder), the
+  // bitstream's logic and BRAM planes, and every route's transistor bits.
+  // Any change to the builder, the IR, the gate order or the implementation
+  // flow shows up as a reviewable diff. To regenerate after an intentional
+  // change:
+  //   FADES_REGEN_GOLDEN=1 ./tests/test_integration
+  //     --gtest_filter='Integration.Mc8051ImplementationIsPinned'
+  const Workload w = mc8051::bubblesort(6);
+  const auto nl = mc8051::buildCore(w.bytes);
+  const auto impl = synth::implement(nl, DeviceSpec::virtex1000Like());
+
+  const auto st = nl.stats();
+  std::string pin = "netlist nets=" + std::to_string(st.nets) +
+                    " gates=" + std::to_string(st.gates) +
+                    " flops=" + std::to_string(st.flops) +
+                    " rams=" + std::to_string(st.rams) +
+                    " ram_bits=" + std::to_string(st.ramBits) +
+                    " input_bits=" + std::to_string(st.inputBits) +
+                    " output_bits=" + std::to_string(st.outputBits) + "\n";
+  using netlist::Unit;
+  for (const Unit u : {Unit::None, Unit::Registers, Unit::Ram, Unit::Alu,
+                       Unit::MemCtrl, Unit::Fsm}) {
+    const auto count = [u](const auto& perUnit) {
+      const auto it = perUnit.find(u);
+      return std::to_string(it == perUnit.end() ? 0 : it->second);
+    };
+    pin += std::string("unit ") + netlist::toString(u) +
+           " gates=" + count(st.gatesPerUnit) +
+           " flops=" + count(st.flopsPerUnit) + "\n";
+  }
+  Fnv1a order;
+  for (const netlist::GateId g : nl.topoOrder()) order.add(g.value, 4);
+  pin += "topo_order fnv1a=" + order.hex() + "\n";
+  pin += planeLine("logic", impl.bitstream.logic);
+  pin += planeLine("bram", impl.bitstream.bram);
+  Fnv1a routes;
+  std::size_t transistorBits = 0;
+  for (const auto& route : impl.routes) {
+    routes.add(route.transistorBits.size(), 8);
+    for (const std::size_t bit : route.transistorBits) routes.add(bit, 8);
+    transistorBits += route.transistorBits.size();
+  }
+  pin += "routes count=" + std::to_string(impl.routes.size()) +
+         " transistor_bits=" + std::to_string(transistorBits) +
+         " fnv1a=" + routes.hex() + "\n";
+
+  const std::string goldenPath =
+      std::string(FADES_TEST_DATA_DIR) + "/mc8051_implementation.txt";
+  if (std::getenv("FADES_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(goldenPath, std::ios::binary);
+    out << pin;
+    GTEST_SKIP() << "regenerated " << goldenPath;
+  }
+  std::ifstream in(goldenPath, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << goldenPath
+                         << " (run with FADES_REGEN_GOLDEN=1 to create)";
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(pin, golden.str());
 }
 
 TEST(Integration, GsrResetRestartsTheWorkload) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "netlist/netlist.hpp"
+#include "rtl/builder.hpp"
 
 namespace fades::netlist {
 namespace {
@@ -102,16 +107,40 @@ TEST(Netlist, UndrivenNetRejectedByValidate) {
 }
 
 TEST(Netlist, CombinationalCycleDetected) {
-  Netlist nl;
-  const NetId a = nl.addNet("a");
-  const NetId b = nl.addNet("b");
-  nl.addGate(GateOp::Not, b, {}, {}, Unit::None, a);
-  nl.addGate(GateOp::Buf, a, {}, {}, Unit::None, b);
-  try {
-    nl.validate();
-    FAIL() << "expected throw";
-  } catch (const FadesError& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::NetlistError);
+  // A two-gate loop read by a gate outside it, and a self-loop: the error
+  // names the nets on the cycle and no others.
+  Netlist loop;
+  const NetId x = loop.addNet("x");
+  loop.addInputPort("x", {x});
+  const NetId a = loop.addNet("loop_a");
+  const NetId b = loop.addNet("loop_b");
+  const NetId tail = loop.addNet("tail");
+  loop.addGate(GateOp::Buf, b, {}, {}, Unit::None, tail);
+  loop.addGate(GateOp::Not, b, {}, {}, Unit::None, a);
+  loop.addGate(GateOp::And, a, x, {}, Unit::None, b);
+  loop.addOutputPort("o", {tail});
+
+  Netlist self;
+  const NetId y = self.addNet("y");
+  self.addInputPort("y", {y});
+  const NetId s = self.addNet("self");
+  self.addGate(GateOp::Or, s, y, {}, Unit::None, s);
+  self.addOutputPort("o", {s});
+
+  const std::vector<std::pair<const Netlist*, std::vector<std::string>>>
+      cases = {{&loop, {"loop_a", "loop_b"}}, {&self, {"self"}}};
+  for (const auto& [nl, nets] : cases) {
+    try {
+      nl->validate();
+      FAIL() << "expected throw";
+    } catch (const FadesError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::NetlistError);
+      const std::string msg = e.what();
+      for (const auto& net : nets) {
+        EXPECT_NE(msg.find(net), std::string::npos) << msg;
+      }
+      EXPECT_EQ(msg.find("tail"), std::string::npos) << msg;
+    }
   }
 }
 
@@ -130,23 +159,67 @@ TEST(Netlist, MissingGateInputRejected) {
   EXPECT_THROW(nl.addGate(GateOp::And, NetId{}, NetId{}), FadesError);
 }
 
+// Random register+logic design, same flavour as the property suite's.
+Netlist randomDesign(std::uint64_t seed, unsigned gates) {
+  common::Rng rng(seed);
+  rtl::Builder b;
+  rtl::Bus in = b.input("in", 8);
+  std::vector<rtl::NetId> pool = in;
+  std::vector<rtl::Register> regs;
+  for (unsigned r = 0; r < 4; ++r) {
+    regs.push_back(b.makeRegister("q" + std::to_string(r), 4, 0));
+    pool.insert(pool.end(), regs.back().q.begin(), regs.back().q.end());
+  }
+  for (unsigned g = 0; g < gates; ++g) {
+    const auto pick = [&] { return pool[rng.below(pool.size())]; };
+    pool.push_back(rng.coin() ? b.lxor(pick(), pick())
+                              : b.lmux(pick(), pick(), pick()));
+  }
+  for (auto& r : regs) {
+    rtl::Bus d;
+    for (int k = 0; k < 4; ++k) d.push_back(pool[rng.below(pool.size())]);
+    b.connect(r, d);
+  }
+  rtl::Bus out;
+  for (int k = 0; k < 8; ++k) out.push_back(pool[rng.below(pool.size())]);
+  b.output("out", out);
+  return b.finish();
+}
+
 TEST(Netlist, TopoOrderRespectsDependencies) {
-  Netlist nl;
-  const NetId a = nl.addNet("a");
-  nl.addInputPort("a", {a});
-  const GateId g1 = nl.addGate(GateOp::Not, a);
-  const GateId g2 = nl.addGate(GateOp::Not, nl.gate(g1).out);
-  const GateId g3 = nl.addGate(GateOp::And, nl.gate(g1).out, nl.gate(g2).out);
-  const auto order = nl.topoOrder();
-  auto pos = [&](GateId id) {
+  // A three-gate chain, then 20 random designs: every gate appears exactly
+  // once, after each gate driving one of its inputs.
+  std::vector<Netlist> designs(1);
+  Netlist& chain = designs.front();
+  const NetId a = chain.addNet("a");
+  chain.addInputPort("a", {a});
+  const GateId g1 = chain.addGate(GateOp::Not, a);
+  const GateId g2 = chain.addGate(GateOp::Not, chain.gate(g1).out);
+  chain.addGate(GateOp::And, chain.gate(g1).out, chain.gate(g2).out);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    designs.push_back(randomDesign(seed, 60));
+  }
+
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const Netlist& nl = designs[d];
+    const auto order = nl.topoOrder();
+    ASSERT_EQ(order.size(), nl.gateCount()) << "design " << d;
+    std::vector<std::size_t> pos(nl.gateCount(), order.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
-      if (order[i] == id) return i;
+      ASSERT_EQ(pos[order[i].value], order.size())
+          << "gate " << order[i].value << " twice in design " << d;
+      pos[order[i].value] = i;
     }
-    return order.size();
-  };
-  EXPECT_LT(pos(g1), pos(g2));
-  EXPECT_LT(pos(g2), pos(g3));
-  EXPECT_EQ(order.size(), 3u);
+    for (std::uint32_t g = 0; g < nl.gateCount(); ++g) {
+      const Gate& gate = nl.gates()[g];
+      for (unsigned k = 0; k < arity(gate.op); ++k) {
+        const auto drv = nl.driverOf(gate.in[k]);
+        if (drv.kind != Netlist::DriverKind::Gate) continue;
+        EXPECT_LT(pos[drv.index], pos[g])
+            << "gate " << g << " before its driver in design " << d;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- RAM -----

@@ -423,28 +423,6 @@ TEST(PrunePlan, DelayCampaignsAreNeverPruned) {
 
 // ------------------------------------------------------- plan vocabulary ---
 
-TEST(PrunePlan, JsonRoundTripIsExact) {
-  service::JobSpec job;
-  job.tool = "vfit";
-  job.workload = "demo";
-  job.spec.experiments = 80;
-  job.spec.seed = 7;
-  job.prune = true;
-  service::validate(job);
-  const auto sys = service::buildSystem(job);
-  const auto plan = service::buildPrunePlan(*sys);
-
-  const std::string text = campaign::toJson(plan).dump(2);
-  const auto parsed = obs::Json::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  campaign::PrunePlan back;
-  std::string error;
-  ASSERT_TRUE(campaign::prunePlanFromJson(*parsed, back, &error)) << error;
-  back.validate();
-  EXPECT_EQ(campaign::toJson(back).dump(2), text);
-  EXPECT_EQ(campaign::specKey(back.spec), campaign::specKey(plan.spec));
-}
-
 TEST(PrunePlan, ValidateRejectsMalformedPlans) {
   campaign::PrunePlan plan;
   plan.spec.experiments = 10;
