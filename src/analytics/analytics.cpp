@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <utility>
@@ -38,14 +39,30 @@ std::string readFileText(const std::string& path) {
   return content;
 }
 
-std::string firstLine(const std::string& content) {
-  const std::size_t nl = content.find('\n');
-  return nl == std::string::npos ? content : content.substr(0, nl);
-}
-
 std::string schemaOf(const Json& j) {
   const Json* s = j.isObject() ? j.find("schema") : nullptr;
   return s != nullptr && s->isString() ? s->asString() : std::string();
+}
+
+/// Whether the file at `path` opens with a fades.journal/1 header line. Reads
+/// that one line and no more than the journal reader's line bound of it.
+bool startsWithJournalHeader(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  require(f != nullptr, ErrorKind::ConfigError,
+          "cannot open input '" + path + "'");
+  std::string line;
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while (line.size() <= CampaignJournal::kMaxLineBytes &&
+         (n = std::fread(buf, 1, sizeof buf, f)) != 0) {
+    const char* nl = static_cast<const char*>(std::memchr(buf, '\n', n));
+    line.append(buf, nl != nullptr ? static_cast<std::size_t>(nl - buf) : n);
+    if (nl != nullptr) break;
+  }
+  std::fclose(f);
+  if (line.size() > CampaignJournal::kMaxLineBytes) return false;
+  const auto head = Json::parse(line);
+  return head && schemaOf(*head) == CampaignJournal::kSchema;
 }
 
 void foldRecordArray(const Json& records, const std::string& path,
@@ -190,24 +207,12 @@ std::vector<CampaignInput> loadInputs(const std::vector<std::string>& paths) {
   // manifest (and thus the report) independent of it.
   std::sort(files.begin(), files.end());
 
+  // A journal names itself on its first line; anything else loads as a run
+  // artifact, which loadRunArtifact rejects unless it is one.
   std::vector<CampaignInput> inputs;
   for (const auto& file : files) {
-    const std::string content = readFileText(file);
-    std::string schema;
-    if (auto doc = Json::parse(content)) {
-      schema = schemaOf(*doc);
-    } else if (auto head = Json::parse(firstLine(content))) {
-      schema = schemaOf(*head);
-    }
-    if (schema == kRunSchema) {
-      inputs.push_back(loadRunArtifact(file));
-    } else if (schema == CampaignJournal::kSchema) {
-      inputs.push_back(loadJournal(file));
-    } else {
-      raise(ErrorKind::ConfigError,
-            "'" + file + "' is neither a " + std::string(kRunSchema) +
-                " artifact nor a " + CampaignJournal::kSchema + " journal");
-    }
+    inputs.push_back(startsWithJournalHeader(file) ? loadJournal(file)
+                                                   : loadRunArtifact(file));
   }
   return inputs;
 }

@@ -46,8 +46,9 @@ CampaignInput loadJournal(const std::string& path);
 
 /// Load a mix of files and directories. Directories are scanned one level
 /// deep in sorted path order (determinism does not depend on readdir
-/// order); each file is classified by the schema string in its content.
-/// Files with neither schema raise ConfigError.
+/// order). A file whose first line is a fades.journal/1 header loads as a
+/// journal, any other as a run artifact; a file that is neither raises
+/// ConfigError. Each file is read once, apart from that first line.
 std::vector<CampaignInput> loadInputs(const std::vector<std::string>& paths);
 
 /// Outcome tally plus derating fractions in basis points (1/100 of a

@@ -18,17 +18,11 @@ using common::require;
 using common::Rng;
 using fpga::CbCoord;
 using fpga::CbField;
-using fpga::NodeKind;
 
 namespace {
 
 /// Golden-run cycles between the checkpoints locate() replays from.
 constexpr std::uint64_t kCheckpointInterval = 128;
-
-bool isSegment(const fpga::RoutingNodes& nodes, std::uint32_t node) {
-  const auto k = nodes.info(node).kind;
-  return k == NodeKind::HSeg || k == NodeKind::VSeg;
-}
 
 }  // namespace
 
@@ -374,7 +368,7 @@ std::vector<std::pair<std::size_t, std::uint32_t>> FadesTool::detour(
             found = true;
             return;
           }
-          if (!isSegment(nodes, nb) || usedNodes_.count(nb) ||
+          if (!nodes.isSegment(nb) || usedNodes_.count(nb) ||
               avoid.count(nb) || queue.size() > 6000) {
             return;
           }
@@ -535,7 +529,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng) {
         }
         for (std::size_t ei : edgeOrder) {
           const auto [a, b] = route.edgeNodes[ei];
-          if (!isSegment(nodes, a) || !isSegment(nodes, b)) continue;
+          if (!nodes.isSegment(a) || !nodes.isSegment(b)) continue;
           const std::size_t directBit = route.transistorBits[ei];
 
           double ax, ay;
@@ -585,7 +579,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng) {
           bool done = false;
           synth::forEachNeighbor(dev_.layout(), nodes, w,
                                  [&](std::uint32_t nb, std::size_t bit) {
-                                   if (done || !isSegment(nodes, nb)) return;
+                                   if (done || !nodes.isSegment(nb)) return;
                                    if (usedNodes_.count(nb)) return;
                                    if (dev_.logicBit(bit)) return;
                                    changes.emplace_back(bit, true);

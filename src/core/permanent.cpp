@@ -134,11 +134,10 @@ Outcome PermanentFaults::runExperiment(PermanentFaultModel model,
             dev.layout(), nodes, w,
             [&](std::uint32_t nb, std::size_t bit) {
               if (done || dev.logicBit(bit)) return;
-              const auto k = nodes.info(nb).kind;
-              if (k != fpga::NodeKind::HSeg && k != fpga::NodeKind::VSeg) {
+              if (!nodes.isSegment(nb) || !tool_.usedNodes_.count(nb) ||
+                  own.count(nb)) {
                 return;
               }
-              if (!tool_.usedNodes_.count(nb) || own.count(nb)) return;
               dev.setShortPolicy(fpga::ShortPolicy::WiredAnd);
               usedShortPolicy = true;
               port.setLogicBit(bit, true);

@@ -747,11 +747,6 @@ void Device::computeTiming() {
     ++compEdgeCount[find(a)];
   }
 
-  auto isSegment = [&](std::uint32_t n) {
-    const auto k = nodes_.info(n).kind;
-    return k == NodeKind::HSeg || k == NodeKind::VSeg;
-  };
-
   // Driver nodes: every node whose component it sources.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> driverNodes;
   auto collect = [&](std::uint32_t node) {
@@ -793,7 +788,7 @@ void Device::computeTiming() {
       if (it == adj.end()) continue;
       for (std::uint32_t nb : it->second) {
         const double cost = dn + spec_.passTransistorNs +
-                            (isSegment(nb) ? spec_.segmentDelayNs : 0.0);
+                            (nodes_.isSegment(nb) ? spec_.segmentDelayNs : 0.0);
         auto [dit, inserted] = dist.try_emplace(nb, cost);
         if (inserted) {
           queue.push_back(nb);
@@ -805,7 +800,7 @@ void Device::computeTiming() {
       }
     }
     for (const auto& [node, dcost] : dist) {
-      if (!isSegment(node) && node != driver) {
+      if (!nodes_.isSegment(node) && node != driver) {
         sinkDelay_[node] = dcost + load;
       }
     }

@@ -187,6 +187,9 @@ class RoutingNodes {
 
   NodeInfo info(std::uint32_t node) const;
 
+  /// Wire segments (HSeg, VSeg) are numbered before every pin.
+  bool isSegment(std::uint32_t node) const { return node < cbInBase_; }
+
   /// Approximate (x, y) tile position, used by the router's A* heuristic.
   void position(std::uint32_t node, double& x, double& y) const;
 

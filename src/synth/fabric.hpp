@@ -2,6 +2,14 @@
 // nodes, and enumeration of all potential neighbours of a node. The router
 // explores this graph; bitgen turns chosen edges into configuration bits;
 // the delay-fault injectors toggle individual bits of it at run time.
+//
+// The rules are computed, not tabled: a CSR of (neighbour, bit) for the
+// Virtex-1000-class device would hold 15.8 M entries. The router relies on
+// three properties the Fabric tests check: adjacency is symmetric with one
+// bit per edge, a pin's neighbours are exactly two runs of `tracks`
+// consecutive segment ids (its tile's h- and v-segments), and the
+// segment-to-segment edges are forEachSegmentNeighbor's, which computes no
+// configuration bit.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +31,39 @@ using fpga::PmCoord;
 using fpga::PmSwitch;
 using fpga::RoutingNodes;
 
+/// Enumerate the wire segments adjacent to segment `n` through the pass
+/// transistors of the PMs at its two ends: fn(neighborSegment, pmX, pmY,
+/// switch), on n's own track. Computes no configuration bit, which is what
+/// the router's search needs; yields nothing for a pin.
+template <typename Fn>
+void forEachSegmentNeighbor(const DeviceSpec& spec, const RoutingNodes& nodes,
+                            const NodeInfo& n, Fn&& fn) {
+  const unsigned rows = spec.rows, cols = spec.cols;
+  const unsigned x = n.x, y = n.y, t = n.track;
+  if (n.kind == NodeKind::HSeg) {
+    // West end: PM(x, y); this segment is the PM's E side.
+    if (x >= 1) fn(nodes.hseg(x - 1, y, t), x, y, PmSwitch::WE);
+    if (y < rows) fn(nodes.vseg(x, y, t), x, y, PmSwitch::EN);
+    if (y >= 1) fn(nodes.vseg(x, y - 1, t), x, y, PmSwitch::ES);
+    // East end: PM(x+1, y); this segment is the PM's W side.
+    if (x + 1 < cols) fn(nodes.hseg(x + 1, y, t), x + 1, y, PmSwitch::WE);
+    if (y < rows) fn(nodes.vseg(x + 1, y, t), x + 1, y, PmSwitch::WN);
+    if (y >= 1) fn(nodes.vseg(x + 1, y - 1, t), x + 1, y, PmSwitch::WS);
+  } else if (n.kind == NodeKind::VSeg) {
+    // South end: PM(x, y); this segment is the PM's N side.
+    if (y >= 1) fn(nodes.vseg(x, y - 1, t), x, y, PmSwitch::NS);
+    if (x >= 1) fn(nodes.hseg(x - 1, y, t), x, y, PmSwitch::WN);
+    if (x < cols) fn(nodes.hseg(x, y, t), x, y, PmSwitch::EN);
+    // North end: PM(x, y+1); this segment is the PM's S side.
+    if (y + 1 < rows) fn(nodes.vseg(x, y + 1, t), x, y + 1, PmSwitch::NS);
+    if (x >= 1) fn(nodes.hseg(x - 1, y + 1, t), x, y + 1, PmSwitch::WS);
+    if (x < cols) fn(nodes.hseg(x, y + 1, t), x, y + 1, PmSwitch::ES);
+  }
+}
+
 /// Enumerate every node adjacent to `node` through a (potential) pass
-/// transistor: fn(neighborNode, configBitAddress).
+/// transistor: fn(neighborNode, configBitAddress). A segment lists its
+/// forEachSegmentNeighbor segments first, then the pins it reaches.
 template <typename Fn>
 void forEachNeighbor(const ConfigLayout& layout, const RoutingNodes& nodes,
                      std::uint32_t node, Fn&& fn) {
@@ -32,29 +71,17 @@ void forEachNeighbor(const ConfigLayout& layout, const RoutingNodes& nodes,
   const unsigned rows = spec.rows, cols = spec.cols, tracks = spec.tracks;
   const NodeInfo n = nodes.info(node);
 
-  auto pmBit = [&](unsigned px, unsigned py, unsigned t, PmSwitch sw) {
-    return layout.pmSwitchBit(
-        PmCoord{static_cast<std::uint16_t>(px), static_cast<std::uint16_t>(py)},
-        t, sw);
-  };
+  forEachSegmentNeighbor(
+      spec, nodes, n,
+      [&](std::uint32_t nb, unsigned px, unsigned py, PmSwitch sw) {
+        fn(nb, layout.pmSwitchBit(PmCoord{static_cast<std::uint16_t>(px),
+                                          static_cast<std::uint16_t>(py)},
+                                  n.track, sw));
+      });
 
   switch (n.kind) {
     case NodeKind::HSeg: {
       const unsigned x = n.x, y = n.y, t = n.track;
-      // West end: PM(x, y); this segment is the PM's E side.
-      if (x >= 1) fn(nodes.hseg(x - 1, y, t), pmBit(x, y, t, PmSwitch::WE));
-      if (y < rows) fn(nodes.vseg(x, y, t), pmBit(x, y, t, PmSwitch::EN));
-      if (y >= 1) fn(nodes.vseg(x, y - 1, t), pmBit(x, y, t, PmSwitch::ES));
-      // East end: PM(x+1, y); this segment is the PM's W side.
-      if (x + 1 < cols) {
-        fn(nodes.hseg(x + 1, y, t), pmBit(x + 1, y, t, PmSwitch::WE));
-      }
-      if (y < rows) {
-        fn(nodes.vseg(x + 1, y, t), pmBit(x + 1, y, t, PmSwitch::WN));
-      }
-      if (y >= 1) {
-        fn(nodes.vseg(x + 1, y - 1, t), pmBit(x + 1, y, t, PmSwitch::WS));
-      }
       // Connection boxes: CB(x, y) touches its south horizontal channel.
       if (y < rows) {
         const CbCoord cb{static_cast<std::uint16_t>(x),
@@ -88,20 +115,6 @@ void forEachNeighbor(const ConfigLayout& layout, const RoutingNodes& nodes,
     }
     case NodeKind::VSeg: {
       const unsigned x = n.x, y = n.y, t = n.track;
-      // South end: PM(x, y); this segment is the PM's N side.
-      if (y >= 1) fn(nodes.vseg(x, y - 1, t), pmBit(x, y, t, PmSwitch::NS));
-      if (x >= 1) fn(nodes.hseg(x - 1, y, t), pmBit(x, y, t, PmSwitch::WN));
-      if (x < cols) fn(nodes.hseg(x, y, t), pmBit(x, y, t, PmSwitch::EN));
-      // North end: PM(x, y+1); this segment is the PM's S side.
-      if (y + 1 < rows) {
-        fn(nodes.vseg(x, y + 1, t), pmBit(x, y + 1, t, PmSwitch::NS));
-      }
-      if (x >= 1) {
-        fn(nodes.hseg(x - 1, y + 1, t), pmBit(x, y + 1, t, PmSwitch::WS));
-      }
-      if (x < cols) {
-        fn(nodes.hseg(x, y + 1, t), pmBit(x, y + 1, t, PmSwitch::ES));
-      }
       // Connection boxes: CB(x, y) touches its west vertical channel.
       if (x < cols) {
         const CbCoord cb{static_cast<std::uint16_t>(x),

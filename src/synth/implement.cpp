@@ -550,18 +550,8 @@ Implementation implement(const Netlist& nl, const DeviceSpec& spec,
       }
     }
   }
-  // Routing bits.
-  for (std::size_t i = 0; i < routed.size(); ++i) {
-    for (const auto& [a, b] : routed[i].edges) {
-      const auto bit = transistorBit(layout, nodes, a, b);
-      require(bit.has_value(), ErrorKind::SynthesisError,
-              "routed edge without a pass transistor");
-      bs.logic.set(*bit, true);
-    }
-  }
 
   // -------------------------------------------------- assemble the result
-  impl.bitstream = std::move(bs);
   impl.routes.reserve(phys.size());
   for (std::size_t i = 0; i < phys.size(); ++i) {
     NetRouteInfo info;
@@ -572,17 +562,20 @@ Implementation implement(const Netlist& nl, const DeviceSpec& spec,
     info.sourceNode = requests[i].source;
     info.sinkNodes = requests[i].sinks;
     for (auto n : routed[i].nodes) {
-      const auto k = nodes.info(n).kind;
-      if (k == fpga::NodeKind::HSeg || k == fpga::NodeKind::VSeg) {
-        info.wireNodes.push_back(n);
-      }
+      if (nodes.isSegment(n)) info.wireNodes.push_back(n);
     }
+    // Routing bits: each routed edge's pass transistor, derived once.
     for (const auto& [a, b] : routed[i].edges) {
-      info.transistorBits.push_back(*transistorBit(layout, nodes, a, b));
+      const auto bit = transistorBit(layout, nodes, a, b);
+      require(bit.has_value(), ErrorKind::SynthesisError,
+              "routed edge without a pass transistor");
+      bs.logic.set(*bit, true);
+      info.transistorBits.push_back(*bit);
     }
     info.edgeNodes = routed[i].edges;
     impl.routes.push_back(std::move(info));
   }
+  impl.bitstream = std::move(bs);
 
   impl.stats.luts = static_cast<unsigned>(impl.luts.size());
   impl.stats.flops = static_cast<unsigned>(impl.flops.size());

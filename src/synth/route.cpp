@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <functional>
+#include <limits>
 
 #include "common/error.hpp"
 #include "synth/fabric.hpp"
@@ -11,7 +12,6 @@ namespace fades::synth {
 
 using common::ErrorKind;
 using common::raise;
-using common::require;
 using fpga::NodeKind;
 
 namespace {
@@ -35,25 +35,19 @@ struct Search {
   }
 };
 
-bool isPin(NodeKind k) {
-  return k == NodeKind::CbIn || k == NodeKind::CbOut || k == NodeKind::Pad ||
-         k == NodeKind::BramPin;
-}
-
 }  // namespace
 
 std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
                                 const fpga::RoutingNodes& nodes,
                                 const std::vector<RouteRequest>& requests,
                                 RouteStats* stats) {
+  const fpga::DeviceSpec& spec = layout.spec();
   const std::uint32_t N = nodes.count();
   std::vector<RoutedNet> result(requests.size());
   std::vector<std::uint16_t> occupancy(N, 0);
   std::vector<float> history(N, 0.f);
-  std::vector<std::uint8_t> kindOf(N);
   std::vector<float> posX(N), posY(N);
   for (std::uint32_t n = 0; n < N; ++n) {
-    kindOf[n] = static_cast<std::uint8_t>(nodes.info(n).kind);
     double x, y;
     nodes.position(n, x, y);
     posX[n] = static_cast<float>(x);
@@ -61,8 +55,10 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
   }
 
   Search search(N);
-  using QEntry = std::pair<float, std::uint32_t>;  // (f = g + h, node)
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> open;
+  // Min-heap on (f = g + h, node), driven as std::priority_queue drives it,
+  // so a search's leftovers go with one clear().
+  using QEntry = std::pair<float, std::uint32_t>;
+  std::vector<QEntry> open;
 
   auto ripUp = [&](std::size_t netIdx) {
     for (auto n : result[netIdx].nodes) {
@@ -90,17 +86,41 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
     for (std::uint32_t sink : sinks) {
       if (sink == req.source) continue;
       search.newSearch();
-      while (!open.empty()) open.pop();
+      open.clear();
+      auto relax = [&](std::uint32_t nb, std::uint32_t from, float gFrom) {
+        const float nodeCost =
+            1.f + history[nb] +
+            presentFactor * static_cast<float>(occupancy[nb]);
+        const float cost = gFrom + nodeCost;
+        if (!search.seen(nb) || cost < search.g[nb] - 1e-6f) {
+          search.visit(nb, cost, from);
+          const float h = std::abs(posX[nb] - posX[sink]) +
+                          std::abs(posY[nb] - posY[sink]);
+          open.emplace_back(cost + h, nb);
+          std::push_heap(open.begin(), open.end(), std::greater<>{});
+        }
+      };
+      // The sink's neighbours are two runs of `tracks` consecutive segment
+      // ids; a segment touches the sink iff it lies in one of them.
+      std::uint32_t lo = std::numeric_limits<std::uint32_t>::max(), hi = 0;
+      forEachNeighbor(layout, nodes, sink,
+                      [&](std::uint32_t nb, std::size_t /*bit*/) {
+                        lo = std::min(lo, nb);
+                        hi = std::max(hi, nb);
+                      });
+      const std::uint32_t runA = lo, runB = hi + 1 - spec.tracks;
       for (auto n : net.nodes) {
         search.visit(n, 0.f, n);
         const float h = std::abs(posX[n] - posX[sink]) +
                         std::abs(posY[n] - posY[sink]);
-        open.push({h, n});
+        open.emplace_back(h, n);
+        std::push_heap(open.begin(), open.end(), std::greater<>{});
       }
       bool found = false;
       while (!open.empty()) {
-        const auto [f, n] = open.top();
-        open.pop();
+        std::pop_heap(open.begin(), open.end(), std::greater<>{});
+        const auto [f, n] = open.back();
+        open.pop_back();
         if (n == sink) {
           found = true;
           break;
@@ -112,21 +132,24 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
                           std::abs(posY[n] - posY[sink]);
           if (f > gn + h + 1e-3f) continue;
         }
-        forEachNeighbor(layout, nodes, n,
-                        [&](std::uint32_t nb, std::size_t /*bit*/) {
-          // Pins are endpoints, never waypoints.
-          if (isPin(static_cast<NodeKind>(kindOf[nb])) && nb != sink) return;
-          const float nodeCost =
-              1.f + history[nb] +
-              presentFactor * static_cast<float>(occupancy[nb]);
-          const float cost = gn + nodeCost;
-          if (!search.seen(nb) || cost < search.g[nb] - 1e-6f) {
-            search.visit(nb, cost, n);
-            const float h = std::abs(posX[nb] - posX[sink]) +
-                            std::abs(posY[nb] - posY[sink]);
-            open.push({cost + h, nb});
-          }
-        });
+        if (!nodes.isSegment(n)) {
+          // A pin of the tree: every neighbour is a segment.
+          forEachNeighbor(layout, nodes, n,
+                          [&](std::uint32_t nb, std::size_t /*bit*/) {
+                            relax(nb, n, gn);
+                          });
+          continue;
+        }
+        forEachSegmentNeighbor(
+            spec, nodes, nodes.info(n),
+            [&](std::uint32_t nb, unsigned, unsigned, fpga::PmSwitch) {
+              relax(nb, n, gn);
+            });
+        // Pins are endpoints, never waypoints: the sink is the one pin a
+        // segment may lead to.
+        if (n - runA < spec.tracks || n - runB < spec.tracks) {
+          relax(sink, n, gn);
+        }
       }
       if (!found) {
         raise(ErrorKind::RoutingError,
@@ -161,8 +184,7 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
       for (std::size_t i = 0; i < requests.size(); ++i) {
         bool over = false;
         for (auto n : result[i].nodes) {
-          if (occupancy[n] > 1 &&
-              !isPin(static_cast<NodeKind>(kindOf[n]))) {
+          if (occupancy[n] > 1 && nodes.isSegment(n)) {
             over = true;
             break;
           }
@@ -178,7 +200,7 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
     bool anyOver = false;
     const float historyInc = 1.0f + 0.2f * static_cast<float>(iter);
     for (std::uint32_t n = 0; n < N; ++n) {
-      if (occupancy[n] > 1 && !isPin(static_cast<NodeKind>(kindOf[n]))) {
+      if (occupancy[n] > 1 && nodes.isSegment(n)) {
         history[n] += historyInc;
         anyOver = true;
       }
@@ -190,7 +212,7 @@ std::vector<RoutedNet> routeAll(const fpga::ConfigLayout& layout,
       std::size_t overCount = 0;
       std::string samples;
       for (std::uint32_t n = 0; n < N && overCount < 2000; ++n) {
-        if (occupancy[n] > 1 && !isPin(static_cast<NodeKind>(kindOf[n]))) {
+        if (occupancy[n] > 1 && nodes.isSegment(n)) {
           ++overCount;
           if (overCount <= 8) {
             const auto info = nodes.info(n);

@@ -2,6 +2,12 @@
 // fabric. Each net is a tree from one driver pin to its sink pins; nets
 // negotiate for exclusive use of wire segments through rising history and
 // present-congestion costs.
+//
+// Each sink is found by an A* search that expands wire segments through
+// forEachSegmentNeighbor and computes no configuration bit: pins are
+// endpoints, so a segment leads only to the sink, which it touches iff it
+// is one of the sink's two runs of track segments (fabric.hpp). Routes are
+// node pairs; bitgen derives each edge's bit once (transistorBit).
 #pragma once
 
 #include <cstdint>

@@ -286,6 +286,9 @@ TEST(Analytics, RejectsForeignFiles) {
   TempPath bogus("analytics_bogus.json");
   writeWholeFile(bogus.str, "{\"schema\": \"something.else/9\"}\n");
   EXPECT_THROW(analytics::loadInputs({bogus.str}), common::FadesError);
+  TempPath binary("analytics_binary.json");
+  writeWholeFile(binary.str, std::string("\0\0\n\0", 4));
+  EXPECT_THROW(analytics::loadInputs({binary.str}), common::FadesError);
   TempPath missing("analytics_missing.json");
   EXPECT_THROW(analytics::loadInputs({missing.str}), common::FadesError);
 }

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fpga/device.hpp"
 #include "rtl/builder.hpp"
 #include "sim/simulator.hpp"
+#include "synth/fabric.hpp"
 #include "synth/implement.hpp"
 #include "synth/techmap.hpp"
 
@@ -441,6 +445,98 @@ TEST(Implement, TooManyCellsRejected) {
   }
   Netlist nl = b.finish();
   EXPECT_THROW(implement(nl, DeviceSpec::small()), common::FadesError);
+}
+
+// --------------------------------------------------------------- fabric -----
+// The router relies on these properties of the computed adjacency
+// (fabric.hpp); each test walks every node of two device sizes.
+
+const DeviceSpec kFabricSpecs[] = {DeviceSpec::small(), DeviceSpec::medium()};
+
+TEST(Fabric, AdjacencyIsSymmetricWithOneBitPerEdge) {
+  for (const DeviceSpec& spec : kFabricSpecs) {
+    SCOPED_TRACE(spec.name);
+    const fpga::ConfigLayout layout(spec);
+    const fpga::RoutingNodes nodes(spec);
+    std::size_t edges = 0, asymmetric = 0;
+    for (std::uint32_t a = 0; a < nodes.count(); ++a) {
+      forEachNeighbor(layout, nodes, a, [&](std::uint32_t b, std::size_t bit) {
+        ++edges;
+        if (transistorBit(layout, nodes, b, a) != bit) ++asymmetric;
+      });
+    }
+    EXPECT_GT(edges, nodes.count());
+    EXPECT_EQ(asymmetric, 0u);
+  }
+}
+
+TEST(Fabric, PinNeighboursAreTwoRunsOfTrackSegments) {
+  for (const DeviceSpec& spec : kFabricSpecs) {
+    SCOPED_TRACE(spec.name);
+    const fpga::ConfigLayout layout(spec);
+    const fpga::RoutingNodes nodes(spec);
+    std::size_t pins = 0, bad = 0;
+    for (std::uint32_t pin = 0; pin < nodes.count(); ++pin) {
+      if (nodes.isSegment(pin)) continue;
+      ++pins;
+      std::vector<std::uint32_t> nbs;
+      forEachNeighbor(layout, nodes, pin, [&](std::uint32_t nb, std::size_t) {
+        nbs.push_back(nb);
+      });
+      std::sort(nbs.begin(), nbs.end());
+      bool ok = nbs.size() == 2 * spec.tracks && nodes.isSegment(nbs.back());
+      for (unsigned t = 0; ok && t < spec.tracks; ++t) {
+        ok = nbs[t] == nbs.front() + t &&
+             nbs[spec.tracks + t] == nbs[spec.tracks] + t;
+      }
+      if (!ok) ++bad;
+    }
+    EXPECT_GT(pins, 0u);
+    EXPECT_EQ(bad, 0u);
+  }
+}
+
+TEST(Fabric, IsSegmentAgreesWithNodeKind) {
+  for (const DeviceSpec& spec : kFabricSpecs) {
+    SCOPED_TRACE(spec.name);
+    const fpga::RoutingNodes nodes(spec);
+    std::size_t segments = 0, disagree = 0;
+    for (std::uint32_t n = 0; n < nodes.count(); ++n) {
+      const auto kind = nodes.info(n).kind;
+      const bool segment = kind == NodeKind::HSeg || kind == NodeKind::VSeg;
+      segments += segment;
+      if (nodes.isSegment(n) != segment) ++disagree;
+    }
+    EXPECT_GT(segments, 0u);
+    EXPECT_LT(segments, nodes.count());
+    EXPECT_EQ(disagree, 0u);
+  }
+}
+
+TEST(Fabric, SegmentNeighboursAreForEachNeighboursSegmentsInOrder) {
+  for (const DeviceSpec& spec : kFabricSpecs) {
+    SCOPED_TRACE(spec.name);
+    const fpga::ConfigLayout layout(spec);
+    const fpga::RoutingNodes nodes(spec);
+    std::size_t differ = 0;
+    for (std::uint32_t n = 0; n < nodes.count(); ++n) {
+      const NodeInfo info = nodes.info(n);
+      std::vector<std::pair<std::uint32_t, std::size_t>> all, split;
+      forEachNeighbor(layout, nodes, n, [&](std::uint32_t nb, std::size_t bit) {
+        if (nodes.isSegment(nb)) all.emplace_back(nb, bit);
+      });
+      forEachSegmentNeighbor(
+          spec, nodes, info,
+          [&](std::uint32_t nb, unsigned px, unsigned py, PmSwitch sw) {
+            const PmCoord pm{static_cast<std::uint16_t>(px),
+                             static_cast<std::uint16_t>(py)};
+            split.emplace_back(nb, layout.pmSwitchBit(pm, info.track, sw));
+          });
+      // A pin has no segment neighbour through a PM.
+      if (nodes.isSegment(n) ? all != split : !split.empty()) ++differ;
+    }
+    EXPECT_EQ(differ, 0u);
+  }
 }
 
 }  // namespace
