@@ -12,30 +12,44 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "service/jobspec.hpp"
 
 namespace fades::bench {
 
 namespace {
 
-unsigned envCount(const char* name, unsigned defaultCount) {
-  if (const char* v = std::getenv(name)) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
-  return defaultCount;
-}
-
 BenchRun* gActiveRun = nullptr;
 
-/// --jobs from the command line; -1 = not given (fall back to FADES_JOBS,
-/// then serial). A given 0 is legitimate: the parallel runner maps it to
-/// one worker per hardware thread.
-int gJobsArg = -1;
+/// --jobs, else FADES_JOBS, else 1 (0 is "auto": one worker per hardware
+/// thread); FADES_FAULTS, else 0 (each bench's default).
+unsigned gJobs = 1;
+unsigned gFaults = 0;
 
 }  // namespace
 
 BenchRun::BenchRun(std::string name, int argc, char** argv)
     : name_(std::move(name)) {
+  // A positive count by service::parseCount's rules, or "auto" where
+  // `autoOk`; anything else exits 2 with a usage line.
+  const auto count = [&](const char* text, const char* what, bool autoOk) {
+    unsigned n = 0;
+    if ((autoOk && std::string(text) == "auto") ||
+        service::parseCount(text, n)) {
+      return n;
+    }
+    std::fprintf(stderr,
+                 "error: %s expects a positive integer%s, got '%s'\n"
+                 "usage: bench_%s [--json [PATH]] [--jobs N|auto]"
+                 " (env FADES_JOBS=N|auto, FADES_FAULTS=N)\n",
+                 what, autoOk ? " or 'auto'" : "", text, name_.c_str());
+    std::exit(2);
+  };
+  if (const char* v = std::getenv("FADES_JOBS")) {
+    gJobs = count(v, "FADES_JOBS", true);
+  }
+  if (const char* v = std::getenv("FADES_FAULTS")) {
+    gFaults = count(v, "FADES_FAULTS", false);
+  }
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json") {
       if (i + 1 < argc && argv[i + 1][0] != '-') {
@@ -43,8 +57,8 @@ BenchRun::BenchRun(std::string name, int argc, char** argv)
       } else {
         jsonPath_ = "BENCH_" + name_ + ".json";
       }
-    } else if (std::string(argv[i]) == "--jobs" && i + 1 < argc) {
-      gJobsArg = static_cast<int>(std::strtol(argv[i + 1], nullptr, 10));
+    } else if (std::string(argv[i]) == "--jobs") {
+      gJobs = count(i + 1 < argc ? argv[i + 1] : "", "--jobs", true);
     }
   }
   gActiveRun = this;
@@ -120,22 +134,14 @@ void recordScalar(const std::string& name, double value) {
 }
 
 unsigned classifyCount(unsigned defaultCount) {
-  return envCount("FADES_FAULTS", defaultCount);
+  return gFaults != 0 ? gFaults : defaultCount;
 }
 
 unsigned timingCount(unsigned defaultCount) {
-  const unsigned n = envCount("FADES_FAULTS", defaultCount);
-  return n < defaultCount ? n : defaultCount;
+  return std::min(classifyCount(defaultCount), defaultCount);
 }
 
-unsigned jobs() {
-  if (gJobsArg >= 0) return static_cast<unsigned>(gJobsArg);
-  if (const char* v = std::getenv("FADES_JOBS")) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n >= 0) return static_cast<unsigned>(n);
-  }
-  return 1;
-}
+unsigned jobs() { return gJobs; }
 
 campaign::CampaignResult runCampaign(core::FadesTool& tool,
                                      const campaign::CampaignSpec& spec) {

@@ -73,9 +73,9 @@ unsigned classifyCount(unsigned defaultCount = 400);
 /// Experiment count for emulation-time campaigns (they converge fast).
 unsigned timingCount(unsigned defaultCount = 80);
 
-/// FADES campaign worker count: `--jobs N` on the bench command line
+/// FADES campaign worker count: `--jobs N|auto` on the bench command line
 /// (captured by BenchRun), env FADES_JOBS as fallback, default 1 (serial).
-/// 0 means one worker per hardware thread.
+/// 0 (`auto`) means one worker per hardware thread.
 unsigned jobs();
 
 /// Run `spec` with `tool`'s configuration, sharded across jobs() workers,

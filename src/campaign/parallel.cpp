@@ -117,9 +117,8 @@ void ProgressTracker::emitLocked() {
 ExperimentOutcome runExperimentWithRetry(CampaignEngine& engine,
                                          const CampaignSpec& spec,
                                          std::span<const std::uint32_t> pool,
-                                         unsigned index, unsigned attempts,
+                                         unsigned index,
                                          obs::Counter& quarantineCounter) {
-  const unsigned budget = std::max(1u, attempts);
   for (unsigned rerun = 0;; ++rerun) {
     try {
       ExperimentOutcome outcome =
@@ -130,7 +129,7 @@ ExperimentOutcome runExperimentWithRetry(CampaignEngine& engine,
     } catch (const common::FadesError& err) {
       if (!common::isTransientError(err.kind())) throw;
       engine.recover();
-      if (rerun + 1 >= budget) {
+      if (rerun + 1 >= kExperimentAttempts) {
         ExperimentOutcome outcome;
         outcome.index = index;
         outcome.quarantined = true;
@@ -146,7 +145,7 @@ ExperimentOutcome runExperimentWithRetry(CampaignEngine& engine,
 
 bool runLease(CampaignEngine& engine, const CampaignSpec& spec,
               std::span<const std::uint32_t> pool,
-              std::span<const unsigned> indices, unsigned attempts,
+              std::span<const unsigned> indices,
               obs::Counter& quarantineCounter, const OutcomeSink& done) {
   const std::size_t width = std::max(1u, engine.waveWidth());
   for (std::size_t base = 0; base < indices.size(); base += width) {
@@ -173,7 +172,7 @@ bool runLease(CampaignEngine& engine, const CampaignSpec& spec,
     }
     for (std::size_t i = 0; i < wave.size(); ++i) {
       if (!done(outs.empty() ? runExperimentWithRetry(engine, spec, pool,
-                                                      wave[i], attempts,
+                                                      wave[i],
                                                       quarantineCounter)
                              : std::move(outs[i]))) {
         return false;
@@ -186,10 +185,9 @@ bool runLease(CampaignEngine& engine, const CampaignSpec& spec,
 ExperimentOutcome materializeMember(
     CampaignEngine& engine, const CampaignSpec& spec,
     std::span<const std::uint32_t> pool, unsigned index,
-    const ExperimentOutcome& representative, unsigned attempts,
-    obs::Counter& quarantineCounter) {
+    const ExperimentOutcome& representative, obs::Counter& quarantineCounter) {
   if (representative.quarantined) {
-    return runExperimentWithRetry(engine, spec, pool, index, attempts,
+    return runExperimentWithRetry(engine, spec, pool, index,
                                   quarantineCounter);
   }
   ExperimentOutcome outcome =
@@ -326,7 +324,6 @@ CampaignResult runCampaign(const CampaignSpec& spec,
   for (unsigned e = 0; e < spec.experiments; ++e) {
     if (!alreadyDone[e]) todo.push_back(e);
   }
-  const unsigned attempts = std::max(1u, options.experimentAttempts);
   const std::size_t leaseWidth = std::max(1u, first.waveWidth());
   obs::Counter& cQuarantined =
       obs::Registry::global().counter("campaign.quarantined");
@@ -349,8 +346,7 @@ CampaignResult runCampaign(const CampaignSpec& spec,
         if (base >= todo.size()) break;
         const std::span<const unsigned> lease(
             todo.data() + base, std::min(leaseWidth, todo.size() - base));
-        runLease(*replicas[w], spec, pool, lease, attempts, cQuarantined,
-                 record);
+        runLease(*replicas[w], spec, pool, lease, cQuarantined, record);
       }
     } catch (...) {
       abort.store(true, std::memory_order_relaxed);
@@ -378,8 +374,7 @@ CampaignResult runCampaign(const CampaignSpec& spec,
         if (fromJournal[m]) continue;  // resumed from a previous run
         record(materializeMember(first, spec, pool,
                                  static_cast<unsigned>(m),
-                                 outcomes[cls.representative], attempts,
-                                 cQuarantined));
+                                 outcomes[cls.representative], cQuarantined));
       }
     }
   }

@@ -109,15 +109,18 @@ class CampaignEngine {
 /// (replicas share only immutable inputs such as the implementation).
 using EngineFactory = std::function<std::unique_ptr<CampaignEngine>()>;
 
+/// Runs an experiment gets before a persistent transient error quarantines it.
+inline constexpr unsigned kExperimentAttempts = 3;
+
 /// The canonical experiment-level fault-tolerance discipline: run experiment
 /// `index`, rerunning on transient errors (LinkError / InjectionError) with
 /// engine.recover() between attempts and a fresh `rerun` stream each time;
-/// exhausting `attempts` yields a quarantined outcome instead of throwing.
-/// Fatal error kinds (and non-FadesError exceptions) propagate.
+/// exhausting kExperimentAttempts yields a quarantined outcome instead of
+/// throwing. Fatal error kinds (and non-FadesError exceptions) propagate.
 ExperimentOutcome runExperimentWithRetry(CampaignEngine& engine,
                                          const CampaignSpec& spec,
                                          std::span<const std::uint32_t> pool,
-                                         unsigned index, unsigned attempts,
+                                         unsigned index,
                                          obs::Counter& quarantineCounter);
 
 /// Receives each finished outcome of a lease, with `index` and `attempts`
@@ -133,7 +136,7 @@ using OutcomeSink = std::function<bool(ExperimentOutcome)>;
 /// propagates. Returns false when `done` ended the lease.
 bool runLease(CampaignEngine& engine, const CampaignSpec& spec,
               std::span<const std::uint32_t> pool,
-              std::span<const unsigned> indices, unsigned attempts,
+              std::span<const unsigned> indices,
               obs::Counter& quarantineCounter, const OutcomeSink& done);
 
 /// Collapsed fades.prune/1 member `index`, synthesized from its class
@@ -142,8 +145,7 @@ bool runLease(CampaignEngine& engine, const CampaignSpec& spec,
 ExperimentOutcome materializeMember(
     CampaignEngine& engine, const CampaignSpec& spec,
     std::span<const std::uint32_t> pool, unsigned index,
-    const ExperimentOutcome& representative, unsigned attempts,
-    obs::Counter& quarantineCounter);
+    const ExperimentOutcome& representative, obs::Counter& quarantineCounter);
 
 /// Campaign-level progress heartbeat: one `campaign.progress_pct` gauge and
 /// one structured log line per interval for the whole campaign, regardless
@@ -194,10 +196,6 @@ struct ParallelOptions {
   /// Campaign heartbeat every N experiments (campaign-wide, not per shard);
   /// 0 disables it.
   unsigned progressInterval = 0;
-  /// Runs an experiment gets before a persistent transient error (LinkError,
-  /// InjectionError) quarantines it instead of aborting the campaign.
-  /// Fatal errors (and non-FadesError exceptions) always abort.
-  unsigned experimentAttempts = 3;
   /// Optional crash-safe checkpoint journal. When set, run() opens it for
   /// the campaign spec, appends every completed outcome, and - with resume
   /// also set - folds in previously journaled outcomes instead of
@@ -219,10 +217,10 @@ struct ParallelOptions {
 /// The one campaign executor. Runs `spec` on `replicas` (not owned), one
 /// worker per replica - the calling thread itself when there is one - each
 /// leasing waveWidth()-wide slices of the pending indices through runLease.
-/// Applies options' journal/resume, prune plan, heartbeat and attempt
-/// budget, and folds every outcome in experiment-index order; options.jobs
-/// is ignored. Replicas must come from one implementation and may be reused
-/// by later campaigns.
+/// Applies options' journal/resume, prune plan and heartbeat, and folds
+/// every outcome in experiment-index order; options.jobs is ignored.
+/// Replicas must come from one implementation and may be reused by later
+/// campaigns.
 CampaignResult runCampaign(const CampaignSpec& spec,
                            const std::vector<CampaignEngine*>& replicas,
                            const ParallelOptions& options = {});

@@ -96,6 +96,13 @@ Outcome classify(const Observation& golden, const Observation& faulty) {
   return Outcome::Silent;
 }
 
+unsigned observedBit(const std::string& port, std::size_t k, std::size_t j) {
+  common::require(k < 4 && j < 16, common::ErrorKind::InvalidArgument,
+                  "observed output port '" + port +
+                      "' does not fit the output word (4 ports of 16 bits)");
+  return static_cast<unsigned>(16 * k + j);
+}
+
 ExperimentDraw drawExperiment(const CampaignSpec& spec,
                               std::span<const std::uint32_t> pool,
                               std::uint64_t runCycles, std::uint64_t index,

@@ -76,6 +76,10 @@ struct Observation {
 /// Compare a faulty run against the golden run.
 Outcome classify(const Observation& golden, const Observation& faulty);
 
+/// Position 16k + j of bit j of the k-th observed port in Observation::outputs;
+/// a fifth port or a bit past the 16th is InvalidArgument naming the port.
+unsigned observedBit(const std::string& port, std::size_t k, std::size_t j);
+
 struct CampaignSpec {
   FaultModel model = FaultModel::BitFlip;
   TargetClass targets = TargetClass::SequentialFF;

@@ -51,15 +51,10 @@ void AutonomousTool::verifyInstrumentation() {
   // ports is exactly the all-zeros condition.
   sim::Simulator isim(model_.netlist);
   isim.reset();
+  const auto bits = vfit::observedLayout(model_.netlist, opt_.observedOutputs);
   const auto& golden = vfit_.golden().outputs;
   for (std::uint64_t c = 0; c < runCycles_; ++c) {
-    std::uint64_t w = 0;
-    unsigned shift = 0;
-    for (const auto& port : opt_.observedOutputs) {
-      w |= isim.portValue(port) << shift;
-      shift += 16;
-    }
-    require(w == golden[c], ErrorKind::ConfigError,
+    require(vfit::outputWord(isim, bits) == golden[c], ErrorKind::ConfigError,
             "instrumented model diverged from the source model with all "
             "autonomous controls at 0 (cycle " +
                 std::to_string(c) + ")");

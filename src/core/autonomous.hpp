@@ -42,8 +42,8 @@ namespace fades::core {
 /// As in VFIT, an indetermination fault holds one randomized value for its
 /// whole duration.
 struct AutonomousOptions {
-  /// Output ports whose traces define Failure (forwarded to the semantic
-  /// engine and used by the instrumentation transparency check).
+  /// Output ports whose traces define Failure (vfit::observedLayout; also
+  /// used by the instrumentation transparency check).
   std::vector<std::string> observedOutputs = {"p0", "p1"};
   /// Keep per-experiment records in the campaign result.
   bool keepRecords = false;

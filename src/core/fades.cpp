@@ -73,16 +73,14 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
         usedCaptureCols_.size() * dev_.spec().frameBytes +
         std::uint64_t{usedBramBlocks_.size()} *
             dev_.layout().bramFramesPerBlock() * dev_.spec().frameBytes;
-    // Port k of observedOutputs occupies bits 16k.. of outputWord().
     for (std::size_t k = 0; k < opt_.observedOutputs.size(); ++k) {
       const std::string& port = opt_.observedOutputs[k];
       bool any = false;
       for (const auto& p : impl_.pads) {
         if (p.port != port || p.isInput) continue;
         any = true;
-        if (16 * k + p.bitIndex < 64) {
-          observedPads_.emplace_back(p.pad, 16 * k + p.bitIndex);
-        }
+        observedPads_.emplace_back(p.pad,
+                                   campaign::observedBit(port, k, p.bitIndex));
       }
       require(any, ErrorKind::InvalidArgument,
               "no output port '" + port + "'");

@@ -67,6 +67,7 @@ struct FadesOptions {
   /// Re-randomize indetermination values every cycle of the fault duration
   /// (Section 6.2's oscillating variant; much more reconfiguration traffic).
   bool oscillatingIndetermination = false;
+  /// Output ports whose traces define Failure (campaign::observedBit).
   std::vector<std::string> observedOutputs{"p0", "p1"};
   bool keepRecords = false;
   /// Deterministic unreliable-link emulation: every metered transfer after

@@ -269,17 +269,15 @@ void WorkerDaemon::runLease(const Socket& sock, const Json& lease) {
     return true;
   };
 
-  // campaign_8051's attempt budget: it decides what is quarantined.
-  const unsigned attempts = campaign::ParallelOptions{}.experimentAttempts;
   obs::Counter& quarantined =
       obs::Registry::global().counter("campaign.quarantined");
   try {
-    campaign::runLease(*sys->engine, job.spec, sys->pool, execute, attempts,
-                       quarantined, deliver);
+    campaign::runLease(*sys->engine, job.spec, sys->pool, execute, quarantined,
+                       deliver);
     for (const unsigned m : members) {
       deliver(campaign::materializeMember(
           *sys->engine, job.spec, sys->pool, m,
-          sys->repOutcomes.at(representativeOf(m)), attempts, quarantined));
+          sys->repOutcomes.at(representativeOf(m)), quarantined));
     }
   } catch (const FadesError& e) {
     // runLease absorbs transient engine errors; what reaches here is fatal

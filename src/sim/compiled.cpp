@@ -135,7 +135,7 @@ std::uint64_t CompiledSimulator::ramWordLane(RamId id, std::size_t row,
   const auto& ram = nl_.ram(id);
   std::uint64_t v = 0;
   for (unsigned b = 0; b < ram.dataBits; ++b) {
-    v |= ((ramBits_[id.value][row * ram.dataBits + b] >> lane) & 1ULL) << b;
+    v |= ((ramBitWord(id, row, b) >> lane) & 1ULL) << b;
   }
   return v;
 }

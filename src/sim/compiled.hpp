@@ -11,8 +11,9 @@
 // state and RAM cells.
 //
 // The lane API below is the whole interface: every VFIT and autonomous
-// campaign runs through it, 63 experiments packed into one pass. The
-// event-driven sim::Simulator is the scalar reference; the
+// campaign runs through it, 63 experiments packed into one pass; a wave ORs
+// each lane word XOR the golden bit into its `failed`/`latent` lane masks.
+// The event-driven sim::Simulator is the scalar reference; the
 // CompiledEquivalence suite drives both through the same fault commands
 // (all lanes at once here) and proves them identical per cycle and per net.
 #pragma once
@@ -80,10 +81,14 @@ class CompiledSimulator {
   void releaseLanes(NetId id, Word laneMask);
 
   // --- lane observation ---------------------------------------------------
+  static Word broadcast(bool value) { return value ? ~Word{0} : Word{0}; }
   Word netWord(NetId id) const { return values_[id.value]; }
   Word flopWord(FlopId id) const { return flopW_[id.value]; }
   bool flopStateLane(FlopId id, unsigned lane) const {
     return (flopW_[id.value] >> lane) & 1;
+  }
+  Word ramBitWord(RamId id, std::size_t row, unsigned bit) const {
+    return ramBits_[id.value][row * nl_.ram(id).dataBits + bit];
   }
   std::uint64_t ramWordLane(RamId id, std::size_t row, unsigned lane) const;
   std::uint64_t portValueLane(const std::string& outputPortName,
@@ -111,7 +116,6 @@ class CompiledSimulator {
   /// mask change; drops the perturbed flag when no mask remains.
   void reblend(std::uint32_t net);
   void applyRamOutput(std::uint32_t ramIndex);
-  Word broadcast(bool value) const { return value ? ~Word{0} : Word{0}; }
 
   const Netlist& nl_;
   std::vector<Step> steps_;

@@ -19,27 +19,42 @@ constexpr const char* kNoDelay =
 
 }  // namespace
 
+ObservedBits observedLayout(const Netlist& netlist,
+                            const std::vector<std::string>& ports) {
+  ObservedBits bits;
+  for (std::size_t k = 0; k < ports.size(); ++k) {
+    const auto* port = netlist.findOutput(ports[k]);
+    require(port != nullptr, ErrorKind::InvalidArgument,
+            "no output port '" + ports[k] + "'");
+    for (std::size_t j = 0; j < port->nets.size(); ++j) {
+      bits.emplace_back(port->nets[j], campaign::observedBit(ports[k], k, j));
+    }
+  }
+  return bits;
+}
+
+std::uint64_t outputWord(const sim::Simulator& sim, const ObservedBits& bits) {
+  std::uint64_t w = 0;
+  for (const auto& [net, pos] : bits) {
+    if (sim.netValue(net)) w |= std::uint64_t{1} << pos;
+  }
+  return w;
+}
+
 VfitTool::VfitTool(const Netlist& netlist, std::uint64_t runCycles,
                    VfitOptions options)
     : nl_(netlist),
       runCycles_(runCycles),
       opt_(std::move(options)),
       sim_(nl_),
-      csim_(nl_) {
-  // Observed output bit layout (outputWord packs 16 bits per port), cached
-  // as (packed position, net) pairs for the bit-parallel wave inner loop.
-  unsigned shift = 0;
-  for (const auto& portName : opt_.observedOutputs) {
-    const auto* port = nl_.findOutput(portName);
-    require(port != nullptr, ErrorKind::InvalidArgument,
-            "no output port '" + portName + "'");
-    for (std::size_t j = 0; j < port->nets.size(); ++j) {
-      obsBits_.emplace_back(shift + static_cast<unsigned>(j),
-                            port->nets[j].value);
-    }
-    shift += 16;
-  }
-
+      csim_(nl_),
+      observed_(observedLayout(nl_, opt_.observedOutputs)),
+      ctrCommands_(obs::Registry::global().counter(opt_.metricsPrefix +
+                                                   ".commands")),
+      ctrExperiments_(obs::Registry::global().counter(opt_.metricsPrefix +
+                                                      ".experiments")),
+      ctrWaves_(
+          obs::Registry::global().counter(opt_.metricsPrefix + ".waves")) {
   // Golden run: trace, final state, event count. On the event-driven
   // engine - it is the cost-model calibration (real event counts) and the
   // reference every wave's golden lane is checked against.
@@ -47,22 +62,12 @@ VfitTool::VfitTool(const Netlist& netlist, std::uint64_t runCycles,
   const auto eventsBefore = sim_.eventsProcessed();
   golden_.outputs.reserve(runCycles_);
   for (std::uint64_t c = 0; c < runCycles_; ++c) {
-    golden_.outputs.push_back(outputWord());
+    golden_.outputs.push_back(outputWord(sim_, observed_));
     sim_.step();
   }
   captureFinalState(golden_);
   goldenEvents_ = sim_.eventsProcessed() - eventsBefore;
   goldenSeconds_ = static_cast<double>(goldenEvents_) * kSecondsPerEvent;
-}
-
-std::uint64_t VfitTool::outputWord() const {
-  std::uint64_t w = 0;
-  unsigned shift = 0;
-  for (const auto& port : opt_.observedOutputs) {
-    w |= sim_.portValue(port) << shift;
-    shift += 16;
-  }
-  return w;
 }
 
 void VfitTool::captureFinalState(Observation& obs) const {
@@ -135,7 +140,7 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
                         golden_.outputs.begin() +
                             static_cast<std::ptrdiff_t>(injectCycle));
   auto stepObserved = [&] {
-    faulty.outputs.push_back(outputWord());
+    faulty.outputs.push_back(outputWord(sim_, observed_));
     sim_.step();
   };
 
@@ -210,9 +215,8 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
   while (sim_.cycle() < runCycles_) stepObserved();
   captureFinalState(faulty);
 
-  auto& registry = obs::Registry::global();
-  registry.counter(opt_.metricsPrefix + ".commands").add(commands);
-  registry.counter(opt_.metricsPrefix + ".experiments").inc();
+  ctrCommands_.add(commands);
+  ctrExperiments_.inc();
 
   if (modeledSeconds != nullptr) {
     *modeledSeconds = kSecondsFixedPerExperiment + goldenSeconds_ +
@@ -376,7 +380,7 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
   require(indices.size() <= kWaveExperiments, ErrorKind::InvalidArgument,
           "wave exceeds the lane budget");
   require(supports(spec.model), ErrorKind::InvalidArgument, kNoDelay);
-  obs::Registry::global().counter(opt_.metricsPrefix + ".waves").inc();
+  ctrWaves_.inc();
 
   using Word = sim::CompiledSimulator::Word;
   const unsigned n = static_cast<unsigned>(indices.size());
@@ -390,12 +394,13 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
 
   csim_.reset();
 
-  // Per-lane output traces; experiment i lives in lane i+1 (lane 0 stays
-  // golden and is checked against the event-driven golden run every cycle).
-  std::vector<std::vector<std::uint64_t>> outputs(n);
-  for (auto& t : outputs) t.reserve(runCycles_);
-  std::vector<std::uint64_t> cw(n + 1, 0);
-
+  // Lane L's outcome is bit L of two masks: `failed` ORs, every cycle, each
+  // observed net's lane word XOR its golden bit broadcast to all lanes, and
+  // `latent` does the same for every flop and stored RAM bit after the last
+  // edge. observedBit gives each packed output bit one net, so the masks
+  // equal campaign::classify's packed-word comparison bit for bit.
+  // Experiment i lives in lane i+1; lane 0 is never perturbed.
+  Word failed = 0;
   for (std::uint64_t c = 0; c < runCycles_; ++c) {
     bool acted = false;
     for (unsigned i = 0; i < n; ++i) {
@@ -451,57 +456,43 @@ std::vector<campaign::ExperimentOutcome> VfitTool::runWaveAt(
     }
     if (acted) csim_.settle();
 
-    // Observe all lanes in one sweep over the cached output bits.
-    std::fill(cw.begin(), cw.end(), 0);
-    for (const auto& [pos, net] : obsBits_) {
-      const Word word = csim_.netWord(NetId{net});
-      if (word == 0) continue;
-      const std::uint64_t bit = std::uint64_t{1} << pos;
-      for (unsigned l = 0; l <= n; ++l) {
-        if ((word >> l) & 1) cw[l] |= bit;
-      }
+    const std::uint64_t golden = golden_.outputs[c];
+    for (const auto& [net, pos] : observed_) {
+      failed |= csim_.netWord(net) ^ csim_.broadcast((golden >> pos) & 1);
     }
-    require(cw[0] == golden_.outputs[c], ErrorKind::ConfigError,
-            "compiled golden lane diverged from the event-driven golden run");
-    for (unsigned i = 0; i < n; ++i) outputs[i].push_back(cw[i + 1]);
-
     csim_.step();
   }
+  require((failed & 1) == 0, ErrorKind::ConfigError,
+          "compiled golden lane diverged from the event-driven golden run");
 
-  // Final-state signatures and classification, per lane.
-  auto& registry = obs::Registry::global();
-  std::vector<campaign::ExperimentOutcome> out;
-  out.reserve(n);
-  Observation faulty;
-  for (unsigned i = 0; i <= n; ++i) {
-    const unsigned lane = i;  // experiment i-1 lives in lane i; lane 0 golden
-    faulty.finalFlops.clear();
-    faulty.finalFlops.reserve(nl_.flopCount());
-    for (std::uint32_t f = 0; f < nl_.flopCount(); ++f) {
-      faulty.finalFlops.push_back(csim_.flopStateLane(FlopId{f}, lane) ? 1 : 0);
-    }
-    faulty.finalMemory.clear();
-    for (std::uint32_t r = 0; r < nl_.ramCount(); ++r) {
-      const auto& ram = nl_.ram(RamId{r});
-      for (std::size_t row = 0; row < ram.depth(); ++row) {
-        faulty.finalMemory.push_back(csim_.ramWordLane(RamId{r}, row, lane));
+  Word latent = 0;
+  for (std::uint32_t f = 0; f < nl_.flopCount(); ++f) {
+    latent |=
+        csim_.flopWord(FlopId{f}) ^ csim_.broadcast(golden_.finalFlops[f]);
+  }
+  std::size_t word = 0;  // golden_.finalMemory: every RAM's rows in order
+  for (std::uint32_t r = 0; r < nl_.ramCount(); ++r) {
+    const auto& ram = nl_.ram(RamId{r});
+    for (std::size_t row = 0; row < ram.depth(); ++row, ++word) {
+      for (unsigned b = 0; b < ram.dataBits; ++b) {
+        latent |= csim_.ramBitWord(RamId{r}, row, b) ^
+                  csim_.broadcast((golden_.finalMemory[word] >> b) & 1);
       }
     }
-    if (i == 0) {
-      // Golden-lane self check: the compiled machine nobody perturbed must
-      // finish in exactly the event-driven golden state.
-      require(faulty.finalFlops == golden_.finalFlops &&
-                  faulty.finalMemory == golden_.finalMemory,
-              ErrorKind::ConfigError,
-              "compiled golden lane final state diverged from the "
-              "event-driven golden run");
-      continue;
-    }
-    faulty.outputs = std::move(outputs[i - 1]);
-    const Outcome o = campaign::classify(golden_, faulty);
-    registry.counter(opt_.metricsPrefix + ".commands").add(plans[i - 1].commands);
-    registry.counter(opt_.metricsPrefix + ".experiments").inc();
-    out.push_back(makeOutcome(spec, indices[i - 1], plans[i - 1], o));
+  }
+  require((latent & 1) == 0, ErrorKind::ConfigError,
+          "compiled golden lane final state diverged from the "
+          "event-driven golden run");
+
+  std::vector<campaign::ExperimentOutcome> out;
+  out.reserve(n);
+  for (unsigned i = 0; i < n; ++i) {
+    const Outcome o = (failed >> (i + 1)) & 1   ? Outcome::Failure
+                      : (latent >> (i + 1)) & 1 ? Outcome::Latent
+                                                : Outcome::Silent;
+    ctrCommands_.add(plans[i].commands);
+    ctrExperiments_.inc();
+    out.push_back(makeOutcome(spec, indices[i], plans[i], o));
   }
   return out;
 }

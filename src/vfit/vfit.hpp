@@ -9,9 +9,10 @@
 // run on the event-driven simulator.
 //
 // Campaigns run bit-parallel: 63 experiments per pass of the compiled
-// simulator, with lane 0 checked against the event-driven golden run.
-// runExperiment() keeps the scalar simulator-command path as the reference
-// the equivalence suites compare every wave against.
+// simulator, classified by two lane masks (`failed`: an observed net left
+// the golden run; `latent`: a flop or RAM bit ends off it), lane 0 checked
+// against the event-driven golden run. runExperiment() keeps the scalar
+// simulator-command path as the reference the waves are compared against.
 //
 // Like the original tool, delay faults are NOT supported: the model would
 // need explicit generic delay clauses, which it does not have (the paper
@@ -28,6 +29,7 @@
 #include "campaign/types.hpp"
 #include "common/rng.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/metrics.hpp"
 #include "sim/compiled.hpp"
 #include "sim/simulator.hpp"
 
@@ -44,16 +46,25 @@ using netlist::Netlist;
 using netlist::RamId;
 using netlist::Unit;
 
+/// The observed output bits of `ports` in `netlist` as (net, position in
+/// every packed output word) pairs, in campaign::observedBit's layout.
+/// InvalidArgument names a port the netlist lacks or the word cannot hold.
+using ObservedBits = std::vector<std::pair<NetId, unsigned>>;
+ObservedBits observedLayout(const Netlist& netlist,
+                            const std::vector<std::string>& ports);
+/// The packed output word `sim` shows now.
+std::uint64_t outputWord(const sim::Simulator& sim, const ObservedBits& bits);
+
 /// An indetermination fault holds one randomized value for its whole
 /// duration. Re-randomizing it every cycle is a FADES-only option
 /// (core::FadesOptions), where it measures reconfiguration cost.
 struct VfitOptions {
-  /// Output ports whose traces define Failure.
+  /// Output ports whose traces define Failure (observedLayout's limits).
   std::vector<std::string> observedOutputs = {"p0", "p1"};
   /// Keep per-experiment records in the campaign result.
   bool keepRecords = false;
   /// Prefix for the obs counters this tool bumps ("<prefix>.commands",
-  /// "<prefix>.experiments") and its campaign span. The autonomous backend
+  /// "<prefix>.experiments", "<prefix>.waves"). The autonomous backend
   /// reuses VfitTool as its semantic engine under its own prefix, so the two
   /// injectors stay separable in the metrics snapshot.
   std::string metricsPrefix = "vfit";
@@ -161,7 +172,6 @@ class VfitTool : public campaign::CampaignEngine {
   campaign::ExperimentOutcome makeOutcome(const CampaignSpec& spec,
                                           unsigned index, const LanePlan& plan,
                                           Outcome outcome) const;
-  std::uint64_t outputWord() const;
   void captureFinalState(Observation& obs) const;
 
   const Netlist& nl_;
@@ -171,9 +181,10 @@ class VfitTool : public campaign::CampaignEngine {
   sim::Simulator sim_;
   /// Campaign waves.
   sim::CompiledSimulator csim_;
-  /// Observed output nets with their packed bit positions (outputWord
-  /// layout: 16 bits per observed port), cached for the wave inner loop.
-  std::vector<std::pair<unsigned, std::uint32_t>> obsBits_;
+  ObservedBits observed_;
+  obs::Counter& ctrCommands_;
+  obs::Counter& ctrExperiments_;
+  obs::Counter& ctrWaves_;
 
   Observation golden_;
   std::uint64_t goldenEvents_ = 0;

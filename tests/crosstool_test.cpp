@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "core/autonomous.hpp"
 #include "core/fades.hpp"
 #include "fpga/device.hpp"
 #include "rtl/builder.hpp"
@@ -167,6 +168,109 @@ TEST(CrossTool, GoldenTracesAgree) {
     vfit::VfitTool vfitTool(nl, 48, vOpt);
     ASSERT_EQ(fades.golden().outputs, vfitTool.golden().outputs)
         << "seed " << seed;
+  }
+}
+
+// ------------------------------------------------ observed-bit layout -----
+//
+// Every injector packs bit j of observed port k at bit 16k + j of one 64-bit
+// output word (campaign::observedBit). A fifth port or a 17th bit would
+// shift past the word or alias the next port, so every tool refuses them.
+
+/// A free-running counter of `width` bits, published whole on every port
+/// in `ports`.
+Netlist counterOnPorts(const std::vector<std::string>& ports, unsigned width) {
+  Builder b;
+  b.setUnit(Unit::Registers);
+  rtl::Register cnt = b.makeRegister("cnt", width, 0);
+  b.connect(cnt, b.increment(cnt.q));
+  for (const auto& port : ports) b.output(port, cnt.q);
+  return b.finish();
+}
+
+/// A counter of five bits, bit k published alone on port "o<k>".
+Netlist fiveOneBitPorts() {
+  Builder b;
+  b.setUnit(Unit::Registers);
+  rtl::Register cnt = b.makeRegister("cnt", 5, 0);
+  b.connect(cnt, b.increment(cnt.q));
+  for (unsigned k = 0; k < 5; ++k) b.output("o" + std::to_string(k), cnt.q[k]);
+  return b.finish();
+}
+
+const std::vector<std::string> kFivePorts = {"o0", "o1", "o2", "o3", "o4"};
+
+/// `construct` must raise InvalidArgument naming `port` as the observed
+/// port that does not fit.
+template <typename F>
+void expectLayoutRejected(F construct, const std::string& port) {
+  try {
+    construct();
+    ADD_FAILURE() << "the tool accepted a layout the output word cannot hold";
+  } catch (const common::FadesError& e) {
+    EXPECT_EQ(e.kind(), common::ErrorKind::InvalidArgument) << e.what();
+    EXPECT_NE(std::string(e.what()).find("observed output port '" + port +
+                                         "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+void expectFadesRejects(const Netlist& nl, std::vector<std::string> ports,
+                        const std::string& culprit) {
+  const auto impl = synth::implement(nl, fpga::DeviceSpec::small());
+  fpga::Device device(impl.spec);
+  core::FadesOptions opt;
+  opt.observedOutputs = std::move(ports);
+  expectLayoutRejected([&] { core::FadesTool(device, impl, 8, opt); },
+                       culprit);
+}
+
+TEST(ObservedLayout, FadesRejectsAPortWiderThan16Bits) {
+  expectFadesRejects(counterOnPorts({"wide"}, 17), {"wide"}, "wide");
+}
+
+TEST(ObservedLayout, FadesRejectsAFifthPort) {
+  expectFadesRejects(fiveOneBitPorts(), kFivePorts, "o4");
+}
+
+TEST(ObservedLayout, VfitRejectsAPortWiderThan16Bits) {
+  const Netlist nl = counterOnPorts({"wide"}, 17);
+  vfit::VfitOptions opt;
+  opt.observedOutputs = {"wide"};
+  expectLayoutRejected([&] { vfit::VfitTool(nl, 8, opt); }, "wide");
+}
+
+TEST(ObservedLayout, VfitRejectsAFifthPort) {
+  const Netlist nl = fiveOneBitPorts();
+  vfit::VfitOptions opt;
+  opt.observedOutputs = kFivePorts;
+  expectLayoutRejected([&] { vfit::VfitTool(nl, 8, opt); }, "o4");
+}
+
+TEST(ObservedLayout, AutonomousRejectsAPortWiderThan16Bits) {
+  const Netlist nl = counterOnPorts({"wide"}, 17);
+  core::AutonomousOptions opt;
+  opt.observedOutputs = {"wide"};
+  expectLayoutRejected([&] { core::AutonomousTool(nl, 8, opt); }, "wide");
+}
+
+TEST(ObservedLayout, AutonomousRejectsAFifthPort) {
+  const Netlist nl = fiveOneBitPorts();
+  core::AutonomousOptions opt;
+  opt.observedOutputs = kFivePorts;
+  expectLayoutRejected([&] { core::AutonomousTool(nl, 8, opt); }, "o4");
+}
+
+TEST(ObservedLayout, FourPortsOf16BitsFillTheWord) {
+  // The limit itself fits: port k of a 16-bit counter lands in bits
+  // 16k..16k+15, so golden word c is c repeated four times.
+  const Netlist nl = counterOnPorts({"a", "b", "c", "d"}, 16);
+  vfit::VfitOptions opt;
+  opt.observedOutputs = {"a", "b", "c", "d"};
+  const vfit::VfitTool tool(nl, 8, opt);
+  for (std::uint64_t c = 0; c < 8; ++c) {
+    EXPECT_EQ(tool.golden().outputs[c], c * 0x0001000100010001ULL) << c;
   }
 }
 

@@ -473,7 +473,7 @@ TEST(RunLease, CutsTheLeaseIntoWavesOfTheEngineWidth) {
   const auto pool = engine.enumeratePool(spec);
   const auto indices = indexRange(20, 10);
   std::vector<ExperimentOutcome> got;
-  EXPECT_TRUE(campaign::runLease(engine, spec, pool, indices, 3,
+  EXPECT_TRUE(campaign::runLease(engine, spec, pool, indices,
                                  testQuarantine(),
                                  [&](ExperimentOutcome o) {
                                    got.push_back(std::move(o));
@@ -495,7 +495,7 @@ TEST(RunLease, TransientWaveErrorRecoversOnceThenRunsEachIndexOnce) {
   const auto pool = engine.enumeratePool(spec);
   const auto indices = indexRange(20, 10);
   std::vector<ExperimentOutcome> got;
-  EXPECT_TRUE(campaign::runLease(engine, spec, pool, indices, 3,
+  EXPECT_TRUE(campaign::runLease(engine, spec, pool, indices,
                                  testQuarantine(),
                                  [&](ExperimentOutcome o) {
                                    got.push_back(std::move(o));
@@ -520,7 +520,7 @@ TEST(RunLease, DoneReturningFalseEndsTheLease) {
   const auto pool = engine.enumeratePool(spec);
   const auto indices = indexRange(0, 10);
   unsigned calls = 0;
-  EXPECT_FALSE(campaign::runLease(engine, spec, pool, indices, 3,
+  EXPECT_FALSE(campaign::runLease(engine, spec, pool, indices,
                                   testQuarantine(),
                                   [&](ExperimentOutcome) {
                                     return ++calls < 5;
@@ -540,7 +540,7 @@ TEST(RunLease, ExceptionFromDonePropagatesWithoutRecoveryOrRerun) {
   const auto indices = indexRange(0, 10);
   unsigned calls = 0;
   try {
-    campaign::runLease(engine, spec, pool, indices, 3, testQuarantine(),
+    campaign::runLease(engine, spec, pool, indices, testQuarantine(),
                        [&](ExperimentOutcome) -> bool {
                          if (++calls == 2) {
                            common::raise(ErrorKind::LinkError,

@@ -496,14 +496,12 @@ TEST(LinkFaults, QuarantineIsDeterministicAcrossJobCounts) {
   opt.linkFaults.timeoutRate = 0.005;
   opt.linkRetry.maxRetries = 0;
   const auto spec = miniSpec(FaultModel::BitFlip, TargetClass::SequentialFF);
-  constexpr unsigned kAttempts = 2;
 
   const std::uint64_t quarantinedBefore = counterValue("campaign.quarantined");
   std::vector<CampaignResult> results;
   for (unsigned jobs : {1u, 8u}) {
     ParallelOptions popt;
     popt.jobs = jobs;
-    popt.experimentAttempts = kAttempts;
     ParallelCampaignRunner runner(miniFactory(opt), popt);
     results.push_back(runner.run(spec));
   }
@@ -516,7 +514,7 @@ TEST(LinkFaults, QuarantineIsDeterministicAcrossJobCounts) {
   EXPECT_GT(counterValue("campaign.quarantined"), quarantinedBefore);
   for (const auto& q : one.quarantined) {
     EXPECT_EQ(q.kind, ErrorKind::LinkError);
-    EXPECT_EQ(q.attempts, kAttempts);
+    EXPECT_EQ(q.attempts, campaign::kExperimentAttempts);
     EXPECT_FALSE(q.error.empty());
   }
   expectSameResult(one, eight, "quarantine jobs=1 vs jobs=8");
@@ -525,9 +523,7 @@ TEST(LinkFaults, QuarantineIsDeterministicAcrossJobCounts) {
   const auto& d = MiniDesign::instance();
   fpga::Device device(d.impl.spec);
   FadesTool tool(device, d.impl, d.cycles, opt);
-  ParallelOptions popt;
-  popt.experimentAttempts = kAttempts;
-  expectSameResult(one, campaign::runCampaign(spec, {&tool}, popt),
+  expectSameResult(one, campaign::runCampaign(spec, {&tool}),
                    "quarantine jobs=1 vs borrowed tool");
 }
 
@@ -598,7 +594,6 @@ TEST(RetryPolicy, PersistentTransientErrorQuarantinesOnlyThatExperiment) {
   spec.experiments = 12;
   ParallelOptions popt;
   popt.jobs = 3;
-  popt.experimentAttempts = 3;
   ParallelCampaignRunner runner(
       [] {
         return std::make_unique<FlakyEngine>(std::vector<unsigned>{},
@@ -610,7 +605,7 @@ TEST(RetryPolicy, PersistentTransientErrorQuarantinesOnlyThatExperiment) {
   ASSERT_EQ(r.quarantined.size(), 1u);
   EXPECT_EQ(r.quarantined[0].index, 5u);
   EXPECT_EQ(r.quarantined[0].kind, ErrorKind::LinkError);
-  EXPECT_EQ(r.quarantined[0].attempts, 3u);
+  EXPECT_EQ(r.quarantined[0].attempts, campaign::kExperimentAttempts);
 }
 
 TEST(RetryPolicy, FatalErrorsStillAbortTheCampaign) {

@@ -86,7 +86,7 @@ std::string referenceArtifact(const service::JobSpec& job) {
   auto& quarantined = obs::Registry::global().counter("test.quarantined");
   for (unsigned i = 0; i < job.spec.experiments; ++i) {
     result.fold(campaign::runExperimentWithRetry(*engine, job.spec, pool, i,
-                                                 3, quarantined));
+                                                 quarantined));
   }
   return service::artifactText(job, result);
 }
@@ -162,7 +162,7 @@ Json honestOutcomes(campaign::CampaignEngine& engine,
   for (std::uint64_t i = first; i < first + count; ++i) {
     outcomes.push(campaign::CampaignJournal::outcomeJson(
         campaign::runExperimentWithRetry(engine, spec, pool,
-                                         static_cast<unsigned>(i), 3,
+                                         static_cast<unsigned>(i),
                                          quarantined)));
   }
   return outcomes;

@@ -25,8 +25,6 @@
 //                     (halves fuzz cost; corpus replay keeps them on)
 //
 // Exit code: 0 = all cases agree, 1 = at least one violation, 2 = usage.
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -41,6 +39,7 @@
 #include "diffcheck/shrink.hpp"
 #include "obs/artifact.hpp"
 #include "obs/metrics.hpp"
+#include "service/jobspec.hpp"
 
 using namespace fades;
 using diffcheck::CaseReport;
@@ -58,21 +57,6 @@ constexpr const char* kUsage =
 [[noreturn]] void usageError(const std::string& message) {
   std::fprintf(stderr, "error: %s\n%s", message.c_str(), kUsage);
   std::exit(2);
-}
-
-unsigned parsePositive(const std::string& text, const char* what) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    usageError(std::string(what) + " expects a positive integer, got '" +
-               text + "'");
-  }
-  errno = 0;
-  const unsigned long value = std::strtoul(text.c_str(), nullptr, 10);
-  if (errno != 0 || value == 0 || value > UINT_MAX) {
-    usageError(std::string(what) + " expects a positive integer, got '" +
-               text + "'");
-  }
-  return static_cast<unsigned>(value);
 }
 
 /// Run `work(i)` for i in [0, n) on up to `jobs` concurrent workers,
@@ -189,17 +173,25 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) usageError(std::string(flag) + " needs a value");
     return std::string(argv[++i]);
   };
+  auto countFlag = [&](int& i, const char* flag) {
+    const std::string text = flagValue(i, flag);
+    unsigned value = 0;
+    if (!service::parseCount(text, value)) {
+      usageError(std::string(flag) + " expects a positive integer, got '" +
+                 text + "'");
+    }
+    return value;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--budget") {
-      budget = parsePositive(flagValue(i, "--budget"), "--budget");
+      budget = countFlag(i, "--budget");
     } else if (a == "--seed") {
-      seed = parsePositive(flagValue(i, "--seed"), "--seed");
+      seed = countFlag(i, "--seed");
     } else if (a == "--jobs") {
-      jobs = parsePositive(flagValue(i, "--jobs"), "--jobs");
+      jobs = countFlag(i, "--jobs");
     } else if (a == "--shrink-budget") {
-      shrinkBudget =
-          parsePositive(flagValue(i, "--shrink-budget"), "--shrink-budget");
+      shrinkBudget = countFlag(i, "--shrink-budget");
     } else if (a == "--replay") {
       replayDir = flagValue(i, "--replay");
     } else if (a == "--emit-corpus") {
