@@ -176,6 +176,6 @@ int main(int argc, char** argv) {
       "higher logic masking on the FPGA side applies here too.\n",
       fades.targets(FaultModel::Pulse, TargetClass::CombinationalLut,
                     Unit::Alu).size(),
-      vfitTool.signalTargets(Unit::Alu).size());
+      vfit::signalTargets(sys.netlist(), Unit::Alu).size());
   return 0;
 }

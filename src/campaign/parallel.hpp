@@ -3,9 +3,9 @@
 // The paper's value proposition is throughput - emulation beats simulation
 // because the FPGA grinds through experiments faster (Figure 10 / Table 2) -
 // and fault-injection campaigns are embarrassingly parallel: every
-// experiment replays the workload from a checkpoint on an otherwise pristine
-// device, so N workers with N device replicas multiply throughput without
-// touching the methodology. This follows the autonomous-emulation line of
+// experiment starts from the golden state of its injection instant on an
+// otherwise pristine device, so N workers with N device replicas multiply
+// throughput without touching the methodology. This follows the autonomous-emulation line of
 // work (Lopez-Ongil et al.), where many independent fault experiments run
 // concurrently against replicas of the same implementation.
 //

@@ -77,16 +77,28 @@ void BitVector::importBytes(std::size_t bitOff, std::size_t n,
 
 std::uint64_t BitVector::getWord(std::size_t bitOff, unsigned n) const {
   assert(n <= 64 && bitOff + n <= bitCount_);
-  std::uint64_t v = 0;
-  for (unsigned k = 0; k < n; ++k) {
-    v |= static_cast<std::uint64_t>(get(bitOff + k)) << k;
-  }
-  return v;
+  if (n == 0) return 0;
+  // At most two storage words: the one holding bitOff and, when the slice
+  // straddles its end, the next.
+  const std::size_t w = bitOff >> 6;
+  const unsigned shift = static_cast<unsigned>(bitOff & 63);
+  std::uint64_t v = words_[w] >> shift;
+  if (shift + n > 64) v |= words_[w + 1] << (64 - shift);
+  return n == 64 ? v : v & ((1ULL << n) - 1);
 }
 
 void BitVector::setWord(std::size_t bitOff, unsigned n, std::uint64_t value) {
   assert(n <= 64 && bitOff + n <= bitCount_);
-  for (unsigned k = 0; k < n; ++k) set(bitOff + k, (value >> k) & 1ULL);
+  if (n == 0) return;
+  const std::uint64_t mask = n == 64 ? ~0ULL : (1ULL << n) - 1;
+  value &= mask;
+  const std::size_t w = bitOff >> 6;
+  const unsigned shift = static_cast<unsigned>(bitOff & 63);
+  words_[w] = (words_[w] & ~(mask << shift)) | (value << shift);
+  if (shift + n > 64) {
+    const unsigned low = 64 - shift;  // bits that landed in words_[w]
+    words_[w + 1] = (words_[w + 1] & ~(mask >> low)) | (value >> low);
+  }
 }
 
 std::vector<std::size_t> BitVector::diff(const BitVector& other) const {

@@ -57,6 +57,7 @@ class BitVector {
                    std::span<const std::uint8_t> bytes);
 
   /// Extract up to 64 bits starting at bitOff as an integer (bit 0 = LSB).
+  /// Both word accessors touch at most two storage words.
   std::uint64_t getWord(std::size_t bitOff, unsigned n) const;
   void setWord(std::size_t bitOff, unsigned n, std::uint64_t value);
 

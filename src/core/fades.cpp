@@ -19,13 +19,6 @@ using common::Rng;
 using fpga::CbCoord;
 using fpga::CbField;
 
-namespace {
-
-/// Golden-run cycles between the checkpoints locate() replays from.
-constexpr std::uint64_t kCheckpointInterval = 128;
-
-}  // namespace
-
 FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
                      std::uint64_t runCycles, FadesOptions options)
     : dev_(device),
@@ -42,7 +35,9 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
       modeledSecondsHist_(obs::Registry::global().histogram(
           "experiment.modeled_seconds",
           {0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0})),
-      ctrSettles_(obs::Registry::global().counter("fpga.settles")) {
+      ctrSettles_(obs::Registry::global().counter("fpga.settles")),
+      ctrAuditFailures_(obs::Registry::global().counter(
+          "fades.config_audit_failures")) {
   obs::Span setupSpan{"setup", {{"device", dev_.spec().name}}};
   settlesFlushed_ = dev_.settles();
   // One-time download of the configuration file (Figure 1).
@@ -87,15 +82,23 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
     }
   }
 
-  // Golden run: trace, checkpoints, final state.
+  // Golden run: output trace, golden trace, final state.
+  mirror_ = dev_.captureState();
+  trace_.memory0 = mirror_.bramContent;
   golden_.outputs.reserve(runCycles_);
+  trace_.writeStart.reserve(runCycles_ + 1);
   for (std::uint64_t c = 0; c < runCycles_; ++c) {
-    if (c % kCheckpointInterval == 0) {
-      checkpoints_.push_back(dev_.captureState());
-    }
     golden_.outputs.push_back(outputWord());
+    dev_.appendPackedState(trace_.rows);
+    if (c == 0) trace_.rowWords = trace_.rows.size();
+    trace_.writeStart.push_back(trace_.writes.size());
     dev_.step();
+    for (const std::uint32_t w : dev_.changedBramWords()) {
+      trace_.writes.push_back({w, dev_.bramStorageWord(w)});
+    }
+    dev_.clearChangedBramWords();
   }
+  trace_.writeStart.push_back(trace_.writes.size());
   captureFinalStateViaPort(golden_);
   port_.resetMeter();
   flushSettles();
@@ -108,10 +111,11 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
 }
 
 void FadesTool::recover() {
-  // A link fault can abandon a reconfiguration session mid-write, leaving a
-  // partially updated configuration plane that no checkpoint restore can
-  // repair (checkpoints hold dynamic state, not configuration). Re-download
-  // the configuration file. The recovery transfer runs with the fault model
+  // A link fault can abandon a reconfiguration session mid-write, and a
+  // failed configuration audit found a plane off the downloaded one: either
+  // way the configuration needs repair, which locate() cannot give (the
+  // golden trace holds dynamic state, not configuration). Re-download the
+  // configuration file. The recovery transfer runs with the fault model
   // suspended (the modeled operator re-initializes a quiet board) and the
   // meter is reset afterwards, so recovery cost never leaks into the next
   // experiment's modeled seconds.
@@ -178,14 +182,43 @@ void FadesTool::flushSettles() {
   settlesFlushed_ = dev_.settles();
 }
 
+void FadesTool::auditConfiguration(const char* when) {
+  if (dev_.configIsDownloaded()) return;
+  ctrAuditFailures_.inc();
+  raise(ErrorKind::LinkError,
+        std::string("configuration audit: logic plane differs from the "
+                    "downloaded bitstream ") +
+            when);
+}
+
 void FadesTool::locate(std::uint64_t cycle) {
-  // Host-side replay from the nearest checkpoint (the modeled flow runs the
-  // workload from reset; finishExperiment charges its duration).
-  const std::size_t idx = std::min<std::size_t>(
-      cycle / kCheckpointInterval, checkpoints_.size() - 1);
-  dev_.restoreState(checkpoints_[idx]);
-  for (std::uint64_t c = idx * kCheckpointInterval; c < cycle; ++c) {
-    dev_.step();
+  require(cycle < runCycles_, ErrorKind::InvalidArgument,
+          "locate beyond workload");
+  auditConfiguration("before locating");
+  // Host-side load of the golden state (the modeled flow runs the workload
+  // from reset; finishExperiment charges its duration): cycle 0's memory
+  // plus the golden writes before `cycle`, then the trace row.
+  mirror_.bramContent = trace_.memory0;
+  for (std::size_t k = 0; k < trace_.writeStart[cycle]; ++k) {
+    const GoldenWrite& gw = trace_.writes[k];
+    fpga::setStorageWord(mirror_.bramContent, gw.word, gw.value);
+  }
+  mirror_.cycle = cycle;
+  dev_.restoreState(mirror_, std::span(trace_.rows).subspan(
+                                 cycle * trace_.rowWords, trace_.rowWords));
+  memorySuspects_.clear();
+}
+
+void FadesTool::recheckMemoryWord(std::uint32_t w) {
+  const bool differs =
+      dev_.bramStorageWord(w) != fpga::storageWord(mirror_.bramContent, w);
+  const auto it = std::find(memorySuspects_.begin(), memorySuspects_.end(), w);
+  if (differs == (it != memorySuspects_.end())) return;
+  if (differs) {
+    memorySuspects_.push_back(w);
+  } else {
+    *it = memorySuspects_.back();
+    memorySuspects_.pop_back();
   }
 }
 
@@ -197,8 +230,34 @@ void FadesTool::stepObserved(std::int64_t& detectCycle) {
   dev_.step();
 }
 
+bool FadesTool::rejoinedGoldenRun() {
+  if (!dev_.configIsDownloaded()) return false;
+  // Bring the golden mirror to the device's cycle, then re-decide every
+  // word either run wrote since the last call: each word is re-decided
+  // after its last write, so the suspects are exactly the differing words.
+  const std::uint64_t c = dev_.cycle();
+  for (std::size_t k = trace_.writeStart[mirror_.cycle];
+       k < trace_.writeStart[c]; ++k) {
+    const GoldenWrite& gw = trace_.writes[k];
+    fpga::setStorageWord(mirror_.bramContent, gw.word, gw.value);
+    recheckMemoryWord(gw.word);
+  }
+  mirror_.cycle = c;
+  for (const std::uint32_t w : dev_.changedBramWords()) recheckMemoryWord(w);
+  dev_.clearChangedBramWords();
+  if (!memorySuspects_.empty()) return false;
+  return dev_.packedStateMatches(
+      std::span(trace_.rows).subspan(c * trace_.rowWords, trace_.rowWords));
+}
+
 Outcome FadesTool::observeToEnd(std::int64_t& detectCycle) {
   while (detectCycle < 0 && dev_.cycle() < runCycles_) {
+    if (rejoinedGoldenRun()) {
+      // Both runs are identical from here on: Silent, charged the final
+      // state read-back the full run makes.
+      port_.chargeCapture(fullStateReadBytes_);
+      return Outcome::Silent;
+    }
     stepObserved(detectCycle);
   }
   if (detectCycle >= 0) {
@@ -233,16 +292,16 @@ double FadesTool::finishExperiment(Outcome outcome) {
 // Target enumeration (the fault-location process, Section 2)
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint32_t> FadesTool::targets(FaultModel model,
-                                              TargetClass cls,
-                                              Unit unit) const {
+std::vector<std::uint32_t> targets(const synth::Implementation& impl,
+                                   FaultModel model, TargetClass cls,
+                                   Unit unit) {
   std::vector<std::uint32_t> out;
   switch (cls) {
     case TargetClass::SequentialFF:
-      out = impl_.flopsInUnit(unit);
+      out = impl.flopsInUnit(unit);
       break;
     case TargetClass::MemoryBlockBit: {
-      for (const auto& r : impl_.rams) {
+      for (const auto& r : impl.rams) {
         if (r.isRom) continue;  // the paper targets RAM, not program store
         if (unit != Unit::None && r.unit != unit) continue;
         for (const auto& s : r.slices) {
@@ -255,20 +314,20 @@ std::vector<std::uint32_t> FadesTool::targets(FaultModel model,
       break;
     }
     case TargetClass::CombinationalLut:
-      for (auto i : impl_.lutsInUnit(unit)) {
-        if (impl_.luts[i].out.valid()) out.push_back(i);  // skip const LUTs
+      for (auto i : impl.lutsInUnit(unit)) {
+        if (impl.luts[i].out.valid()) out.push_back(i);  // skip const LUTs
       }
       break;
     case TargetClass::CbInputLine:
-      for (auto i : impl_.flopsInUnit(unit)) {
-        if (impl_.flops[i].bypassInput) out.push_back(i);
+      for (auto i : impl.flopsInUnit(unit)) {
+        if (impl.flops[i].bypassInput) out.push_back(i);
       }
       break;
     case TargetClass::SequentialLine:
     case TargetClass::CombinationalLine: {
       const bool seq = (cls == TargetClass::SequentialLine);
-      for (auto i : impl_.routesInUnit(unit, seq)) {
-        if (!impl_.routes[i].wireNodes.empty()) out.push_back(i);
+      for (auto i : impl.routesInUnit(unit, seq)) {
+        if (!impl.routes[i].wireNodes.empty()) out.push_back(i);
       }
       break;
     }
@@ -279,23 +338,31 @@ std::vector<std::uint32_t> FadesTool::targets(FaultModel model,
   return out;
 }
 
-std::string FadesTool::targetName(TargetClass cls,
-                                  std::uint32_t target) const {
+std::string targetName(const synth::Implementation& impl, TargetClass cls,
+                       std::uint32_t target) {
   switch (cls) {
     case TargetClass::SequentialFF:
-      return impl_.flops[target].name;
+      return impl.flops[target].name;
     case TargetClass::MemoryBlockBit:
       return "bram" + std::to_string(target >> 16) + ".bit" +
              std::to_string(target & 0xFFFF);
     case TargetClass::CombinationalLut:
-      return "lut:" + impl_.luts[target].signalName;
+      return "lut:" + impl.luts[target].signalName;
     case TargetClass::CbInputLine:
-      return "byp:" + impl_.flops[target].name;
+      return "byp:" + impl.flops[target].name;
     case TargetClass::SequentialLine:
     case TargetClass::CombinationalLine:
-      return "net:" + impl_.routes[target].signalName;
+      return "net:" + impl.routes[target].signalName;
   }
   return "?";
+}
+
+std::vector<std::uint32_t> targetPool(const synth::Implementation& impl,
+                                      const CampaignSpec& spec) {
+  return spec.targetPool.empty()
+             ? targets(impl, spec.model, spec.targets,
+                       static_cast<Unit>(spec.unit))
+             : spec.targetPool;
 }
 
 Unit FadesTool::targetUnit(TargetClass cls, std::uint32_t target) const {
@@ -764,6 +831,8 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
     obs::Span removeSpan{"remove"};
     remove(fault);
   }
+  auditConfiguration(model == FaultModel::BitFlip ? "after the bit-flip"
+                                                  : "after removal");
 
   Outcome outcome;
   {
@@ -780,12 +849,6 @@ Outcome FadesTool::runExperiment(FaultModel model, TargetClass cls,
 // ---------------------------------------------------------------------------
 // campaign::CampaignEngine
 // ---------------------------------------------------------------------------
-
-std::vector<std::uint32_t> FadesTool::enumeratePool(const CampaignSpec& spec) {
-  return spec.targetPool.empty()
-             ? targets(spec.model, spec.targets, static_cast<Unit>(spec.unit))
-             : spec.targetPool;
-}
 
 campaign::ExperimentOutcome FadesTool::runExperimentAt(
     const CampaignSpec& spec, std::span<const std::uint32_t> pool,
@@ -916,6 +979,7 @@ Outcome FadesTool::runMultipleBitFlipExperiment(
   locate(injectCycle);
   port_.beginSession();
   flipViaGsr(flopTargets);
+  auditConfiguration("after the bit-flips");
   std::int64_t detectCycle = -1;
   const Outcome outcome = observeToEnd(detectCycle);
   const double seconds = finishExperiment(outcome);

@@ -30,6 +30,7 @@
 #include "bits/config_port.hpp"
 #include "campaign/parallel.hpp"
 #include "campaign/types.hpp"
+#include "common/bitvector.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "synth/implement.hpp"
@@ -95,16 +96,34 @@ struct RegisterEffect {
   std::uint64_t faulty = 0;
 };
 
+// --- fault-location process (device level) --------------------------------
+// Pure functions of the implementation, so a prune plan enumerates and names
+// targets without building a device.
+
+/// Enumerate targets for a campaign. The returned handles are indices into
+/// the implementation's location map, with sub-addressing packed in for
+/// memory bits.
+std::vector<std::uint32_t> targets(const synth::Implementation& impl,
+                                   FaultModel model, TargetClass cls,
+                                   Unit unit);
+std::string targetName(const synth::Implementation& impl, TargetClass cls,
+                       std::uint32_t target);
+/// The spec's target pool: its explicit pool when set, otherwise the full
+/// enumeration.
+std::vector<std::uint32_t> targetPool(const synth::Implementation& impl,
+                                      const CampaignSpec& spec);
+
 /// The RTR injector over one device, and a campaign::CampaignEngine:
 /// campaigns run through campaign::runCampaign, on this tool alone or on
 /// the replicas fadesEngineFactory builds. Every experiment kind -
-/// campaign, multiple bit-flip, permanent fault, Table 4 probe - locates
-/// its instant through one checkpoint replay, and the first three share
-/// one observe/classify tail and one finish step.
+/// campaign, multiple bit-flip, permanent fault, Table 4 probe - loads its
+/// instant from one golden trace, and the first three share one
+/// observe/classify tail, which ends a run as soon as the replica is back
+/// on the golden run, and one finish step.
 class FadesTool : public campaign::CampaignEngine {
  public:
   /// Configures the device with the implementation's bitstream (the one-time
-  /// download of Figure 1) and records the golden run.
+  /// download of Figure 1) and records the golden run and its trace.
   FadesTool(fpga::Device& device, const synth::Implementation& impl,
             std::uint64_t runCycles, FadesOptions options = {});
 
@@ -120,21 +139,28 @@ class FadesTool : public campaign::CampaignEngine {
   bool supports(FaultModel) const { return true; }
 
   // --- fault-location process (device level) ------------------------------
-  /// Enumerate targets for a campaign. The returned handles are indices into
-  /// the implementation's location map, with sub-addressing packed in for
-  /// memory bits.
   std::vector<std::uint32_t> targets(FaultModel model, TargetClass cls,
-                                     Unit unit) const;
-  std::string targetName(TargetClass cls, std::uint32_t target) const;
+                                     Unit unit) const {
+    return core::targets(impl_, model, cls, unit);
+  }
+  std::string targetName(TargetClass cls, std::uint32_t target) const {
+    return core::targetName(impl_, cls, target);
+  }
   /// Component the target belongs to, from the implementation's hierarchy
   /// annotations (rtl::Builder unit tags survive synthesis onto every site).
   Unit targetUnit(TargetClass cls, std::uint32_t target) const;
+  /// Put the device at `cycle` of the fault-free run: the golden trace's
+  /// state at that cycle, loaded with one network evaluation. Raises
+  /// LinkError (the configuration audit) unless the logic plane is the
+  /// downloaded one, since the trace is packed in its compiled order.
+  void locate(std::uint64_t cycle);
 
   // --- campaign::CampaignEngine --------------------------------------------
-  /// The spec's target pool: its explicit pool when set, otherwise the full
-  /// enumeration. Deterministic per implementation, so every device replica
-  /// of a sharded campaign sees the same pool.
-  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
+  /// core::targetPool: deterministic per implementation, so every device
+  /// replica of a sharded campaign sees the same pool.
+  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override {
+    return targetPool(impl_, spec);
+  }
 
   /// Run campaign experiment `index` of `spec` against `pool`. A pure
   /// function of (spec, pool, index, rerun): target, instant, duration and
@@ -159,9 +185,10 @@ class FadesTool : public campaign::CampaignEngine {
       const campaign::ExperimentOutcome& representative) override;
 
   /// Recover from a link failure that may have abandoned a reconfiguration
-  /// session mid-write: re-download the full configuration file on a quiet
-  /// link (fault model suspended, meter reset afterwards), the way a real
-  /// host re-initializes a flaky board.
+  /// session mid-write, or from a failed configuration audit: re-download
+  /// the full configuration file on a quiet link (fault model suspended,
+  /// meter reset afterwards), the way a real host re-initializes a flaky
+  /// board.
   void recover() override;
 
   /// `detectCycleOut`, when non-null, receives the first cycle whose
@@ -237,14 +264,24 @@ class FadesTool : public campaign::CampaignEngine {
   /// New experiment: reset the meter and charge the reset to the initial
   /// state plus the output-trace upload.
   void beginExperiment();
-  /// Put the device at `cycle` of the fault-free run: restore the nearest
-  /// checkpoint at or before it and replay the rest.
-  void locate(std::uint64_t cycle);
+  /// Raise LinkError, counted in fades.config_audit_failures, unless the
+  /// logic plane is the downloaded one. Host-side: charges nothing.
+  void auditConfiguration(const char* when);
   /// One observed clock cycle: records the first cycle whose outputs leave
   /// the golden trace in `detectCycle` (-1 until then).
   void stepObserved(std::int64_t& detectCycle);
+  /// Re-decide whether plane-B word `w` differs from the golden mirror.
+  void recheckMemoryWord(std::uint32_t w);
+  /// Whether the replica is provably back on the golden run: downloaded
+  /// configuration, no memory word off the golden mirror, and compiled
+  /// flip-flops and read latches equal to the trace at this cycle. Previous
+  /// D values need not match: runExperiment enables timing only on a design
+  /// no flip-flop of which is late, so under the downloaded configuration no
+  /// previous D is captured again.
+  bool rejoinedGoldenRun();
   /// Observe to the end of the workload and classify. Once the trace has
-  /// diverged the outcome is Failure, and the rest of the run and the final
+  /// diverged the outcome is Failure; once the replica is back on the
+  /// golden run it is Silent. Either way the rest of the run and the final
   /// state read-back are charged without being executed.
   Outcome observeToEnd(std::int64_t& detectCycle);
   /// Close an experiment: its modeled seconds (the meter since
@@ -263,8 +300,32 @@ class FadesTool : public campaign::CampaignEngine {
   bits::ConfigPort port_;
 
   Observation golden_;
-  std::vector<fpga::DeviceState> checkpoints_;
   double setupSeconds_ = 0;
+
+  /// The golden trace, recorded with the golden run: enough to load any
+  /// cycle exactly (locate) and to recognize it (rejoinedGoldenRun).
+  struct GoldenWrite {
+    std::uint32_t word = 0;  // plane-B storage word
+    std::uint64_t value = 0;
+  };
+  struct GoldenTrace {
+    common::BitVector memory0;  // the memory plane at cycle 0
+    /// Per cycle, rowWords words: fpga::Device::appendPackedState.
+    std::vector<std::uint64_t> rows;
+    std::size_t rowWords = 0;
+    /// The plane-B words clock edge c (cycle c to c + 1) wrote are
+    /// writes[writeStart[c] .. writeStart[c + 1]).
+    std::vector<GoldenWrite> writes;
+    std::vector<std::size_t> writeStart;
+  };
+  GoldenTrace trace_;
+  /// The golden state locate() loads: cycle 0's state (the trace row
+  /// overrides flip-flops and latches) with the golden memory plane of
+  /// mirror_.cycle, which rejoinedGoldenRun() advances to the device's.
+  fpga::DeviceState mirror_;
+  /// The plane-B words where the device differs from the mirror as of the
+  /// last rejoinedGoldenRun().
+  std::vector<std::uint32_t> memorySuspects_;
 
   // Location-map derived indexes.
   std::vector<unsigned> usedCaptureCols_;  // columns containing used FFs
@@ -284,6 +345,7 @@ class FadesTool : public campaign::CampaignEngine {
   // golden run and at the end of every experiment and probe.
   obs::Counter& ctrSettles_;
   std::uint64_t settlesFlushed_ = 0;
+  obs::Counter& ctrAuditFailures_;
 };
 
 /// Engine factory for campaign::ParallelCampaignRunner: every call builds a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -11,6 +12,24 @@ namespace fades::fpga {
 using common::ErrorKind;
 using common::raise;
 using common::require;
+
+namespace {
+
+unsigned storageWordBits(const common::BitVector& plane, std::uint32_t w) {
+  return static_cast<unsigned>(
+      std::min<std::size_t>(64, plane.size() - std::size_t{w} * 64));
+}
+
+}  // namespace
+
+std::uint64_t storageWord(const common::BitVector& plane, std::uint32_t w) {
+  return plane.getWord(std::size_t{w} * 64, storageWordBits(plane, w));
+}
+
+void setStorageWord(common::BitVector& plane, std::uint32_t w,
+                    std::uint64_t value) {
+  plane.setWord(std::size_t{w} * 64, storageWordBits(plane, w), value);
+}
 
 Device::Device(const DeviceSpec& spec)
     : spec_(spec),
@@ -23,6 +42,7 @@ Device::Device(const DeviceSpec& spec)
   padInput_.assign(spec_.padCount(), 0);
   parent_.assign(nodes_.count(), 0);
   compSource_.assign(nodes_.count(), 0);
+  bramWordChanged_.assign((bramCfg_.size() + 63) / 64, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -32,6 +52,7 @@ Device::Device(const DeviceSpec& spec)
 void Device::setLogicBit(std::size_t addr, bool v) {
   if (logicCfg_.get(addr) == v) return;
   logicCfg_.set(addr, v);
+  if (downloaded_ && toggledBits_.erase(addr) == 0) toggledBits_.insert(addr);
   settled_ = false;
   const auto d = layout_.decode(addr);
   if (d.region == ConfigLayout::Decoded::Region::Cb && d.bitInRecord < 16) {
@@ -49,6 +70,23 @@ void Device::setLogicBit(std::size_t addr, bool v) {
   } else {
     topoDirty_ = true;  // connection boxes, PMs, pads, memory-block setup
   }
+}
+
+void Device::setBramBit(std::size_t addr, bool v) {
+  bramCfg_.set(addr, v);
+  noteBramWrite(addr);
+}
+
+void Device::noteBramWrite(std::size_t addr) {
+  const auto w = static_cast<std::uint32_t>(addr >> 6);
+  if (bramWordChanged_[w] != 0) return;
+  bramWordChanged_[w] = 1;
+  changedBramWords_.push_back(w);
+}
+
+void Device::clearChangedBramWords() {
+  for (const std::uint32_t w : changedBramWords_) bramWordChanged_[w] = 0;
+  changedBramWords_.clear();
 }
 
 std::vector<std::uint8_t> Device::readLogicFrame(FrameAddr f) const {
@@ -97,6 +135,8 @@ void Device::writeBramFrame(unsigned block, unsigned minor,
   require(bytes.size() >= (n + 7) / 8, ErrorKind::ConfigError,
           "short bram frame payload");
   bramCfg_.importBytes(first, n, bytes);
+  for (std::size_t bit = first; bit < first + n; bit += 64) noteBramWrite(bit);
+  noteBramWrite(first + n - 1);
 }
 
 std::vector<std::uint8_t> Device::readCaptureFrame(unsigned col) const {
@@ -118,6 +158,9 @@ void Device::writeFullBitstream(const Bitstream& bs) {
           ErrorKind::ConfigError, "bitstream size mismatch");
   logicCfg_ = bs.logic;
   bramCfg_ = bs.bram;
+  downloaded_ = true;
+  toggledBits_.clear();
+  clearChangedBramWords();
   topoDirty_ = true;
   settled_ = false;
   ensureCompiled();
@@ -647,8 +690,9 @@ void Device::step() {
     if (op.write) {
       const std::size_t base = op.row * e.width;
       for (unsigned b = 0; b < e.width; ++b) {
-        bramCfg_.set(layout_.bramContentBit(e.block, base + b),
-                     (op.wval >> b) & 1u);
+        const std::size_t addr = layout_.bramContentBit(e.block, base + b);
+        bramCfg_.set(addr, (op.wval >> b) & 1u);
+        noteBramWrite(addr);
       }
     }
   }
@@ -683,13 +727,46 @@ DeviceState Device::captureState() const {
   return s;
 }
 
-void Device::restoreState(const DeviceState& s) {
+template <typename Put>
+bool Device::forEachPackedWord(bool withPrevD, Put&& put) const {
+  std::uint64_t word = 0;
+  unsigned n = 0;
+  auto bit = [&](bool v) {
+    word |= std::uint64_t{v} << n;
+    if (++n < 64) return true;
+    n = 0;
+    return put(std::exchange(word, 0));
+  };
+  auto flush = [&] {
+    if (n == 0) return true;
+    n = 0;
+    return put(std::exchange(word, 0));
+  };
+  for (const auto& e : compiled_.ffs) {
+    if (!bit(ffState_[e.cbIdx] != 0)) return false;
+  }
+  for (const auto& e : compiled_.brams) {
+    for (unsigned b = 0; b < e.width; ++b) {
+      if (!bit((bramLatch_[e.block] >> b) & 1u)) return false;
+    }
+  }
+  if (!flush()) return false;
+  if (!withPrevD) return true;
+  for (const std::uint8_t d : prevD_) {
+    if (!bit(d != 0)) return false;
+  }
+  return flush();
+}
+
+void Device::restoreState(const DeviceState& s,
+                          std::span<const std::uint64_t> packed) {
   require(s.ffState.size() == ffState_.size() &&
               s.prevD.size() == ffState_.size() &&
               s.bramContent.size() == bramCfg_.size(),
           ErrorKind::InvalidArgument, "device state shape mismatch");
   ffState_ = s.ffState;
   bramCfg_ = s.bramContent;
+  clearChangedBramWords();
   bramLatch_ = s.bramLatch;
   padInput_ = s.padInput;
   cycle_ = s.cycle;
@@ -698,7 +775,48 @@ void Device::restoreState(const DeviceState& s) {
   for (std::size_t i = 0; i < prevD_.size(); ++i) {
     prevD_[i] = s.prevD[compiled_.ffs[i].cbIdx];
   }
+  if (!packed.empty()) {
+    // Walk the packed layout once to check its length, then read it bit by
+    // bit in the same order.
+    std::size_t words = 0;
+    forEachPackedWord(true, [&](std::uint64_t) {
+      ++words;
+      return true;
+    });
+    require(packed.size() == words, ErrorKind::InvalidArgument,
+            "packed state shape mismatch");
+    std::size_t bit = 0;
+    auto next = [&] {
+      const bool v = (packed[bit >> 6] >> (bit & 63)) & 1u;
+      ++bit;
+      return static_cast<std::uint8_t>(v);
+    };
+    for (const auto& e : compiled_.ffs) ffState_[e.cbIdx] = next();
+    for (const auto& e : compiled_.brams) {
+      std::uint32_t latch = 0;
+      for (unsigned b = 0; b < e.width; ++b) latch |= std::uint32_t{next()} << b;
+      bramLatch_[e.block] = latch;
+    }
+    bit = (bit + 63) / 64 * 64;  // the previous D values start a fresh word
+    for (auto& d : prevD_) d = next();
+  }
   settle();
+}
+
+void Device::appendPackedState(std::vector<std::uint64_t>& out) {
+  ensureCompiled();
+  forEachPackedWord(true, [&](std::uint64_t w) {
+    out.push_back(w);
+    return true;
+  });
+}
+
+bool Device::packedStateMatches(std::span<const std::uint64_t> packed) {
+  ensureCompiled();
+  std::size_t k = 0;
+  return forEachPackedWord(false, [&](std::uint64_t w) {
+    return k < packed.size() && packed[k++] == w;
+  });
 }
 
 // ---------------------------------------------------------------------------

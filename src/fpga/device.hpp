@@ -28,6 +28,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -63,11 +64,10 @@ struct BitMeaning {
   bool isTransistor = false;
 };
 
-/// Host-side checkpoint of dynamic device state (FF states, timing-mode
+/// Host-side snapshot of dynamic device state (FF states, timing-mode
 /// previous D values, memory contents, output latches, cycle counter, pad
-/// stimuli). Used by the campaign engine to replay the workload from the
-/// injection instant; it does not model a hardware interface and carries no
-/// reconfiguration cost.
+/// stimuli). The campaign engine loads the injection instant from one; it
+/// does not model a hardware interface and carries no reconfiguration cost.
 struct DeviceState {
   std::vector<std::uint8_t> ffState;
   std::vector<std::uint8_t> prevD;  // per CB: D sampled at the last edge
@@ -76,6 +76,13 @@ struct DeviceState {
   std::vector<std::uint8_t> padInput;
   std::uint64_t cycle = 0;
 };
+
+/// Storage word w of a memory plane, bits [64w, 64w + 64) (a last word can
+/// be shorter): the unit in which Device::changedBramWords() reports
+/// writes.
+std::uint64_t storageWord(const common::BitVector& plane, std::uint32_t w);
+void setStorageWord(common::BitVector& plane, std::uint32_t w,
+                    std::uint64_t value);
 
 /// How multi-driver (shorted) nets behave. Normal designs treat a short as
 /// a configuration error; the permanent-fault extension (bridging faults)
@@ -100,7 +107,26 @@ class Device {
   bool logicBit(std::size_t addr) const { return logicCfg_.get(addr); }
   void setLogicBit(std::size_t addr, bool v);
   bool bramBit(std::size_t addr) const { return bramCfg_.get(addr); }
-  void setBramBit(std::size_t addr, bool v) { bramCfg_.set(addr, v); }
+  void setBramBit(std::size_t addr, bool v);
+
+  /// Whether the logic plane equals the last writeFullBitstream(), in O(1):
+  /// the device keeps the set of bits toggled an odd number of times since
+  /// that download, not a second copy of the plane. False before the first
+  /// download.
+  bool configIsDownloaded() const {
+    return downloaded_ && toggledBits_.empty();
+  }
+
+  /// Plane-B storage words (word w holds bits [64w, 64w + 64)) written since
+  /// the last clearChangedBramWords(), restoreState() or download, each
+  /// once, whatever wrote them: clock-edge writes, bit and frame writes.
+  std::span<const std::uint32_t> changedBramWords() const {
+    return changedBramWords_;
+  }
+  void clearChangedBramWords();
+  std::uint64_t bramStorageWord(std::uint32_t w) const {
+    return storageWord(bramCfg_, w);
+  }
 
   std::vector<std::uint8_t> readLogicFrame(FrameAddr f) const;
   void writeLogicFrame(FrameAddr f, std::span<const std::uint8_t> bytes);
@@ -140,7 +166,20 @@ class Device {
   std::uint64_t bramWord(unsigned block, unsigned width, std::size_t row) const;
 
   DeviceState captureState() const;
-  void restoreState(const DeviceState& s);
+  /// Load `s` with one network evaluation. A non-empty `packed` row (see
+  /// appendPackedState) then overrides the compiled flip-flops, their
+  /// previous D values and the memory read latches; it must have been packed
+  /// under the current configuration, which fixes the compiled order.
+  void restoreState(const DeviceState& s,
+                    std::span<const std::uint64_t> packed = {});
+
+  /// Append the compiled run state as 64-bit words, low bit first: the
+  /// compiled flip-flop states and the used memory blocks' read latches,
+  /// padded to a word, then the flip-flops' previous D values, padded again.
+  void appendPackedState(std::vector<std::uint64_t>& out);
+  /// Whether the compiled flip-flop states and read latches equal the first
+  /// part of a row appendPackedState packed under this configuration.
+  bool packedStateMatches(std::span<const std::uint64_t> packed);
 
   // --- timing ------------------------------------------------------------------
   void setTimingEnabled(bool on);
@@ -222,6 +261,11 @@ class Device {
   void computeTiming();
   void refreshLevel0();
   void runSteps();
+  void noteBramWrite(std::size_t addr);
+  /// Calls put(word) for each word of appendPackedState's layout, the
+  /// previous D values only when `withPrevD`; stops when put returns false.
+  template <typename Put>
+  bool forEachPackedWord(bool withPrevD, Put&& put) const;
 
   std::uint32_t find(std::uint32_t node) const;  // union-find lookup
   void unite(std::uint32_t a, std::uint32_t b);
@@ -237,6 +281,10 @@ class Device {
 
   common::BitVector logicCfg_;
   common::BitVector bramCfg_;
+  bool downloaded_ = false;
+  std::unordered_set<std::size_t> toggledBits_;  // since the last download
+  std::vector<std::uint32_t> changedBramWords_;
+  std::vector<std::uint8_t> bramWordChanged_;  // per word: in the list above
 
   // dynamic state
   std::vector<std::uint8_t> ffState_;       // per CB

@@ -340,20 +340,17 @@ campaign::PrunePlan buildPrunePlan(const CampaignSystem& sys) {
   in.runCycles = sys.runCycles;
   in.observedOutputs = sys.observedOutputs;
 
-  // One engine replica provides the pool enumeration and (for fades) the
-  // target-name convention; both are pure functions of the job, so the
-  // resulting plan is too.
-  const auto engine = sys.factory();
-  require(engine != nullptr, ErrorKind::InvalidArgument,
-          "engine factory returned null");
-  const auto pool = engine->enumeratePool(job.spec);
+  // The pool enumeration and (for fades) the target-name convention are
+  // pure functions of the netlist or implementation, so the plan is too.
+  std::vector<std::uint32_t> pool;
   if (job.tool == "fades") {
+    pool = core::targetPool(*sys.impl, job.spec);
     in.decode = prune::fadesDecoder(*sys.impl, job.spec.targets);
-    in.name = [tool = static_cast<const core::FadesTool*>(engine.get()),
-               cls = job.spec.targets](std::uint32_t handle) {
-      return tool->targetName(cls, handle);
+    in.name = [&impl = *sys.impl, cls = job.spec.targets](std::uint32_t h) {
+      return core::targetName(impl, cls, h);
     };
   } else {
+    pool = vfit::targetPool(sys.netlist, job.spec);
     in.decode = prune::vfitDecoder(sys.netlist, job.spec.targets);
     in.name = [](std::uint32_t handle) { return std::to_string(handle); };
     // VFIT's cost is a pure function of (model, window) - command counting

@@ -85,33 +85,33 @@ void VfitTool::captureFinalState(Observation& obs) const {
   }
 }
 
-std::vector<FlopId> VfitTool::flopTargets(Unit unit) const {
+std::vector<FlopId> flopTargets(const Netlist& nl, Unit unit) {
   std::vector<FlopId> out;
-  for (std::uint32_t f = 0; f < nl_.flopCount(); ++f) {
-    if (unit == Unit::None || nl_.flops()[f].unit == unit) {
+  for (std::uint32_t f = 0; f < nl.flopCount(); ++f) {
+    if (unit == Unit::None || nl.flops()[f].unit == unit) {
       out.push_back(FlopId{f});
     }
   }
   return out;
 }
 
-std::vector<NetId> VfitTool::signalTargets(Unit unit) const {
+std::vector<NetId> signalTargets(const Netlist& nl, Unit unit) {
   // HDL-level signals: nets with a name, driven by combinational logic.
   std::vector<NetId> out;
-  for (const auto& g : nl_.gates()) {
+  for (const auto& g : nl.gates()) {
     if (g.op == netlist::GateOp::Const0 || g.op == netlist::GateOp::Const1) {
       continue;
     }
     if (unit != Unit::None && g.unit != unit) continue;
-    if (!nl_.netName(g.out).empty()) out.push_back(g.out);
+    if (!nl.netName(g.out).empty()) out.push_back(g.out);
   }
   return out;
 }
 
-std::vector<RamId> VfitTool::ramTargets() const {
+std::vector<RamId> ramTargets(const Netlist& nl) {
   std::vector<RamId> out;
-  for (std::uint32_t r = 0; r < nl_.ramCount(); ++r) {
-    if (!nl_.ram(RamId{r}).isRom()) out.push_back(RamId{r});
+  for (std::uint32_t r = 0; r < nl.ramCount(); ++r) {
+    if (!nl.ram(RamId{r}).isRom()) out.push_back(RamId{r});
   }
   return out;
 }
@@ -226,7 +226,8 @@ Outcome VfitTool::runExperiment(FaultModel model, TargetClass targets,
   return campaign::classify(golden_, faulty);
 }
 
-std::vector<std::uint32_t> VfitTool::enumeratePool(const CampaignSpec& spec) {
+std::vector<std::uint32_t> targetPool(const Netlist& nl,
+                                      const CampaignSpec& spec) {
   const auto unit = static_cast<Unit>(spec.unit);
 
   // Enumerate targets up front (the fault-location process).
@@ -234,11 +235,11 @@ std::vector<std::uint32_t> VfitTool::enumeratePool(const CampaignSpec& spec) {
   if (targets.empty()) {
     switch (spec.targets) {
     case TargetClass::SequentialFF:
-      for (auto f : flopTargets(unit)) targets.push_back(f.value);
+      for (auto f : flopTargets(nl, unit)) targets.push_back(f.value);
       break;
     case TargetClass::MemoryBlockBit: {
-      for (auto r : ramTargets()) {
-        const auto& ram = nl_.ram(r);
+      for (auto r : ramTargets(nl)) {
+        const auto& ram = nl.ram(r);
         // Encode every stored bit as a target.
         for (std::size_t row = 0; row < ram.depth(); ++row) {
           for (unsigned bit = 0; bit < ram.dataBits; ++bit) {
@@ -252,11 +253,11 @@ std::vector<std::uint32_t> VfitTool::enumeratePool(const CampaignSpec& spec) {
     case TargetClass::CombinationalLut:
     case TargetClass::CbInputLine:
     case TargetClass::CombinationalLine:
-      for (auto n : signalTargets(unit)) targets.push_back(n.value);
+      for (auto n : signalTargets(nl, unit)) targets.push_back(n.value);
       break;
     case TargetClass::SequentialLine:
-      for (auto f : flopTargets(unit)) {
-        targets.push_back(nl_.flops()[f.value].q.value);
+      for (auto f : flopTargets(nl, unit)) {
+        targets.push_back(nl.flops()[f.value].q.value);
       }
       break;
   }

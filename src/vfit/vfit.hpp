@@ -55,6 +55,19 @@ ObservedBits observedLayout(const Netlist& netlist,
 /// The packed output word `sim` shows now.
 std::uint64_t outputWord(const sim::Simulator& sim, const ObservedBits& bits);
 
+// --- fault-location process (model level) ---------------------------------
+// Pure functions of the netlist, so a prune plan enumerates targets without
+// building a simulator.
+std::vector<FlopId> flopTargets(const Netlist& netlist, Unit unit);
+/// Named combinational signals (HDL-level view: only signals that exist
+/// by name in the model, the way a VHDL tool sees them).
+std::vector<NetId> signalTargets(const Netlist& netlist, Unit unit);
+std::vector<RamId> ramTargets(const Netlist& netlist);
+/// The spec's target pool: its explicit pool when set, otherwise every
+/// target of its class and unit.
+std::vector<std::uint32_t> targetPool(const Netlist& netlist,
+                                      const CampaignSpec& spec);
+
 /// An indetermination fault holds one randomized value for its whole
 /// duration. Re-randomizing it every cycle is a FADES-only option
 /// (core::FadesOptions), where it measures reconfiguration cost.
@@ -94,17 +107,11 @@ class VfitTool : public campaign::CampaignEngine {
 
   bool supports(FaultModel m) const { return m != FaultModel::Delay; }
 
-  // --- fault-location process (model level) -----------------------------
-  std::vector<FlopId> flopTargets(Unit unit) const;
-  /// Named combinational signals (HDL-level view: only signals that exist
-  /// by name in the model, the way a VHDL tool sees them).
-  std::vector<NetId> signalTargets(Unit unit) const;
-  std::vector<RamId> ramTargets() const;
-
   // --- campaign::CampaignEngine --------------------------------------------
-  /// Deterministic target enumeration for a spec (the fault-location
-  /// process); shared by the campaign executor and the prune plan.
-  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override;
+  /// vfit::targetPool, which the prune plan calls too.
+  std::vector<std::uint32_t> enumeratePool(const CampaignSpec& spec) override {
+    return targetPool(nl_, spec);
+  }
 
   /// Campaign experiment `index` as a pure function of (spec, pool, index):
   /// a wave of one. The per-index unit the executor retries, the prune

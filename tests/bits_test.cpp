@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "bits/config_port.hpp"
+#include "campaign/parallel.hpp"
 #include "common/error.hpp"
 #include "core/fades.hpp"
+#include "fades_golden.hpp"
 #include "fpga/device.hpp"
+#include "obs/metrics.hpp"
 #include "rtl/builder.hpp"
 #include "synth/implement.hpp"
 
@@ -455,6 +459,172 @@ TEST(CacheEquivalence, DelayReroutePartialFrames) {
   o.fullDownloadForDelay = false;
   expectReplicaOrderEquivalence(o, FaultModel::Delay,
                                 TargetClass::SequentialLine, Unit::None, 3);
+}
+
+// ------------------------------------------------ early stop and locate -
+
+struct ReplicaCase {
+  const char* name;
+  FadesOptions options;
+  FaultModel model;
+  TargetClass cls;
+  Unit unit;
+};
+
+/// The eleven configurations of the CacheEquivalence suite.
+std::vector<ReplicaCase> replicaCases() {
+  auto with = [](auto change) {
+    FadesOptions o = baseOptions();
+    change(o);
+    return o;
+  };
+  const FadesOptions base = baseOptions();
+  return {
+      {"BitFlipFlopLsr", base, FaultModel::BitFlip, TargetClass::SequentialFF,
+       Unit::Registers},
+      {"BitFlipFlopGsr",
+       with([](FadesOptions& o) { o.bitFlipVia = core::BitFlipVia::Gsr; }),
+       FaultModel::BitFlip, TargetClass::SequentialFF, Unit::Registers},
+      {"BitFlipMemory", base, FaultModel::BitFlip,
+       TargetClass::MemoryBlockBit, Unit::Ram},
+      {"PulseLut", base, FaultModel::Pulse, TargetClass::CombinationalLut,
+       Unit::Alu},
+      {"PulseCbInput", base, FaultModel::Pulse, TargetClass::CbInputLine,
+       Unit::None},
+      {"DelayFullDownload", base, FaultModel::Delay,
+       TargetClass::CombinationalLine, Unit::None},
+      {"DelayPartialFrames",
+       with([](FadesOptions& o) { o.fullDownloadForDelay = false; }),
+       FaultModel::Delay, TargetClass::SequentialLine, Unit::None},
+      {"IndeterminationFlop", base, FaultModel::Indetermination,
+       TargetClass::SequentialFF, Unit::Registers},
+      {"IndeterminationLutOscillating",
+       with([](FadesOptions& o) { o.oscillatingIndetermination = true; }),
+       FaultModel::Indetermination, TargetClass::CombinationalLut, Unit::Alu},
+      {"DelayFanout",
+       with([](FadesOptions& o) { o.delayVia = core::DelayVia::Fanout; }),
+       FaultModel::Delay, TargetClass::SequentialLine, Unit::None},
+      {"DelayReroutePartialFrames", with([](FadesOptions& o) {
+         o.delayVia = core::DelayVia::Reroute;
+         o.fullDownloadForDelay = false;
+       }),
+       FaultModel::Delay, TargetClass::SequentialLine, Unit::None},
+  };
+}
+
+class EarlyStopEquivalence : public ::testing::TestWithParam<ReplicaCase> {};
+
+TEST_P(EarlyStopEquivalence, StoppedRunsStayOnTheGoldenRun) {
+  // Every flip-flop of the design reaches the output, so its bit-flips and
+  // bypass-input pulses all fail: those configurations check that nothing
+  // stops wrongly. The others stop early in 1-23 of 24 experiments.
+  const ReplicaCase& c = GetParam();
+  const auto& d = ReplicaDesign::instance();
+  CampaignSpec spec;
+  spec.model = c.model;
+  spec.targets = c.cls;
+  spec.unit = static_cast<int>(c.unit);
+  spec.seed = 11;
+  spec.experiments = 24;
+  const unsigned stopped =
+      goldenref::expectEarlyStopsExact(d.impl, d.cycles, c.options, spec);
+  RecordProperty("stopped_early", static_cast<int>(stopped));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    All, EarlyStopEquivalence, ::testing::ValuesIn(replicaCases()),
+    [](const ::testing::TestParamInfo<ReplicaCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(LocateExactness, EveryCycleOfTheDemoWorkload) {
+  // locate(c) loads cycle c from the golden trace; it must equal a device
+  // stepped c cycles from the download - previous D values included - even
+  // on a replica whose last experiment rerouted a line in timing mode.
+  const auto& d = ReplicaDesign::instance();
+  const std::uint64_t cycles = 64;
+  auto options = baseOptions();
+  options.delayVia = core::DelayVia::Reroute;
+  fpga::Device dev(d.impl.spec);
+  FadesTool tool(dev, d.impl, cycles, options);
+  const auto lines = tool.targets(FaultModel::Delay,
+                                  TargetClass::SequentialLine, Unit::None);
+  common::Rng rng(5);
+  std::vector<std::uint64_t> all(cycles);
+  for (std::uint64_t c = 0; c < cycles; ++c) all[c] = c;
+  goldenref::expectLocateExact(tool, all, [&](std::uint64_t c) {
+    try {
+      tool.runExperiment(FaultModel::Delay, TargetClass::SequentialLine,
+                         lines[c % lines.size()], (c * 7) % cycles, 2.0, rng);
+    } catch (const common::FadesError&) {
+      // A line without a detour: the history is what matters here.
+    }
+  });
+}
+
+TEST(ConfigAudit, PoisonedReplicaIsRecoveredAndRerun) {
+  // A replica whose logic plane left the downloaded bitstream would run the
+  // next experiment on a different circuit. The audit turns that into a
+  // transient error: recover() re-downloads, and the rerun computes what a
+  // clean replica computes.
+  const auto& d = ReplicaDesign::instance();
+  const FadesOptions options = baseOptions();
+  CampaignSpec spec;
+  spec.model = FaultModel::BitFlip;
+  spec.targets = TargetClass::MemoryBlockBit;
+  spec.unit = static_cast<int>(Unit::Ram);
+  spec.seed = 7;
+  spec.experiments = 2;
+  auto& quarantine =
+      obs::Registry::global().counter("test.audit_quarantined");
+
+  fpga::Device cleanDev(d.impl.spec);
+  FadesTool clean(cleanDev, d.impl, d.cycles, options);
+  const auto pool = clean.enumeratePool(spec);
+  const auto want =
+      campaign::runExperimentWithRetry(clean, spec, pool, 1, quarantine);
+  // The memory log is write-only: a clean replica never reports Failure.
+  ASSERT_NE(want.outcome, campaign::Outcome::Failure);
+
+  // The poison: the first table bit of a used LUT whose flip makes the
+  // fault-free run leave the golden outputs at or after the experiment's
+  // injection instant, so an unaudited replica reports Failure.
+  const std::uint64_t injectCycle =
+      campaign::drawExperiment(spec, pool, d.cycles, 1).injectCycle;
+  std::size_t poison = 0;
+  bool found = false;
+  for (std::size_t i = 0; i < d.impl.luts.size() && !found; ++i) {
+    if (!d.impl.luts[i].out.valid()) continue;
+    for (unsigned k = 0; k < 16 && !found; ++k) {
+      const std::size_t bit = cleanDev.layout().cbLutBit(d.impl.luts[i].cb, k);
+      fpga::Device probe(d.impl.spec);
+      probe.writeFullBitstream(d.impl.bitstream);
+      probe.setLogicBit(bit, !probe.logicBit(bit));
+      for (std::uint64_t c = 0; c < d.cycles && !found; ++c) {
+        found = c >= injectCycle &&
+                goldenref::outputWord(d.impl, probe,
+                                      options.observedOutputs) !=
+                    clean.golden().outputs[c];
+        probe.step();
+      }
+      poison = bit;
+    }
+  }
+  ASSERT_TRUE(found);
+
+  fpga::Device dev(d.impl.spec);
+  FadesTool tool(dev, d.impl, d.cycles, options);
+  campaign::runExperimentWithRetry(tool, spec, pool, 0, quarantine);
+  dev.setLogicBit(poison, !dev.logicBit(poison));
+  const auto& audits =
+      obs::Registry::global().counter("fades.config_audit_failures");
+  const std::uint64_t auditsBefore = audits.value();
+  const auto got =
+      campaign::runExperimentWithRetry(tool, spec, pool, 1, quarantine);
+  EXPECT_EQ(got.attempts, 2u);
+  EXPECT_FALSE(got.quarantined);
+  EXPECT_EQ(audits.value() - auditsBefore, 1u);
+  expectEqualOutcomes(got, want);
 }
 
 }  // namespace equiv

@@ -134,6 +134,34 @@ TEST(BitVector, WordAccessAcrossWordBoundary) {
   EXPECT_EQ(bv.popcount(), 10u);
 }
 
+TEST(BitVector, WordAccessMatchesBitByBitReference) {
+  // Random offsets, word-straddling ones included, at the widths where the
+  // masks and shifts have their edge cases.
+  Rng rng(17);
+  BitVector bv(640);
+  for (std::size_t i = 0; i < bv.size(); ++i) bv.set(i, rng.coin());
+  for (const unsigned n : {0u, 1u, 5u, 16u, 63u, 64u}) {
+    std::vector<std::size_t> offsets{0, 63, 64, 127, bv.size() - n};
+    for (int k = 0; k < 200; ++k) offsets.push_back(rng.below(bv.size() - n + 1));
+    for (const std::size_t off : offsets) {
+      std::uint64_t want = 0;
+      for (unsigned k = 0; k < n; ++k) {
+        want |= std::uint64_t{bv.get(off + k)} << k;
+      }
+      ASSERT_EQ(bv.getWord(off, n), want) << "n=" << n << " off=" << off;
+
+      BitVector written = bv;
+      BitVector reference = bv;
+      const std::uint64_t value = rng();
+      written.setWord(off, n, value);
+      for (unsigned k = 0; k < n; ++k) {
+        reference.set(off + k, (value >> k) & 1u);
+      }
+      ASSERT_TRUE(written == reference) << "n=" << n << " off=" << off;
+    }
+  }
+}
+
 TEST(BitVector, ByteExportImportRoundTrip) {
   Rng rng(5);
   BitVector bv(333);

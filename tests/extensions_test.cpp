@@ -354,10 +354,10 @@ synth::Implementation lfsrImplementation() {
 
 TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
   // fpga.settles counts LUT-network evaluations exactly: one per emulated
-  // cycle, plus one each for the checkpoint restore, the injection and the
-  // removal (or, for a bit-flip, the first cycle after it). Checkpoints sit
-  // every 128 cycles, and the 300-cycle run injects after the second and
-  // the third, so locating also replays from a later checkpoint.
+  // or observed cycle, plus one each for locating (a load from the golden
+  // trace, wherever the instant lies in the 300-cycle run), the injection
+  // and the removal (or, for a bit-flip, the first cycle after it). Reading
+  // dev.cycle() keeps experiments that stop early covered.
   const auto impl = lfsrImplementation();
   fpga::Device dev(impl.spec);
   core::FadesOptions opt;
@@ -377,7 +377,7 @@ TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
                         double duration) {
     const std::uint64_t device0 = dev.settles(), registry0 = settles.value();
     tool.runExperiment(model, cls, target, cycle, duration, rng);
-    const std::uint64_t expected = 3 + dev.cycle() - cycle / 128 * 128;
+    const std::uint64_t expected = 3 + dev.cycle() - cycle;
     EXPECT_EQ(dev.settles() - device0, expected)
         << "inject at " << cycle << " for " << duration;
     EXPECT_EQ(settles.value() - registry0, expected);
@@ -396,7 +396,7 @@ TEST(FadesSettles, OneEvaluationPerCycleAndPerReconfiguration) {
 }
 
 TEST(FadesSettles, PermanentCampaignsAndProbesFlushEveryEvaluation) {
-  // Permanent-fault experiments and Table 4 probes replay and emulate on the
+  // Permanent-fault experiments and Table 4 probes locate and emulate on the
   // same device, so the registry counter must follow it through them too.
   const auto impl = lfsrImplementation();
   fpga::Device dev(impl.spec);

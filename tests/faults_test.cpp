@@ -10,7 +10,10 @@
 #include "core/fades.hpp"
 #include "core/lut_circuit.hpp"
 #include "core/permanent.hpp"
+#include "fades_golden.hpp"
 #include "fpga/device.hpp"
+#include "mc8051/core.hpp"
+#include "mc8051/workloads.hpp"
 #include "obs/metrics.hpp"
 #include "rtl/builder.hpp"
 #include "synth/implement.hpp"
@@ -236,7 +239,7 @@ VfitOptions miniVfitOptions() {
 TEST(Vfit, FlopBitFlipCausesImmediateFailure) {
   const auto& d = MiniDesign::instance();
   VfitTool tool(d.nl, d.cycles, miniVfitOptions());
-  const auto flops = tool.flopTargets(Unit::Registers);
+  const auto flops = vfit::flopTargets(d.nl, Unit::Registers);
   ASSERT_EQ(flops.size(), 8u);  // the LFSR bits
   Rng rng(1);
   double seconds = 0;
@@ -315,7 +318,7 @@ TEST(Vfit, CostIsFlatAcrossModelsAndDurations) {
   VfitTool tool(d.nl, d.cycles, miniVfitOptions());
   Rng rng(4);
   double sBitflip = 0, sPulseShort = 0, sPulseLong = 0;
-  const auto sig = tool.signalTargets(Unit::Alu);
+  const auto sig = vfit::signalTargets(d.nl, Unit::Alu);
   ASSERT_FALSE(sig.empty());
   tool.runExperiment(FaultModel::BitFlip, TargetClass::SequentialFF, 0, 5,
                      1.0, rng, &sBitflip);
@@ -654,6 +657,80 @@ TEST(Fades, IndeterminationForcesValueForWholeDuration) {
     failures += (o == Outcome::Failure);
   }
   EXPECT_GT(failures, 0);
+}
+
+// ----------------------------------------- MC8051 early stop and locate -
+
+/// The paper's campaign set-up: the MC8051 running Bubblesort on the
+/// Virtex-1000-class device.
+struct Mc8051Design {
+  std::uint64_t cycles = 0;
+  netlist::Netlist nl;
+  synth::Implementation impl;
+
+  Mc8051Design() {
+    const auto w = mc8051::bubblesort(6);
+    cycles = w.cycles;
+    nl = mc8051::buildCore(w.bytes);
+    impl = synth::implement(nl, fpga::DeviceSpec::virtex1000Like());
+  }
+  static const Mc8051Design& instance() {
+    static Mc8051Design d;
+    return d;
+  }
+};
+
+unsigned mc8051EarlyStops(FaultModel model, TargetClass cls,
+                          unsigned experiments = 40) {
+  CampaignSpec spec;
+  spec.model = model;
+  spec.targets = cls;
+  spec.band = DurationBand::shortBand();
+  spec.seed = 2006;
+  spec.experiments = experiments;
+  FadesOptions options;  // observes p0 and p1, as campaign_8051 does
+  const auto& d = Mc8051Design::instance();
+  return goldenref::expectEarlyStopsExact(d.impl, d.cycles, options, spec);
+}
+
+TEST(EarlyStopEquivalence, Mc8051PulseLut) {
+  EXPECT_GT(mc8051EarlyStops(FaultModel::Pulse, TargetClass::CombinationalLut),
+            0u);
+}
+
+TEST(EarlyStopEquivalence, Mc8051BitFlipMemory) {
+  // Most flipped RAM bits are never rewritten (Latent): few runs stop.
+  EXPECT_GT(mc8051EarlyStops(FaultModel::BitFlip,
+                             TargetClass::MemoryBlockBit, 200),
+            0u);
+}
+
+TEST(EarlyStopEquivalence, Mc8051DelaySeqLine) {
+  EXPECT_GT(mc8051EarlyStops(FaultModel::Delay, TargetClass::SequentialLine),
+            0u);
+}
+
+TEST(EarlyStopEquivalence, Mc8051IndeterminationFlop) {
+  EXPECT_GT(
+      mc8051EarlyStops(FaultModel::Indetermination, TargetClass::SequentialFF),
+      0u);
+}
+
+TEST(LocateExactness, Mc8051SampleOfCycles) {
+  // Cycles at the start, on either side of 128 and across the run, each
+  // located after a LUT pulse on the same replica.
+  const auto& d = Mc8051Design::instance();
+  fpga::Device dev(d.impl.spec);
+  FadesTool tool(dev, d.impl, d.cycles, FadesOptions{});
+  const auto luts = tool.targets(FaultModel::Pulse,
+                                 TargetClass::CombinationalLut, Unit::None);
+  Rng rng(8);
+  const std::uint64_t cycles[] = {0,   1,   2,    127,  128,
+                                  129, 640, 1000, d.cycles - 2, d.cycles - 1};
+  goldenref::expectLocateExact(tool, cycles, [&](std::uint64_t c) {
+    tool.runExperiment(FaultModel::Pulse, TargetClass::CombinationalLut,
+                       luts[(c * 37) % luts.size()], c / 2, 3.0, rng);
+  });
 }
 
 }  // namespace

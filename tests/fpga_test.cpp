@@ -832,5 +832,118 @@ TEST(DeviceTimingState, NeutralRebuildKeepsLateCaptures) {
   EXPECT_EQ(d.trace(dev, 5), expected);
 }
 
+// --------------------------------------------------------- golden trace -
+// What FADES' golden trace and early stop read from a device: the
+// configuration predicate, the plane-B change list and the packed state.
+
+TEST(DeviceGoldenTrace, ConfigPredicateTracksTogglesSinceDownload) {
+  const LateDesign d;
+  Device dev(d.spec);
+  EXPECT_FALSE(dev.configIsDownloaded());  // nothing downloaded yet
+  dev.writeFullBitstream(d.impl.bitstream);
+  EXPECT_TRUE(dev.configIsDownloaded());
+
+  const std::size_t a = dev.layout().cbLutBit(d.impl.luts[0].cb, 3);
+  const std::size_t b =
+      dev.layout().cbFieldBit(d.impl.flops[0].cb, CbField::SrMode);
+  const bool a0 = dev.logicBit(a), b0 = dev.logicBit(b);
+  dev.setLogicBit(a, a0);  // no change, no toggle
+  EXPECT_TRUE(dev.configIsDownloaded());
+  dev.setLogicBit(a, !a0);
+  dev.setLogicBit(b, !b0);
+  EXPECT_FALSE(dev.configIsDownloaded());
+  dev.setLogicBit(a, a0);
+  EXPECT_FALSE(dev.configIsDownloaded());  // b is still off the download
+  dev.setLogicBit(b, b0);
+  EXPECT_TRUE(dev.configIsDownloaded());
+
+  // A frame write counts bit by bit; stepping changes no configuration.
+  const FrameAddr f = dev.layout().frameOfLogicBit(a);
+  auto frame = dev.readLogicFrame(f);
+  dev.writeLogicFrame(f, frame);
+  dev.step();
+  EXPECT_TRUE(dev.configIsDownloaded());
+  const std::size_t rel = a - dev.layout().logicFrameFirstBit(f);
+  frame[rel >> 3] ^= static_cast<std::uint8_t>(1u << (rel & 7));
+  dev.writeLogicFrame(f, frame);
+  EXPECT_FALSE(dev.configIsDownloaded());
+  dev.writeFullBitstream(d.impl.bitstream);
+  EXPECT_TRUE(dev.configIsDownloaded());
+}
+
+TEST(DeviceGoldenTrace, EveryPlaneBWriteIsReportedOnce) {
+  rtl::Builder b;
+  rtl::Register cnt = b.makeRegister("cnt", 4, 0);
+  b.connect(cnt, b.increment(cnt.q));
+  b.ram("log", 4, 8, cnt.q, b.zeroExtend(cnt.q, 8), b.one());
+  b.output("out", cnt.q);
+  const auto impl = synth::implement(b.finish(), DeviceSpec::small());
+  ASSERT_EQ(impl.rams.size(), 1u);
+  const unsigned block = impl.rams[0].slices[0].block;
+  Device dev(impl.spec);
+  dev.writeFullBitstream(impl.bitstream);
+  EXPECT_TRUE(dev.changedBramWords().empty());
+
+  auto reported = [&] {
+    const auto w = dev.changedBramWords();
+    return std::set<std::uint32_t>(w.begin(), w.end());
+  };
+  // Clock edges: the RAM writes row cnt each cycle.
+  dev.step();
+  dev.step();
+  const std::size_t row1 = dev.layout().bramContentBit(block, 1 * 8);
+  EXPECT_EQ(reported(), (std::set<std::uint32_t>{
+                            static_cast<std::uint32_t>(row1 >> 6)}));
+  dev.clearChangedBramWords();
+  EXPECT_TRUE(dev.changedBramWords().empty());
+
+  // A bit write, and a frame write: every word the frame covers, once.
+  const std::size_t bit = dev.layout().bramContentBit(block, 700);
+  dev.setBramBit(bit, true);
+  dev.setBramBit(bit, false);
+  EXPECT_EQ(dev.changedBramWords().size(), 1u);
+  dev.writeBramFrame(block, 1, dev.readBramFrame(block, 1));
+  const std::size_t first =
+      dev.layout().bramContentBit(block, dev.layout().frameBits());
+  std::set<std::uint32_t> frameWords{static_cast<std::uint32_t>(bit >> 6)};
+  for (unsigned k = 0; k < dev.layout().frameBits(); k += 64) {
+    frameWords.insert(static_cast<std::uint32_t>((first + k) >> 6));
+  }
+  EXPECT_EQ(reported(), frameWords);
+  EXPECT_EQ(dev.changedBramWords().size(), frameWords.size());
+
+  // A restore replaces the whole plane and starts a fresh list.
+  dev.restoreState(dev.captureState());
+  EXPECT_TRUE(dev.changedBramWords().empty());
+}
+
+TEST(DeviceGoldenTrace, PackedStateLoadsWithOneEvaluation) {
+  // A packed row carries flip-flops, latches and previous D values, so a
+  // device whose own history differs resumes the late captures exactly.
+  const LateDesign d;
+  Device ref = d.device(6);
+  ASSERT_EQ(ref.timingReport().lateFfCount, 2u);
+  std::vector<std::uint64_t> row;
+  ref.appendPackedState(row);
+  EXPECT_TRUE(ref.packedStateMatches(row));
+  const DeviceState want = ref.captureState();
+
+  Device replica = d.device(11);
+  DeviceState base = d.device(0).captureState();
+  base.cycle = 6;
+  const std::uint64_t before = replica.settles();
+  replica.restoreState(base, row);
+  EXPECT_EQ(replica.settles() - before, 1u);
+  const DeviceState got = replica.captureState();
+  EXPECT_EQ(got.ffState, want.ffState);
+  EXPECT_EQ(got.prevD, want.prevD);
+  EXPECT_EQ(got.cycle, 6u);
+  EXPECT_EQ(d.trace(replica, 5), d.trace(ref, 5));
+  EXPECT_FALSE(ref.packedStateMatches(row));  // the LFSR moved on
+
+  row.pop_back();
+  EXPECT_THROW(replica.restoreState(base, row), FadesError);
+}
+
 }  // namespace
 }  // namespace fades::fpga
