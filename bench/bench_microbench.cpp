@@ -283,6 +283,35 @@ void BM_ReconfigExperimentGsr(benchmark::State& state) {
 }
 BENCHMARK(BM_ReconfigExperimentGsr);
 
+// Delay faults on the MC8051's flip-flop-driven lines (the campaign_8051
+// set-up, seed 2006): each experiment reroutes a line through a spare
+// flip-flop and puts it back, two topology rebuilds of the
+// Virtex-1000-class device, which the tiny design above cannot show.
+// `bits_decoded_per_experiment` counts the configuration bits those
+// rebuilds decode: a work counter CI gates below 100, where a walk of the
+// whole plane per rebuild would decode 136 892.
+void BM_ReconfigExperimentDelay(benchmark::State& state) {
+  const auto& s = Shared::get();
+  fpga::Device dev(s.impl.spec);
+  core::FadesTool tool(dev, s.impl, s.workload.cycles, core::FadesOptions{});
+  campaign::CampaignSpec spec;
+  spec.model = campaign::FaultModel::Delay;
+  spec.targets = campaign::TargetClass::SequentialLine;
+  spec.seed = 2006;
+  spec.experiments = 1u << 20;  // index wrap bound, never reached
+  const auto pool = tool.enumeratePool(spec);
+  const std::uint64_t decoded = dev.decodedBits();
+  unsigned index = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tool.runExperimentAt(spec, pool, index++, 0));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["bits_decoded_per_experiment"] =
+      static_cast<double>(dev.decodedBits() - decoded) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ReconfigExperimentDelay)->Unit(benchmark::kMillisecond);
+
 // Liveness-based fault-list pruning on the paper's Bubblesort workload:
 // derive the fades.prune/1 plan (golden trace + analysis, no campaign
 // execution) and report the experiments-executed collapse. Wall-clock times

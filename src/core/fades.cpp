@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -59,10 +60,11 @@ FadesTool::FadesTool(fpga::Device& device, const synth::Implementation& impl,
     for (unsigned b = 0; b < dev_.spec().memBlocks; ++b) {
       if (blockUsed[b]) usedBramBlocks_.push_back(b);
     }
+    usedNodes_.assign(dev_.nodes().count(), false);
     for (const auto& r : impl_.routes) {
-      usedNodes_.insert(r.sourceNode);
-      usedNodes_.insert(r.sinkNodes.begin(), r.sinkNodes.end());
-      usedNodes_.insert(r.wireNodes.begin(), r.wireNodes.end());
+      usedNodes_[r.sourceNode] = true;
+      for (const std::uint32_t n : r.sinkNodes) usedNodes_[n] = true;
+      for (const std::uint32_t n : r.wireNodes) usedNodes_[n] = true;
     }
     fullStateReadBytes_ =
         usedCaptureCols_.size() * dev_.spec().frameBytes +
@@ -417,11 +419,18 @@ void FadesTool::flipViaGsr(std::span<const std::uint32_t> targets) {
 
 std::vector<std::pair<std::size_t, std::uint32_t>> FadesTool::detour(
     std::uint32_t from, std::uint32_t to, std::size_t forbiddenBit,
-    const std::unordered_set<std::uint32_t>& avoid) const {
+    std::span<const std::pair<std::size_t, std::uint32_t>> avoid) const {
   const auto& nodes = dev_.nodes();
-  std::map<std::uint32_t, std::pair<std::uint32_t, std::size_t>> prev;
+  // Predecessor (node, bit) of each node reached. The nodes of `avoid` are
+  // entered as reached, so the search never enters them (nor reaches `to`
+  // through them); `to` itself stays reachable.
+  std::unordered_map<std::uint32_t, std::pair<std::uint32_t, std::size_t>>
+      prev;
   std::vector<std::uint32_t> queue{from};
   prev[from] = {from, 0};
+  for (const auto& [bit, n] : avoid) {
+    if (n != to) prev.try_emplace(n, n, 0);
+  }
   bool found = false;
   for (std::size_t h = 0; h < queue.size() && !found; ++h) {
     const std::uint32_t n = queue[h];
@@ -433,8 +442,7 @@ std::vector<std::pair<std::size_t, std::uint32_t>> FadesTool::detour(
             found = true;
             return;
           }
-          if (!nodes.isSegment(nb) || usedNodes_.count(nb) ||
-              avoid.count(nb) || queue.size() > 6000) {
+          if (!nodes.isSegment(nb) || usedNodes_[nb] || queue.size() > 6000) {
             return;
           }
           prev[nb] = {n, bit};
@@ -444,7 +452,7 @@ std::vector<std::pair<std::size_t, std::uint32_t>> FadesTool::detour(
   std::vector<std::pair<std::size_t, std::uint32_t>> path;
   if (!found) return path;
   for (std::uint32_t n = to; n != from;) {
-    const auto [p, bit] = prev[n];
+    const auto [p, bit] = prev.at(n);
     path.emplace_back(bit, n);
     n = p;
   }
@@ -567,9 +575,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng) {
             const auto bypPin = nodes.cbIn(spare, fpga::CbInPin::Byp);
             const auto ffPin = nodes.cbOut(spare, fpga::CbOutPin::Ff);
             const auto leg1 = detour(route.sourceNode, bypPin, directBit, {});
-            std::unordered_set<std::uint32_t> avoid;
-            for (const auto& [bit, n] : leg1) avoid.insert(n);
-            const auto leg2 = detour(ffPin, s0, directBit, avoid);
+            const auto leg2 = detour(ffPin, s0, directBit, leg1);
             if (!leg1.empty() && !leg2.empty()) {
               changes.emplace_back(directBit, false);
               for (const auto& [bit, n] : leg1) changes.emplace_back(bit, true);
@@ -615,14 +621,11 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng) {
                                         static_cast<unsigned>(vy), t)
                            : nodes.vseg(static_cast<unsigned>(vx),
                                         static_cast<unsigned>(vy), t);
-            if (usedNodes_.count(via) || via == a || via == b) continue;
+            if (usedNodes_[via] || via == a || via == b) continue;
 
             const auto leg1 = detour(a, via, directBit, {});
             if (leg1.empty()) continue;
-            std::unordered_set<std::uint32_t> avoid;
-            for (const auto& [bit, n] : leg1) avoid.insert(n);
-            avoid.erase(via);
-            const auto leg2 = detour(via, b, directBit, avoid);
+            const auto leg2 = detour(via, b, directBit, leg1);
             if (leg2.empty()) continue;
 
             changes.emplace_back(directBit, false);
@@ -645,7 +648,7 @@ void FadesTool::inject(ActiveFault& fault, Rng& rng) {
           synth::forEachNeighbor(dev_.layout(), nodes, w,
                                  [&](std::uint32_t nb, std::size_t bit) {
                                    if (done || !nodes.isSegment(nb)) return;
-                                   if (usedNodes_.count(nb)) return;
+                                   if (usedNodes_[nb]) return;
                                    if (dev_.logicBit(bit)) return;
                                    changes.emplace_back(bit, true);
                                    done = true;

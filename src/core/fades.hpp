@@ -24,7 +24,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bits/config_port.hpp"
@@ -253,12 +252,13 @@ class FadesTool : public campaign::CampaignEngine {
   /// number of targets.
   void flipViaGsr(std::span<const std::uint32_t> targets);
   /// Breadth-first detour through unused wire segments from `from` to `to`,
-  /// never closing `forbiddenBit` nor entering `avoid`: the (transistor bit,
-  /// node) hops walked back from `to`, or nothing when the search (capped
-  /// at 6000 queued nodes) finds no path.
+  /// never closing `forbiddenBit` nor entering a node of `avoid` (an
+  /// earlier leg's hops): the (transistor bit, node) hops walked back from
+  /// `to`, or nothing when the search (capped at 6000 queued nodes) finds
+  /// no path.
   std::vector<std::pair<std::size_t, std::uint32_t>> detour(
       std::uint32_t from, std::uint32_t to, std::size_t forbiddenBit,
-      const std::unordered_set<std::uint32_t>& avoid) const;
+      std::span<const std::pair<std::size_t, std::uint32_t>> avoid) const;
 
   // The experiment flow of Figure 1, shared by every experiment kind.
   /// New experiment: reset the meter and charge the reset to the initial
@@ -330,8 +330,8 @@ class FadesTool : public campaign::CampaignEngine {
   // Location-map derived indexes.
   std::vector<unsigned> usedCaptureCols_;  // columns containing used FFs
   std::vector<unsigned> usedBramBlocks_;
-  std::unordered_set<std::uint32_t> usedNodes_;  // routing nodes in use
-  std::uint64_t fullStateReadBytes_ = 0;         // per final-state readback
+  std::vector<bool> usedNodes_;            // per routing node: in use
+  std::uint64_t fullStateReadBytes_ = 0;  // per final-state readback
   // (pad, bit in outputWord()) of every observed output-port pad.
   std::vector<std::pair<unsigned, unsigned>> observedPads_;
 

@@ -134,7 +134,7 @@ Outcome PermanentFaults::runExperiment(PermanentFaultModel model,
             dev.layout(), nodes, w,
             [&](std::uint32_t nb, std::size_t bit) {
               if (done || dev.logicBit(bit)) return;
-              if (!nodes.isSegment(nb) || !tool_.usedNodes_.count(nb) ||
+              if (!nodes.isSegment(nb) || !tool_.usedNodes_[nb] ||
                   own.count(nb)) {
                 return;
               }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -40,7 +41,8 @@ Device::Device(const DeviceSpec& spec)
   ffState_.assign(spec_.cbCount(), 0);
   bramLatch_.assign(spec_.memBlocks, 0);
   padInput_.assign(spec_.padCount(), 0);
-  parent_.assign(nodes_.count(), 0);
+  parent_.resize(nodes_.count());
+  std::iota(parent_.begin(), parent_.end(), 0u);
   compSource_.assign(nodes_.count(), 0);
   bramWordChanged_.assign((bramCfg_.size() + 63) / 64, 0);
 }
@@ -52,7 +54,7 @@ Device::Device(const DeviceSpec& spec)
 void Device::setLogicBit(std::size_t addr, bool v) {
   if (logicCfg_.get(addr) == v) return;
   logicCfg_.set(addr, v);
-  if (downloaded_ && toggledBits_.erase(addr) == 0) toggledBits_.insert(addr);
+  if (toggledBits_.erase(addr) == 0) toggledBits_.insert(addr);
   settled_ = false;
   const auto d = layout_.decode(addr);
   if (d.region == ConfigLayout::Decoded::Region::Cb && d.bitInRecord < 16) {
@@ -160,6 +162,13 @@ void Device::writeFullBitstream(const Bitstream& bs) {
   bramCfg_ = bs.bram;
   downloaded_ = true;
   toggledBits_.clear();
+  // The one walk of the whole plane: later rebuilds start from its edges.
+  refEdges_.clear();
+  logicCfg_.forEachSetBit([&](std::size_t bit) {
+    ++decodedBits_;
+    const BitMeaning m = decodeLogicBit(bit);
+    if (m.isTransistor) refEdges_.push_back({bit, m.nodeA, m.nodeB});
+  });
   clearChangedBramWords();
   topoDirty_ = true;
   settled_ = false;
@@ -352,16 +361,34 @@ void Device::ensureCompiled() {
 }
 
 void Device::rebuildTopology() {
-  // 1. Electrical connectivity: union all nodes joined by ON transistors.
-  for (std::uint32_t n = 0; n < nodes_.count(); ++n) parent_[n] = n;
+  // 1. Electrical connectivity: union all nodes joined by ON transistors,
+  // in plane order. A download edge whose bit is clear now was toggled; a
+  // toggled bit set now is not a download edge.
+  for (const auto& [a, b] : edges_) {
+    parent_[a] = a;
+    parent_[b] = b;
+  }
   edges_.clear();
-  logicCfg_.forEachSetBit([&](std::size_t bit) {
-    const BitMeaning m = decodeLogicBit(bit);
-    if (m.isTransistor) {
-      unite(m.nodeA, m.nodeB);
-      edges_.emplace_back(m.nodeA, m.nodeB);
+  std::vector<std::size_t> added;
+  for (const std::size_t bit : toggledBits_) {
+    if (logicCfg_.get(bit)) added.push_back(bit);
+  }
+  std::sort(added.begin(), added.end());
+  decodedBits_ += added.size();
+  auto next = added.begin();
+  auto decodeAddedBefore = [&](std::size_t end) {
+    for (; next != added.end() && *next < end; ++next) {
+      const BitMeaning m = decodeLogicBit(*next);
+      if (m.isTransistor) edges_.emplace_back(m.nodeA, m.nodeB);
     }
-  });
+  };
+  for (const RefEdge& e : refEdges_) {
+    if (!logicCfg_.get(e.bit)) continue;
+    decodeAddedBefore(e.bit);
+    edges_.emplace_back(e.nodeA, e.nodeB);
+  }
+  decodeAddedBefore(logicCfg_.size());
+  for (const auto& [a, b] : edges_) unite(a, b);
 
   // 2. Enumerate used resources and assign value indices.
   Compiled c;
@@ -412,12 +439,14 @@ void Device::rebuildTopology() {
   c.valueCount = nextVal;
 
   // 3. Map each driven component to its source value index.
-  std::fill(compSource_.begin(), compSource_.end(), 0);
+  for (const std::uint32_t root : sourcedRoots_) compSource_[root] = 0;
+  sourcedRoots_.clear();
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> multi;
   auto addDriver = [&](std::uint32_t node, std::uint32_t val) {
     const std::uint32_t root = find(node);
     if (compSource_[root] == 0 && multi.find(root) == multi.end()) {
       compSource_[root] = val;
+      sourcedRoots_.push_back(root);  // shorted roots are among these
     } else {
       auto& list = multi[root];
       if (list.empty() && compSource_[root] != 0) {

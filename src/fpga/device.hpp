@@ -43,8 +43,10 @@ struct Bitstream {
   common::BitVector bram;
 };
 
-/// What a configuration bit means; produced by Device::decodeLogicBit and
-/// used by the connectivity rebuild and by diagnostic tooling.
+/// What a configuration bit means; produced by Device::decodeLogicBit. The
+/// connectivity decode reads the transistor bits' node pairs: every set bit
+/// once per download, then only the bits toggled since (Device::decodedBits
+/// counts both). Fault injectors and diagnostics read the kind.
 struct BitMeaning {
   enum class Kind : std::uint8_t {
     LutTable,
@@ -112,7 +114,7 @@ class Device {
   /// Whether the logic plane equals the last writeFullBitstream(), in O(1):
   /// the device keeps the set of bits toggled an odd number of times since
   /// that download, not a second copy of the plane. False before the first
-  /// download.
+  /// download, when the toggled set is measured from the empty plane.
   bool configIsDownloaded() const {
     return downloaded_ && toggledBits_.empty();
   }
@@ -142,7 +144,11 @@ class Device {
   /// Pulse the Global Set/Reset line: every FF assumes its SrMode value.
   void pulseGsr();
 
+  /// What logic-plane bit `addr` configures (pure: it reads no plane).
   BitMeaning decodeLogicBit(std::size_t addr) const;
+  /// Bits the connectivity decode has read so far: every set bit of each
+  /// download, then the toggled bits each topology rebuild found set.
+  std::uint64_t decodedBits() const { return decodedBits_; }
 
   // --- execution -------------------------------------------------------------
   void setPadInput(unsigned pad, bool v);
@@ -255,7 +261,12 @@ class Device {
   }
 
   void ensureCompiled();
-  void rebuildTopology();   // connectivity + compiled model
+  /// Connectivity + compiled model. Unites the download's transistor edges
+  /// whose bit is still set, merged in bit-address order with the toggled
+  /// bits set now (only those are decoded): the same edges_ and unite()
+  /// sequence as a walk of the whole plane. Resets parent_ and compSource_
+  /// only where the previous rebuild wrote them, even one that threw.
+  void rebuildTopology();
   void refreshMisc();       // mux fields only
   void refreshLutTables();  // LUT contents only
   void computeTiming();
@@ -282,7 +293,18 @@ class Device {
   common::BitVector logicCfg_;
   common::BitVector bramCfg_;
   bool downloaded_ = false;
-  std::unordered_set<std::size_t> toggledBits_;  // since the last download
+  /// Logic-plane bits toggled an odd number of times since the last download
+  /// or, before any, since construction (the empty plane).
+  std::unordered_set<std::size_t> toggledBits_;
+  /// The set transistor bits of the last download, in plane order, with the
+  /// nodes each joins; empty before any download.
+  struct RefEdge {
+    std::size_t bit = 0;
+    std::uint32_t nodeA = 0;
+    std::uint32_t nodeB = 0;
+  };
+  std::vector<RefEdge> refEdges_;
+  std::uint64_t decodedBits_ = 0;
   std::vector<std::uint32_t> changedBramWords_;
   std::vector<std::uint8_t> bramWordChanged_;  // per word: in the list above
 
@@ -313,10 +335,13 @@ class Device {
   ShortPolicy shortPolicy_ = ShortPolicy::Error;
   TimingReport timingReport_;
 
-  // connectivity scratch (valid after rebuildTopology)
+  // connectivity scratch (valid after rebuildTopology). Only edges_
+  // endpoints leave the identity in parent_, and compSource_ is non-zero
+  // only at sourcedRoots_.
   mutable std::vector<std::uint32_t> parent_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;
   std::vector<std::uint32_t> compSource_;  // component root -> value index
+  std::vector<std::uint32_t> sourcedRoots_;
   std::vector<double> sinkDelay_;          // per node, ns (timing mode)
 };
 

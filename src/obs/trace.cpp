@@ -25,7 +25,10 @@ std::uint64_t TraceBuffer::nowMicros() {
 
 TraceBuffer::TraceBuffer(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(256);
+  // The whole ring at once: filling it never reallocates (a doubling would
+  // hold the old and the new block resident together), and the pages no
+  // record has reached yet are not resident.
+  ring_.reserve(capacity_);
 }
 
 TraceBuffer& TraceBuffer::global() {

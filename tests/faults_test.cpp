@@ -716,6 +716,31 @@ TEST(EarlyStopEquivalence, Mc8051IndeterminationFlop) {
       0u);
 }
 
+TEST(DelayReconfiguration, Mc8051ExperimentsDecodeOnlyTheBitsTheyChange) {
+  // The download decodes every set bit of the logic plane once. A delay
+  // experiment then rebuilds the device twice (inject, removal) and each
+  // rebuild decodes only the bits toggled since the download, a few dozen
+  // at most, instead of the whole plane's set bits twice.
+  const auto& d = Mc8051Design::instance();
+  fpga::Device dev(d.impl.spec);
+  FadesTool tool(dev, d.impl, d.cycles, FadesOptions{});
+  EXPECT_EQ(dev.decodedBits(), d.impl.bitstream.logic.popcount());
+  CampaignSpec spec;
+  spec.model = FaultModel::Delay;
+  spec.targets = TargetClass::SequentialLine;
+  spec.band = DurationBand::shortBand();
+  spec.seed = 2006;
+  spec.experiments = 20;
+  const auto pool = tool.enumeratePool(spec);
+  for (unsigned i = 0; i < spec.experiments; ++i) {
+    const std::uint64_t before = dev.decodedBits();
+    EXPECT_FALSE(tool.runExperimentAt(spec, pool, i, 0).quarantined);
+    EXPECT_GT(dev.decodedBits() - before, 0u) << "experiment " << i;
+    EXPECT_LT(dev.decodedBits() - before, 64u) << "experiment " << i;
+    EXPECT_TRUE(dev.configIsDownloaded());
+  }
+}
+
 TEST(LocateExactness, Mc8051SampleOfCycles) {
   // Cycles at the start, on either side of 128 and across the run, each
   // located after a LUT pulse on the same replica.

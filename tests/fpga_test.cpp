@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "fpga/device.hpp"
 #include "fpga/layout.hpp"
 #include "fpga/spec.hpp"
 #include "rtl/builder.hpp"
+#include "synth/fabric.hpp"
 #include "synth/implement.hpp"
 
 namespace fades::fpga {
@@ -943,6 +947,315 @@ TEST(DeviceGoldenTrace, PackedStateLoadsWithOneEvaluation) {
 
   row.pop_back();
   EXPECT_THROW(replica.restoreState(base, row), FadesError);
+}
+
+// ----------------------------------------------------- topology rebuild -
+// A rebuild starts from the download's transistor edges and decodes only the
+// bits toggled since. Whatever the toggles, the device must compile, time,
+// fail and run exactly like a fresh download of the same plane.
+
+/// Runs `f`: the message of the FadesError it raised, or "" if none.
+template <typename F>
+std::string errorOf(F&& f) {
+  try {
+    f();
+  } catch (const FadesError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Settles `dev` and checks it against a fresh device downloaded with its
+/// plane under the same short policy: the same error, or the same counts,
+/// timing (exact doubles) and packed state and pads over several steps
+/// from `state`. Returns whether the configuration compiled.
+bool expectLikeFreshDownload(Device& dev, ShortPolicy policy,
+                             const DeviceState& state) {
+  Device fresh(dev.spec());
+  fresh.setShortPolicy(policy);
+  fresh.setTimingEnabled(true);
+  const std::string want =
+      errorOf([&] { fresh.writeFullBitstream(dev.readbackBitstream()); });
+  EXPECT_EQ(errorOf([&] { dev.settle(); }), want);
+  if (!want.empty()) return false;
+
+  EXPECT_EQ(dev.usedLutCount(), fresh.usedLutCount());
+  EXPECT_EQ(dev.usedFfCount(), fresh.usedFfCount());
+  const TimingReport& got = dev.timingReport();
+  const TimingReport& ref = fresh.timingReport();
+  EXPECT_EQ(got.maxArrivalNs, ref.maxArrivalNs);
+  EXPECT_EQ(got.lateFfCount, ref.lateFfCount);
+  EXPECT_TRUE(got.lateFfs == ref.lateFfs);
+  const RoutingNodes& nodes = dev.nodes();
+  for (std::uint16_t x = 0; x < dev.spec().cols; ++x) {
+    for (std::uint16_t y = 0; y < dev.spec().rows; y += 3) {
+      for (unsigned pin = 0; pin <= 4; ++pin) {
+        const auto n = nodes.cbIn(CbCoord{x, y}, static_cast<CbInPin>(pin));
+        EXPECT_EQ(dev.sinkDelayNs(n), fresh.sinkDelayNs(n)) << "node " << n;
+      }
+    }
+  }
+  for (unsigned p = 0; p < dev.spec().padCount(); ++p) {
+    EXPECT_EQ(dev.sinkDelayNs(nodes.pad(p)), fresh.sinkDelayNs(nodes.pad(p)));
+  }
+
+  dev.restoreState(state);
+  fresh.restoreState(state);
+  for (unsigned c = 0; c < 4; ++c) {
+    std::vector<std::uint64_t> a, b;
+    dev.appendPackedState(a);
+    fresh.appendPackedState(b);
+    EXPECT_EQ(a, b) << "cycle " << c;
+    for (unsigned p = 0; p < dev.spec().padCount(); ++p) {
+      EXPECT_EQ(dev.padValue(p), fresh.padValue(p)) << "pad " << p;
+    }
+    dev.step();
+    fresh.step();
+  }
+  return true;
+}
+
+/// LFSR, counter and a logging RAM: LUTs, flip-flops, pads and a memory
+/// block for the toggles to hit.
+netlist::Netlist rebuildDesign() {
+  rtl::Builder b;
+  rtl::Register lfsr = b.makeRegister("lfsr", 8, 1);
+  rtl::Register cnt = b.makeRegister("cnt", 4, 0);
+  auto fb = b.lxor(lfsr.q[7], b.lxor(lfsr.q[5], b.lxor(lfsr.q[4], lfsr.q[3])));
+  rtl::Bus next{fb};
+  for (int i = 0; i < 7; ++i) next.push_back(lfsr.q[i]);
+  b.connect(lfsr, next);
+  b.connect(cnt, b.increment(cnt.q));
+  b.ram("log", 4, 8, cnt.q, lfsr.q, b.one());
+  b.output("lfsr", lfsr.q);
+  b.output("cnt", cnt.q);
+  b.output("mix", rtl::Bus{b.lxor(lfsr.q[0], cnt.q[0])});
+  return b.finish();
+}
+
+/// Configuration bits that make the rebuild throw: a LUT input joined to
+/// the net the LUT's own output drives (a combinational loop), and a pass
+/// transistor joining two routed nets (a short).
+struct ErrorBits {
+  std::size_t loop = 0;
+  std::size_t shortBit = 0;
+};
+
+ErrorBits findErrorBits(const Device& dev, const synth::Implementation& impl) {
+  const ConfigLayout& l = dev.layout();
+  const unsigned tracks = dev.spec().tracks;
+  ErrorBits out;
+  bool loop = false, shorted = false;
+  for (const auto& lut : impl.luts) {
+    for (unsigned k = 0; k < 2 * tracks && !loop; ++k) {
+      const bool vertical = k >= tracks;
+      const unsigned t = k % tracks;
+      if (!dev.logicBit(l.cbOutConnBit(lut.cb, CbOutPin::Lut, vertical, t))) {
+        continue;
+      }
+      for (unsigned pin = 0; pin < 4 && !loop; ++pin) {
+        const auto in = static_cast<CbInPin>(pin);
+        bool open = true;
+        for (unsigned u = 0; u < 2 * tracks; ++u) {
+          const bool v = u >= tracks;
+          open = open && !dev.logicBit(l.cbInConnBit(lut.cb, in, v, u % tracks));
+        }
+        if (open) {
+          out.loop = l.cbInConnBit(lut.cb, in, vertical, t);
+          loop = true;
+        }
+      }
+    }
+  }
+  std::unordered_map<std::uint32_t, std::uint32_t> sourceOf;
+  for (const auto& r : impl.routes) {
+    for (const auto w : r.wireNodes) sourceOf[w] = r.sourceNode;
+  }
+  for (const auto& r : impl.routes) {
+    for (const auto w : r.wireNodes) {
+      synth::forEachNeighbor(l, dev.nodes(), w,
+                             [&](std::uint32_t nb, std::size_t bit) {
+                               const auto it = sourceOf.find(nb);
+                               if (shorted || it == sourceOf.end() ||
+                                   it->second == r.sourceNode ||
+                                   dev.logicBit(bit)) {
+                                 return;
+                               }
+                               out.shortBit = bit;
+                               shorted = true;
+                             });
+    }
+  }
+  EXPECT_TRUE(loop && shorted) << "no loop or short site in the design";
+  return out;
+}
+
+/// Random toggles of `dev`'s logic plane, each followed by a comparison with
+/// a fresh download: transistor bits next to used nets switched on, routed
+/// transistor bits switched off, used flags of CBs, pads and memory blocks,
+/// memory width selects, the error bits, reverts of earlier toggles and
+/// downloads of the plane as it stands.
+void toggleAndCompare(Device& dev, const synth::Implementation& impl,
+                      ShortPolicy policy, std::uint64_t seed, unsigned steps) {
+  const ConfigLayout& l = dev.layout();
+  const DeviceSpec& spec = dev.spec();
+  const ErrorBits errors = findErrorBits(dev, impl);
+  const DeviceState state = dev.captureState();
+  common::Rng rng(seed);
+  std::vector<std::size_t> toggled;
+  auto toggle = [&](std::size_t bit) {
+    dev.setLogicBit(bit, !dev.logicBit(bit));
+    const auto it = std::find(toggled.begin(), toggled.end(), bit);
+    if (it != toggled.end()) {
+      toggled.erase(it);
+    } else {
+      toggled.push_back(bit);
+    }
+  };
+  auto anyCb = [&] {
+    return CbCoord{static_cast<std::uint16_t>(rng.below(spec.cols)),
+                   static_cast<std::uint16_t>(rng.below(spec.rows))};
+  };
+  auto failures = [] {
+    return ::testing::UnitTest::GetInstance()
+        ->current_test_info()
+        ->result()
+        ->total_part_count();
+  };
+  const int failuresBefore = failures();
+  unsigned compiled = 0, threw = 0;
+  for (unsigned step = 0; step < steps; ++step) {
+    const auto& route = impl.routes[rng.below(impl.routes.size())];
+    switch (rng.below(11)) {
+      case 0:
+      case 1: {  // a pass transistor next to a used net
+        const auto w = route.wireNodes[rng.below(route.wireNodes.size())];
+        std::vector<std::size_t> off;
+        synth::forEachNeighbor(l, dev.nodes(), w,
+                               [&](std::uint32_t, std::size_t bit) {
+                                 if (!dev.logicBit(bit)) off.push_back(bit);
+                               });
+        if (!off.empty()) toggle(off[rng.below(off.size())]);
+        break;
+      }
+      case 2:  // a routed transistor
+        toggle(route.transistorBits[rng.below(route.transistorBits.size())]);
+        break;
+      case 3:
+        toggle(l.cbFieldBit(anyCb(),
+                            rng.coin() ? CbField::FfUsed : CbField::LutUsed));
+        break;
+      case 4:
+        toggle(l.padFieldBit(static_cast<unsigned>(rng.below(spec.padCount())),
+                             rng.coin() ? PadField::Used : PadField::IsOutput));
+        break;
+      case 5: {
+        const auto block = static_cast<unsigned>(rng.below(spec.memBlocks));
+        toggle(rng.coin() ? l.bramFieldBit(block, BramField::Used)
+                          : l.bramFieldBit(block, BramField::WidthSelLo) +
+                                rng.below(3));
+        break;
+      }
+      case 6:
+        toggle(rng.coin() ? errors.loop : errors.shortBit);
+        break;
+      case 10:  // download the plane as it is: the new reference
+        errorOf([&] { dev.writeFullBitstream(dev.readbackBitstream()); });
+        break;
+      default:  // revert earlier toggles, one or all
+        if (rng.coin()) {
+          while (!toggled.empty()) toggle(toggled.back());
+        } else if (!toggled.empty()) {
+          toggle(toggled[rng.below(toggled.size())]);
+        }
+        break;
+    }
+    if (expectLikeFreshDownload(dev, policy, state)) {
+      ++compiled;
+    } else {
+      ++threw;
+    }
+    if (failures() != failuresBefore) {
+      ADD_FAILURE() << "step " << step << " with " << toggled.size()
+                    << " bits toggled";
+      return;
+    }
+  }
+  EXPECT_GT(compiled, steps / 5);
+  EXPECT_GT(threw, 0u);
+}
+
+TEST(DeviceTopology, RebuildFromChangesEqualsAFreshDownload) {
+  const netlist::Netlist nl = rebuildDesign();
+  std::uint64_t seed = 40;
+  for (const DeviceSpec& spec : {DeviceSpec::small(), DeviceSpec::medium()}) {
+    const auto impl = synth::implement(nl, spec);
+    const ShortPolicy policies[] = {ShortPolicy::Error, ShortPolicy::WiredAnd,
+                                    ShortPolicy::WiredOr};
+    for (const ShortPolicy policy : policies) {
+      SCOPED_TRACE(spec.name + " policy " +
+                   std::to_string(static_cast<int>(policy)));
+      Device dev(spec);
+      dev.setShortPolicy(policy);
+      dev.setTimingEnabled(true);
+      dev.writeFullBitstream(impl.bitstream);
+      for (unsigned c = 0; c < 5; ++c) dev.step();
+      toggleAndCompare(dev, impl, policy, seed++, 120);
+    }
+  }
+}
+
+TEST(DeviceTopology, HandRoutingBeforeAnyDownloadEqualsADownload) {
+  // Before any download the reference is the empty plane: every set bit is
+  // a toggle, and the rebuild decodes exactly those.
+  Device dev(DeviceSpec::small());
+  dev.setTimingEnabled(true);
+  configureRegisteredBuffer(dev);
+  const DeviceState state = dev.captureState();
+  EXPECT_TRUE(expectLikeFreshDownload(dev, ShortPolicy::Error, state));
+  EXPECT_EQ(dev.decodedBits(), dev.readbackBitstream().logic.popcount());
+  EXPECT_FALSE(dev.configIsDownloaded());
+
+  Hand h(dev);
+  h.pm(2, 2, 1, PmSwitch::EN);  // a dangling segment on the FF's net
+  h.lut(CbCoord{2, 2}, 0x5555);
+  EXPECT_TRUE(expectLikeFreshDownload(dev, ShortPolicy::Error, state));
+  dev.setLogicBit(dev.layout().pmSwitchBit(PmCoord{2, 2}, 1, PmSwitch::EN),
+                  false);
+  EXPECT_TRUE(expectLikeFreshDownload(dev, ShortPolicy::Error, state));
+}
+
+TEST(DeviceTopology, RebuildAfterARebuildThatThrew) {
+  const auto impl = synth::implement(rebuildDesign(), DeviceSpec::small());
+  Device dev(impl.spec);
+  dev.setTimingEnabled(true);
+  dev.writeFullBitstream(impl.bitstream);
+  const DeviceState state = dev.captureState();
+  const ErrorBits errors = findErrorBits(dev, impl);
+  const std::size_t width =
+      dev.layout().bramFieldBit(impl.rams[0].slices[0].block,
+                                BramField::WidthSelLo) + 2;
+  const auto& route = impl.routes[0];
+
+  // A short (thrown while drivers are resolved), a loop under it (thrown by
+  // the sort), and a bad memory width (thrown before any driver).
+  dev.setLogicBit(errors.shortBit, true);
+  EXPECT_FALSE(expectLikeFreshDownload(dev, ShortPolicy::Error, state));
+  dev.setLogicBit(errors.loop, true);
+  EXPECT_FALSE(expectLikeFreshDownload(dev, ShortPolicy::Error, state));
+  dev.setLogicBit(errors.shortBit, false);
+  EXPECT_NE(errorOf([&] { dev.settle(); }).find("combinational loop"),
+            std::string::npos);
+  dev.setLogicBit(errors.loop, false);
+  dev.setLogicBit(route.transistorBits.back(), false);
+  EXPECT_TRUE(expectLikeFreshDownload(dev, ShortPolicy::Error, state));
+  dev.setLogicBit(width, !dev.logicBit(width));
+  EXPECT_NE(errorOf([&] { dev.settle(); }).find("bad bram width"),
+            std::string::npos);
+  dev.setLogicBit(width, !dev.logicBit(width));
+  dev.setLogicBit(route.transistorBits.back(), true);
+  EXPECT_TRUE(expectLikeFreshDownload(dev, ShortPolicy::Error, state));
+  EXPECT_TRUE(dev.configIsDownloaded());
 }
 
 }  // namespace
