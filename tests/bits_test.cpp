@@ -487,8 +487,8 @@ std::vector<ReplicaCase> replicaCases() {
        FaultModel::BitFlip, TargetClass::SequentialFF, Unit::Registers},
       {"BitFlipMemory", base, FaultModel::BitFlip,
        TargetClass::MemoryBlockBit, Unit::Ram},
-      {"PulseLut", base, FaultModel::Pulse, TargetClass::CombinationalLut,
-       Unit::Alu},
+      {"PulseLutTable", base, FaultModel::Pulse,
+       TargetClass::CombinationalLut, Unit::Alu},
       {"PulseCbInput", base, FaultModel::Pulse, TargetClass::CbInputLine,
        Unit::None},
       {"DelayFullDownload", base, FaultModel::Delay,
